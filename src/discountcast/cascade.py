@@ -7,6 +7,13 @@ independently comes up live with its propagation probability, and
 influence travels from accepted seeds along live edges. Fixing both
 draws up front gives a deterministic realization that adaptive policies
 can probe incrementally.
+
+Expected cascade sizes come either from `spread_exact`, which
+enumerates the states of the uncertain edges a cascade can reach, or
+from one Monte Carlo kernel shared by `spread_mc` and
+`nonadaptive.f_mc`. The kernel runs a block of replicates as a single
+breadth-first search over the graph's CSR arrays, flipping each edge
+the cascade examines with one uniform draw.
 """
 from __future__ import annotations
 
@@ -22,8 +29,7 @@ from .graph import Instance, SeedDiscountPair, SocialGraph
 from .rng import as_stream, child, generator
 
 MAX_UNCERTAIN_EDGES = 25
-_MC_GROUP_LIMIT = 12  # tabulate spreads by edge state when at most this many uncertain edges
-_MC_CHUNK = 65536
+_VISITED_CELLS = 1 << 22  # replicates * nodes in one Monte Carlo block
 
 
 @dataclass(frozen=True)
@@ -69,45 +75,12 @@ def sample_diffusion(graph: SocialGraph, stream) -> DiffusionRealization:
     return DiffusionRealization(live=live)
 
 
-def sample_diffusion_batch(graph: SocialGraph, count: int, stream) -> np.ndarray:
-    """(count, |E|) boolean matrix of independent edge states."""
-    gen = generator(as_stream(stream))
-    probs = np.array([e.prob for e in graph.edges])
-    return gen.random((count, len(graph.edges))) < probs
-
-
 def sample_realization(instance: Instance, stream) -> Realization:
     root = as_stream(stream)
     return Realization(
         seeding=sample_seeding(instance, child(root, 0)),
         diffusion=sample_diffusion(instance.graph, child(root, 1)),
     )
-
-
-def reachable(graph: SocialGraph, diffusion: DiffusionRealization, seeds, restrict=None) -> frozenset[int]:
-    """Nodes reachable from `seeds` along live edges (seeds included).
-
-    With `restrict`, traversal stays inside that node set; seeds outside
-    it are ignored.
-    """
-    allowed = None if restrict is None else set(restrict)
-    seen: set[int] = set()
-    queue: deque[int] = deque()
-    for s in seeds:
-        if (allowed is None or s in allowed) and s not in seen:
-            seen.add(s)
-            queue.append(s)
-    while queue:
-        u = queue.popleft()
-        for eidx in graph.out_edges[u]:
-            if not diffusion.live[eidx]:
-                continue
-            w = graph.edges[eidx].dst
-            if w in seen or (allowed is not None and w not in allowed):
-                continue
-            seen.add(w)
-            queue.append(w)
-    return frozenset(seen)
 
 
 def _relevant_subgraph(graph: SocialGraph, seeds, allowed, *, stop_after: int | None = None):
@@ -199,88 +172,81 @@ def spread_exact(graph: SocialGraph, seeds, *, restrict=None, max_uncertain_edge
 def spread_mc(graph: SocialGraph, seeds, samples: int, stream, *, restrict=None) -> float:
     """Monte Carlo estimate of the expected cascade size from `seeds`.
 
-    Bit-deterministic for a fixed stream. The mean is accumulated in
-    integers, so it does not depend on summation order.
+    Every replicate starts from the same seeds, run through the shared
+    kernel in blocks. With `restrict`, nodes outside it are blocked:
+    they neither seed nor receive influence. Bit-deterministic for a
+    fixed stream; the mean is an integer total over the sample count.
     """
     if samples < 1:
         raise ValidationError("samples must be at least 1")
     allowed = None if restrict is None else set(restrict)
-    seed_list = sorted({s for s in seeds if allowed is None or s in allowed})
-    if not seed_list:
+    seed_nodes = np.array(sorted({s for s in seeds if allowed is None or s in allowed}), dtype=np.int64)
+    if not seed_nodes.size:
         return 0.0
-    adj, _closure, uncertain = _relevant_subgraph(
-        graph, seed_list, allowed, stop_after=_MC_GROUP_LIMIT
-    )
+    n = graph.node_count
+    blocked = None
+    if allowed is not None:
+        blocked = np.ones(n, dtype=bool)
+        blocked[np.fromiter(allowed, dtype=np.int64, count=len(allowed))] = False
     gen = generator(as_stream(stream))
-    if adj is not None:
-        k = len(uncertain)
-        if k == 0:
-            return float(_reach_size(adj, seed_list, 0))
-        probs = np.array([graph.edges[eidx].prob for eidx in uncertain])
-        weights = 1 << np.arange(k, dtype=np.int64)
-        counts = np.zeros(1 << k, dtype=np.int64)
-        left = samples
-        while left > 0:
-            block = min(left, _MC_CHUNK)
-            states = (gen.random((block, k)) < probs) @ weights
-            counts += np.bincount(states, minlength=1 << k)
-            left -= block
-        total = 0
-        for state in np.flatnonzero(counts):
-            total += int(counts[state]) * _reach_size(adj, seed_list, int(state))
-        return total / samples
-    # Too many uncertain edges to tabulate: walk each replicate over the
-    # raw out-edges, flipping an edge lazily the first time the cascade
-    # examines it. Per-node edge lists are cached as they come up, so the
-    # cost tracks the cascades actually walked, not the reachable set.
-    edges = graph.edges
-    out_edges = graph.out_edges
-    local_adj: dict[int, list[tuple[int, float]]] = {}
-    buf = _UniformBuffer(gen)
+
+    def block_seeds(r: int) -> np.ndarray:
+        return (np.arange(0, r * n, n, dtype=np.int64)[:, None] + seed_nodes).ravel()
+
+    return _mc_total(graph, samples, gen, block_seeds, blocked) / samples
+
+
+def _mc_total(graph: SocialGraph, samples: int, gen: np.random.Generator, block_seeds, blocked=None) -> int:
+    """Cascade sizes summed over `samples` independent replicates.
+
+    Replicates run in blocks of r, each as one level-synchronous BFS
+    over keys replicate*n + node. `block_seeds(r)` returns the next
+    block's seed keys, sorted and distinct; it may draw from `gen`
+    first. Each examined out-edge then takes one uniform draw, and its
+    target joins the next frontier when the edge is live, the target is
+    unvisited in that replicate and not `blocked`. Since a node is
+    expanded at most once per replicate, so is each edge.
+    """
+    n = graph.node_count
+    csr = graph.csr
+    indptr, dst, prob = csr.indptr, csr.dst, csr.prob
+    per_block = max(1, _VISITED_CELLS // n)
+    visited = csr.visited(min(samples, per_block) * n)
     total = 0
-    for _ in range(samples):
-        seen = set(seed_list)
-        stack = list(seed_list)
-        while stack:
-            u = stack.pop()
-            lst = local_adj.get(u)
-            if lst is None:
-                lst = [
-                    (edges[i].dst, edges[i].prob)
-                    for i in out_edges[u]
-                    if edges[i].prob > 0.0
-                    and (allowed is None or edges[i].dst in allowed)
-                ]
-                local_adj[u] = lst
-            for w, p in lst:
-                if w in seen:
-                    continue
-                if p < 1.0 and buf.next() >= p:
-                    continue
-                seen.add(w)
-                stack.append(w)
-        total += len(seen)
-    return total / samples
-
-
-class _UniformBuffer:
-    """Uniform draws handed out one at a time from vectorized blocks."""
-
-    __slots__ = ("gen", "block", "buf", "pos")
-
-    def __init__(self, gen: np.random.Generator, block: int = 8192):
-        self.gen = gen
-        self.block = block
-        self.buf: list[float] = []
-        self.pos = 0
-
-    def next(self) -> float:
-        if self.pos == len(self.buf):
-            self.buf = self.gen.random(self.block).tolist()
-            self.pos = 0
-        v = self.buf[self.pos]
-        self.pos += 1
-        return v
+    left = samples
+    while left:
+        r = min(left, per_block)
+        left -= r
+        frontier = block_seeds(r)
+        visited[frontier] = True
+        touched = [frontier]
+        total += frontier.size
+        while frontier.size:
+            node = frontier % n
+            starts = indptr[node]
+            counts = indptr[node + 1] - starts
+            ends = np.cumsum(counts)
+            m = int(ends[-1])
+            if not m:
+                break
+            pos = np.repeat(starts - ends + counts, counts) + np.arange(m)
+            targets = dst[pos]
+            keys = np.repeat(frontier - node, counts) + targets
+            keep = gen.random(m) < prob[pos]
+            keep &= ~visited[keys]
+            if blocked is not None:
+                keep &= ~blocked[targets]
+            keys = keys[keep]
+            keys.sort()
+            if keys.size > 1:
+                keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            visited[keys] = True
+            touched.append(keys)
+            total += keys.size
+            frontier = keys
+        for keys in touched:
+            visited[keys] = False
+    return total
 
 
 def hoeffding_radius(node_count: int, samples: int, delta: float = 0.05) -> float:

@@ -320,7 +320,7 @@ def _write_trajectory_csv(path, instance: Instance, record) -> None:
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @_guarded
 def adaptive(**params):
-    """Run one adaptive trajectory, logging every probe."""
+    """Run one adaptive trajectory, logging every probe on stderr."""
     start = time.perf_counter()
     params = _with_config(params, params.pop("config_path"))
     instance, spec = _load_instance(params)
@@ -338,7 +338,7 @@ def adaptive(**params):
         realization_src = "sampled"
     record = run_policy(policy, instance, spec, realization)
     for line in record.log_lines(instance.graph):
-        click.echo(line)
+        click.echo(line, err=True)
     if params["trajectory_csv"]:
         _write_trajectory_csv(params["trajectory_csv"], instance, record)
     labels = instance.graph.labels

@@ -24,6 +24,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
 
 
@@ -31,6 +33,47 @@ class Edge(NamedTuple):
     src: int
     dst: int
     prob: float
+
+
+class CSRView:
+    """Out-edges in compressed sparse rows, for vectorized cascades.
+
+    Node u's out-edges are `dst[indptr[u]:indptr[u+1]]`, with
+    propagation probabilities at the same positions in `prob`, in
+    edge-list order. Zero-probability edges are left out: they never
+    fire. The visited buffer is scratch space for the Monte Carlo
+    kernel; it is all False between calls and is not pickled.
+    """
+
+    __slots__ = ("indptr", "dst", "prob", "_visited")
+
+    def __init__(self, node_count: int, edges: tuple[Edge, ...]):
+        table = np.array(edges, dtype=np.float64).reshape(-1, 3)
+        table = table[table[:, 2] > 0.0]
+        order = np.argsort(table[:, 0], kind="stable")
+        src = table[order, 0].astype(np.int64)
+        self.indptr = np.zeros(node_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=node_count), out=self.indptr[1:])
+        self.dst = table[order, 1].astype(np.int64)
+        self.prob = table[order, 2]
+        self._visited = np.zeros(0, dtype=bool)
+
+    def visited(self, size: int) -> np.ndarray:
+        """An all-False buffer of at least `size` cells.
+
+        The caller must set every cell it marked back to False before
+        the next call.
+        """
+        if self._visited.size < size:
+            self._visited = np.zeros(size, dtype=bool)
+        return self._visited
+
+    def __getstate__(self):
+        return self.indptr, self.dst, self.prob
+
+    def __setstate__(self, state):
+        self.indptr, self.dst, self.prob = state
+        self._visited = np.zeros(0, dtype=bool)
 
 
 class SeedDiscountPair(NamedTuple):
@@ -115,6 +158,11 @@ class SocialGraph:
         for i, e in enumerate(self.edges):
             out[e.src].append(i)
         return tuple(tuple(ix) for ix in out)
+
+    @cached_property
+    def csr(self) -> CSRView:
+        """The out-edges as numpy CSR arrays, built on first use."""
+        return CSRView(self.node_count, self.edges)
 
     @cached_property
     def _label_index(self) -> dict[str, int]:

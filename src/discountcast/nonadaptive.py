@@ -17,10 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .cascade import (
-    _MC_GROUP_LIMIT,
-    _reach_size,
-    _relevant_subgraph,
-    _UniformBuffer,
+    _mc_total,
     hoeffding_radius,
     spread_exact,
     spread_mc,
@@ -31,7 +28,6 @@ from .rng import as_stream, child, generator
 
 GAIN_EPS = 1e-12
 MAX_SUPPORT_NODES = 15
-_MC_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -93,11 +89,6 @@ class Configuration:
 
     def sorted_pairs(self) -> list[SeedDiscountPair]:
         return sorted(self.pairs)
-
-
-def effective_discount(config: Configuration, v: int) -> float:
-    """Largest rate offered to v, or 0.0 when v gets no offer."""
-    return config.effective_rate(v)
 
 
 def config_cost(config: Configuration, model: AdoptionModel, spec: BudgetSpec) -> float:
@@ -175,9 +166,11 @@ def f_exact(
 def f_mc(config: Configuration, instance: Instance, samples: int, stream) -> float:
     """Monte Carlo objective estimate.
 
-    Each replicate draws the acceptance of every offered node (in node
-    order) and then a cascade. Bit-deterministic for a fixed stream;
-    the mean is an integer total divided by the sample count.
+    Each block of replicates first draws every offer's acceptance as
+    one (replicates, offers) matrix, offers in node order, and then
+    runs the cascades of the accepted seeds through the same kernel as
+    `spread_mc`. Bit-deterministic for a fixed stream; the mean is an
+    integer total divided by the sample count.
     """
     if samples < 1:
         raise ValidationError("samples must be at least 1")
@@ -188,71 +181,16 @@ def f_mc(config: Configuration, instance: Instance, samples: int, stream) -> flo
     )
     if not support:
         return 0.0
-    certain = [v for v, p in support if p >= 1.0]
-    uncertain_nodes = [(v, p) for v, p in support if p < 1.0]
-    kn = len(uncertain_nodes)
-    adj = None
-    uncertain_edges: list[int] = []
-    if kn <= _MC_GROUP_LIMIT:
-        adj, _closure, uncertain_edges = _relevant_subgraph(
-            graph, [v for v, _ in support], None, stop_after=_MC_GROUP_LIMIT - kn
-        )
+    nodes = np.array([v for v, _ in support], dtype=np.int64)
+    probs = np.array([p for _, p in support])
+    n = graph.node_count
     gen = generator(as_stream(stream))
-    if adj is not None:
-        ke = len(uncertain_edges)
-        if kn + ke == 0:
-            return float(_reach_size(adj, certain, 0))
-        cols = np.array([p for _, p in uncertain_nodes] + [graph.edges[e].prob for e in uncertain_edges])
-        weights = 1 << np.arange(kn + ke, dtype=np.int64)
-        counts = np.zeros(1 << (kn + ke), dtype=np.int64)
-        left = samples
-        while left > 0:
-            block = min(left, _MC_CHUNK)
-            states = (gen.random((block, kn + ke)) < cols) @ weights
-            counts += np.bincount(states, minlength=1 << (kn + ke))
-            left -= block
-        sizes: dict[int, int] = {}
-        total = 0
-        for state in np.flatnonzero(counts):
-            state = int(state)
-            if state not in sizes:
-                seeds = certain + [uncertain_nodes[i][0] for i in range(kn) if (state >> i) & 1]
-                sizes[state] = _reach_size(adj, seeds, state >> kn)
-            total += int(counts[state]) * sizes[state]
-        return total / samples
-    # Too much to tabulate: per replicate, draw which offers land (in
-    # node order), then walk the cascade lazily over the raw out-edges.
-    edges = graph.edges
-    out_edges = graph.out_edges
-    local_adj: dict[int, list[tuple[int, float]]] = {}
-    buf = _UniformBuffer(gen)
-    total = 0
-    for _ in range(samples):
-        seeds = list(certain)
-        for v, p in uncertain_nodes:
-            if buf.next() < p:
-                seeds.append(v)
-        seen = set(seeds)
-        stack = seeds
-        while stack:
-            u = stack.pop()
-            lst = local_adj.get(u)
-            if lst is None:
-                lst = [
-                    (edges[i].dst, edges[i].prob)
-                    for i in out_edges[u]
-                    if edges[i].prob > 0.0
-                ]
-                local_adj[u] = lst
-            for w, p in lst:
-                if w in seen:
-                    continue
-                if p < 1.0 and buf.next() >= p:
-                    continue
-                seen.add(w)
-                stack.append(w)
-        total += len(seen)
-    return total / samples
+
+    def block_seeds(r: int) -> np.ndarray:
+        rows, cols = np.nonzero(gen.random((r, nodes.size)) < probs)
+        return rows * n + nodes[cols]
+
+    return _mc_total(graph, samples, gen, block_seeds) / samples
 
 
 class ExactEvaluator:
@@ -287,8 +225,11 @@ class MCEvaluator:
     Draws for a configuration depend only on its contents (and on the
     root stream), never on when the evaluation happens, so lazy greedy
     search gives the same answers as an eager scan. Single-offer
-    configurations reuse one cached spread estimate per node, since
-    there the objective factors into acceptance times spread.
+    configurations reuse one cached `spread_mc` estimate per node, on
+    substream (0, node), since there the objective factors into
+    acceptance times spread. Larger configurations go to `f_mc` on a
+    substream keyed by their (node, rate index) pairs. Both run the
+    same cascade kernel.
     """
 
     def __init__(self, instance: Instance, samples: int, stream):

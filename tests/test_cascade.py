@@ -95,7 +95,8 @@ def test_spread_mc_deterministic(fig1):
 
 
 def test_spread_mc_loop_path_matches_exact():
-    # more than 12 uncertain edges forces the replicate loop
+    # a dense cyclic graph: within one BFS level a node is often reached
+    # along several live edges at once
     rng = np.random.default_rng(0)
     edges = []
     for i in range(4):
@@ -108,6 +109,32 @@ def test_spread_mc_loop_path_matches_exact():
     exact = dc.spread_exact(g_big, [0])
     est = dc.spread_mc(g_big, [0], 100_000, as_stream(21))
     assert est == pytest.approx(exact, abs=0.05)
+
+
+def test_spread_mc_repeats_after_other_calls_reuse_the_buffer(fig1):
+    g = dc.random_instance(300, 4 / 299, 5).graph
+    first = dc.spread_mc(g, [0, 7], 2000, as_stream(4))
+    dc.spread_mc(g, [1, 2, 3], 5000, as_stream(5))
+    dc.spread_mc(fig1.graph, [0], 1000, as_stream(6))
+    dc.spread_mc(g, [7, 9], 3000, as_stream(7), restrict=range(0, 300, 2))
+    assert dc.spread_mc(g, [0, 7], 2000, as_stream(4)) == first
+
+
+def test_spread_mc_respects_restrict(fig1):
+    g = fig1.graph
+    for seeds, allowed in (([2], {2, 3, 4}), ([1, 2], {1, 2, 3, 4}), ([0, 4], {0, 2, 3})):
+        exact = dc.spread_exact(g, seeds, restrict=allowed)
+        est = dc.spread_mc(g, seeds, 200_000, as_stream(13), restrict=allowed)
+        assert est == pytest.approx(exact, abs=0.02)
+
+
+def test_spread_mc_across_many_blocks(fig1):
+    # fig1's edges among 2**16 nodes: a block holds only 2**22 // 2**16 = 64
+    # replicates, so 20,001 samples run in 313 blocks, the last one partial
+    n = 1 << 16
+    g = dc.SocialGraph(n, tuple(str(i) for i in range(n)), fig1.graph.edges)
+    est = dc.spread_mc(g, [0], 20_001, as_stream(19))
+    assert est == pytest.approx(dc.spread_exact(g, [0]), abs=0.03)
 
 
 def test_spread_certain_edges_always_fire():

@@ -13,9 +13,8 @@ from discountcast.cli import main
 runner = CliRunner()
 
 
-def _report(output: str) -> dict:
-    # trajectory logs precede the JSON report; the report starts at the first brace
-    return json.loads(output[output.index("{"):])
+def _report(stdout: str) -> dict:
+    return json.loads(stdout)
 
 
 def _invoke(args):
@@ -28,14 +27,14 @@ def _invoke(args):
 def fig1_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig1")
     res = _invoke(["generate", "--name", "fig1", "--out", str(out)])
-    return _report(res.output)["files"]
+    return _report(res.stdout)["files"]
 
 
 @pytest.fixture(scope="module")
 def fig2_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig2")
     res = _invoke(["generate", "--name", "fig2", "--out", str(out)])
-    return _report(res.output)["files"]
+    return _report(res.stdout)["files"]
 
 
 def _instance_args(files, budget="2"):
@@ -63,13 +62,13 @@ def test_generate_fig2_ships_a_replayable_realization(fig2_dir):
 
 def test_generate_worstcase_and_random(tmp_path):
     res = _invoke(["generate", "--name", "worstcase", "--nodes", "6", "--out", str(tmp_path / "w")])
-    rep = _report(res.output)
+    rep = _report(res.stdout)
     assert (rep["nodes"], rep["edges"]) == (6, 20)
     res = _invoke([
         "generate", "--name", "random", "--nodes", "30", "--edge-prob", "0.1",
         "--seed", "3", "--out", str(tmp_path / "r"),
     ])
-    rep = _report(res.output)
+    rep = _report(res.stdout)
     inst = dc.Instance.from_files(rep["files"]["graph"], rep["files"]["adoption"], rep["discounts"])
     assert inst.graph.node_count == 30
     assert len(inst.graph.edges) == rep["edges"]
@@ -87,7 +86,7 @@ def test_generate_random_rejects_zero_nodes(tmp_path):
 def test_nonadaptive_greedy_exact(fig1_dir, tmp_path):
     out = tmp_path / "report.json"
     res = _invoke(["nonadaptive", *_instance_args(fig1_dir), "--out", str(out)])
-    rep = _report(res.output)
+    rep = _report(res.stdout)
     assert rep["allocation"] == [["a", 2.0]]
     assert rep["value"] == pytest.approx(1.609, abs=1e-9)
     assert rep["cost"] == pytest.approx(2.0, abs=0)
@@ -97,7 +96,7 @@ def test_nonadaptive_greedy_exact(fig1_dir, tmp_path):
 
 def test_nonadaptive_brute_agrees_with_greedy(fig1_dir):
     res = _invoke(["nonadaptive", *_instance_args(fig1_dir), "--algorithm", "brute-config"])
-    rep = _report(res.output)
+    rep = _report(res.stdout)
     assert rep["allocation"] == [["a", 2.0]]
     assert rep["value"] == pytest.approx(1.609, abs=1e-9)
 
@@ -116,7 +115,7 @@ def test_nonadaptive_mc_estimate_is_close(fig1_dir):
         "nonadaptive", *_instance_args(fig1_dir),
         "--evaluator", "mc", "--samples", "20000", "--seed", "7",
     ])
-    rep = _report(res.output)
+    rep = _report(res.stdout)
     assert rep["value"] == pytest.approx(1.609, abs=0.1)
     assert rep["radius"] > 0
 
@@ -128,8 +127,8 @@ def test_adaptive_replays_stored_realization(fig2_dir, tmp_path):
         "--realization", fig2_dir["realization"],
         "--trajectory-csv", str(csv_path),
     ])
-    assert res.output.splitlines()[0] == "probe a 1 accept a->b:live a->c:blocked b->d:blocked"
-    rep = _report(res.output)
+    assert res.stderr.splitlines()[0] == "probe a 1 accept a->b:live a->c:blocked b->d:blocked"
+    rep = _report(res.stdout)
     assert [(p["node"], p["accepted"]) for p in rep["probes"]] == [
         ("a", True), ("c", False), ("d", True),
     ]
@@ -147,7 +146,7 @@ def test_adaptive_sampled_run_is_reproducible(fig1_dir):
     reports = []
     for _ in range(2):
         res = _invoke(["adaptive", *_instance_args(fig1_dir), "--seed", "21"])
-        rep = _report(res.output)
+        rep = _report(res.stdout)
         rep.pop("wall_time_s")
         reports.append(rep)
     assert reports[0] == reports[1]
@@ -155,7 +154,7 @@ def test_adaptive_sampled_run_is_reproducible(fig1_dir):
 
 def test_evaluate_exhaustive_matches_library(fig1_dir):
     res = _invoke(["evaluate", *_instance_args(fig1_dir), "--exhaustive"])
-    rep = _report(res.output)
+    rep = _report(res.stdout)
     inst = dc.fig1_instance()
     spec = dc.BudgetSpec(budget=2.0, mode="hard")
     want, _ = dc.evaluate_policy(dc.GreedyFactory(inst, spec), inst, spec, "exhaustive")
@@ -171,7 +170,7 @@ def test_evaluate_report_ignores_worker_count(fig1_dir):
             "evaluate", *_instance_args(fig1_dir),
             "--trials", "256", "--seed", "9", "--workers", workers,
         ])
-        rep = _report(res.output)
+        rep = _report(res.stdout)
         rep.pop("wall_time_s")
         reports.append(rep)
     assert reports[0] == reports[1]
@@ -179,7 +178,7 @@ def test_evaluate_report_ignores_worker_count(fig1_dir):
 
 def test_oracle_command(fig1_dir):
     res = _invoke(["oracle", *_instance_args(fig1_dir)])
-    rep = _report(res.output)
+    rep = _report(res.stdout)
     assert rep["value"] == pytest.approx(2.50125, abs=1e-9)
     assert rep["radius"] == 0.0
 
@@ -197,7 +196,7 @@ def test_config_file_fills_options_but_flags_win(fig1_dir, tmp_path):
         "nonadaptive", "--config", str(cfg),
         "--algorithm", "nonadaptive-greedy",
     ])
-    rep = _report(res.output)
+    rep = _report(res.stdout)
     assert rep["algorithm"] == "nonadaptive-greedy"  # the flag beat the file
     assert rep["budget"] == 2.0
     assert rep["value"] == pytest.approx(1.609, abs=1e-9)

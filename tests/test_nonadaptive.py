@@ -106,7 +106,8 @@ def test_f_mc_tracks_exact(fig1):
 
 
 def test_f_mc_loop_path_tracks_exact():
-    # enough uncertain edges to exceed the tabulation limit
+    # 13 uncertain edges and two uncertain offers: both the seed sets and
+    # the cascades vary across replicates
     rng = np.random.default_rng(1)
     edges = []
     for i in range(4):
@@ -122,6 +123,13 @@ def test_f_mc_loop_path_tracks_exact():
     exact = dc.f_exact(cfg, inst)
     est = dc.f_mc(cfg, inst, 150_000, as_stream(8))
     assert est == pytest.approx(exact, abs=0.05)
+
+
+def test_f_mc_is_exact_when_nothing_is_random():
+    # node 0 and clique member 1 both accept the full rate; every clique edge is certain
+    inst = dc.worstcase_instance(6)
+    cfg = dc.Configuration.of((0, 1.0), (1, 1.0))
+    assert dc.f_mc(cfg, inst, 1000, as_stream(2)) == 6.0
 
 
 def test_exact_evaluator_matches_f_exact(fig1):
