@@ -8,13 +8,25 @@ node at that rate and below. Policies here: benefit-per-cost greedy, a
 two-branch variant that can spend everything on the single best node,
 and an iterated version of that branch rule. A backward-induction
 oracle computes the optimal policy value on tiny instances.
+
+Everything a run's future depends on is its belief state: the
+influenced set, each node's highest rejected rate and the exact budget
+left (`BeliefState`). A policy only ever sees accept or reject and the
+set an accepted seed newly influences, so exhaustive evaluation expands
+its decision tree over belief states once, weighting each branch by its
+probability, instead of replaying it against every joint realization.
+The oracle and the exhaustive branch estimate use the same states and
+the same memoized cascade outcomes (`CascadeOutcomes`). Replay against
+one realization (`run_policy`) remains for sampled evaluation.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +35,7 @@ from .cascade import (
     PartialObservation,
     Realization,
     SeedingRealization,
+    _reach,
     _relevant_subgraph,
     hoeffding_radius,
     reveal_cascade,
@@ -38,18 +51,111 @@ _EVAL_CHUNK = 64
 DEFAULT_MAX_OUTCOMES = 200_000
 
 
+class BeliefState(NamedTuple):
+    """What the rest of an adaptive run depends on.
+
+    `influenced` is a bitmask of influenced nodes, `floors[v]` the
+    highest menu index v has rejected (-1 for none) and `budget` the
+    exact budget left. Edges out of uninfluenced nodes stay independent
+    of everything observed, so nothing else in an observation changes
+    an expected value. Floors stay put when their node is influenced
+    later, as observed; `canonical` drops them.
+    """
+
+    influenced: int
+    floors: tuple[int, ...]
+    budget: Fraction
+
+    @classmethod
+    def initial(cls, node_count: int, budget: Fraction) -> "BeliefState":
+        return cls(0, (-1,) * node_count, budget)
+
+    def accept_chance(self, probs, v: int, rate_idx: int) -> float:
+        """Chance v accepts menu rate `rate_idx` given its rejections; ties accept.
+
+        A rejection at floor f pins v's threshold above probs[v][f], so
+        the chance is (p_i - p_f) / (1 - p_f).
+        """
+        row = probs[v]
+        floor = self.floors[v]
+        low = row[floor] if floor >= 0 else 0.0
+        p = row[rate_idx]
+        if p <= low:
+            return 0.0
+        return (p - low) / (1.0 - low)
+
+    def after_accept(self, addmask: int, cost: Fraction) -> "BeliefState":
+        return BeliefState(self.influenced | addmask, self.floors, self.budget - cost)
+
+    def after_reject(self, v: int, rate_idx: int) -> "BeliefState":
+        floors = self.floors
+        return BeliefState(self.influenced, floors[:v] + (rate_idx,) + floors[v + 1:], self.budget)
+
+    def canonical(self) -> "BeliefState":
+        """This state without the floors of influenced nodes.
+
+        No value depends on those floors, so states that agree here have
+        equal values. Policy states keep the floors anyway: rollout
+        estimates draw from streams keyed by the state as observed.
+        """
+        influenced = self.influenced
+        floors = tuple(-1 if (influenced >> u) & 1 else f for u, f in enumerate(self.floors))
+        return BeliefState(influenced, floors, self.budget)
+
+
+class CascadeOutcomes:
+    """Distribution of the set a seed newly influences, memoized per influenced set.
+
+    The cascade runs on the residual graph: influenced nodes neither
+    receive nor relay influence, and every edge between the others is
+    still unobserved. Outcomes are (added-node bitmask, probability)
+    pairs sorted by mask, the seed's own bit included.
+    """
+
+    def __init__(self, graph: SocialGraph):
+        self.graph = graph
+        self._memo: dict[tuple[int, int], list[tuple[int, float]]] = {}
+
+    def of(self, influenced: int, v: int) -> list[tuple[int, float]]:
+        key = (influenced, v)
+        if key in self._memo:
+            return self._memo[key]
+        graph = self.graph
+        allowed = {u for u in range(graph.node_count) if not (influenced >> u) & 1}
+        adj, _closure, uncertain = _relevant_subgraph(graph, [v], allowed)
+        probs = [graph.edges[e].prob for e in uncertain]
+        dist: dict[int, float] = {}
+        for mask in range(1 << len(uncertain)):
+            w = 1.0
+            for i, p in enumerate(probs):
+                w *= p if (mask >> i) & 1 else 1.0 - p
+            if w == 0.0:
+                continue
+            addmask = 0
+            for u in _reach(adj, [v], mask):
+                addmask |= 1 << u
+            dist[addmask] = dist.get(addmask, 0.0) + w
+        out = sorted(dist.items())
+        self._memo[key] = out
+        return out
+
+
 @dataclass
 class PolicyState:
-    """Mutable per-trajectory view: budget, open offers, observation."""
+    """Mutable per-trajectory view: belief state, open offers, observation."""
 
-    budget_left: Fraction
+    belief: BeliefState
     available: set[SeedDiscountPair]
     obs: PartialObservation
     committed: list[SeedDiscountPair] = field(default_factory=list)
 
+    @property
+    def budget_left(self) -> Fraction:
+        return self.belief.budget
+
     def copy(self) -> "PolicyState":
         return PolicyState(
-            budget_left=self.budget_left,
+            belief=self.belief,
             available=set(self.available),
             obs=self.obs.copy(),
             committed=list(self.committed),
@@ -97,32 +203,49 @@ def _fmt_rate(rate: float) -> str:
 
 def initial_state(instance: Instance, spec: BudgetSpec) -> PolicyState:
     return PolicyState(
-        budget_left=spec.exact_budget,
+        belief=BeliefState.initial(instance.graph.node_count, spec.exact_budget),
         available=set(instance.all_pairs()),
         obs=PartialObservation(),
     )
 
 
-def _apply_probe(instance: Instance, state: PolicyState, pair: SeedDiscountPair, realization: Realization) -> ProbeRecord:
+def _check_probe(instance: Instance, state: PolicyState, pair: SeedDiscountPair) -> int:
+    """The probe's menu index, once it is shown open and affordable."""
     menu = instance.menu
     if pair not in state.available:
         raise PolicyContractError(f"probe {pair} is not available")
-    rate_exact = menu.exact[pair.rate]
-    if rate_exact > state.budget_left:
+    if menu.exact[pair.rate] > state.budget_left:
         raise PolicyContractError(f"probe {pair} exceeds the remaining budget {float(state.budget_left)}")
-    accepted = realization.seeding.accepts(pair.node, menu.index_of(pair.rate))
+    return menu.index_of(pair.rate)
+
+
+def _record_accept(instance: Instance, state: PolicyState, pair: SeedDiscountPair, addmask: int) -> None:
+    """Commit an accepted probe whose cascade is already in `state.obs`."""
+    state.belief = state.belief.after_accept(addmask, instance.menu.exact[pair.rate])
+    state.committed.append(pair)
+    # Influenced nodes are spent: offering them anything buys nothing.
+    state.available = {p for p in state.available if p.node not in state.obs.influenced}
+    state.obs.probed.append((pair, True))
+
+
+def _record_reject(state: PolicyState, pair: SeedDiscountPair, rate_idx: int) -> None:
+    state.belief = state.belief.after_reject(pair.node, rate_idx)
+    state.available = {p for p in state.available if p.node != pair.node or p.rate > pair.rate}
+    state.obs.probed.append((pair, False))
+
+
+def _apply_probe(instance: Instance, state: PolicyState, pair: SeedDiscountPair, realization: Realization) -> ProbeRecord:
+    rate_idx = _check_probe(instance, state, pair)
+    accepted = realization.seeding.accepts(pair.node, rate_idx)
     if accepted:
-        state.budget_left -= rate_exact
-        state.committed.append(pair)
         newly, revealed = reveal_cascade(instance.graph, realization.diffusion, state.obs, pair.node)
-        # Influenced nodes are spent: offering them anything buys nothing.
-        state.available = {p for p in state.available if p.node not in state.obs.influenced}
+        addmask = 0
+        for u in newly:
+            addmask |= 1 << u
+        _record_accept(instance, state, pair, addmask)
     else:
         newly, revealed = (), ()
-        state.available = {
-            p for p in state.available if p.node != pair.node or p.rate > pair.rate
-        }
-    state.obs.probed.append((pair, accepted))
+        _record_reject(state, pair, rate_idx)
     return ProbeRecord(pair=pair, accepted=accepted, newly_influenced=newly, revealed=revealed)
 
 
@@ -146,6 +269,58 @@ def _execute(policy, instance: Instance, spec: BudgetSpec, state: PolicyState, r
 def run_policy(policy, instance: Instance, spec: BudgetSpec, realization: Realization) -> TrajectoryRecord:
     """Execute one trajectory of `policy` against a fixed realization."""
     return _execute(policy, instance, spec, initial_state(instance, spec), realization)
+
+
+def _absorb_outcome(graph: SocialGraph, obs: PartialObservation, addmask: int) -> None:
+    """Mark the nodes of a cascade outcome influenced and their out-edges revealed.
+
+    The outcome fixes which nodes joined, not every edge among them; the
+    recorded states are one realization consistent with it: an edge is
+    live exactly when it can fire and ends at an influenced node.
+    """
+    newly = [u for u in range(graph.node_count) if (addmask >> u) & 1]
+    obs.influenced.update(newly)
+    for u in newly:
+        for eidx in graph.out_edges[u]:
+            e = graph.edges[eidx]
+            obs.revealed[eidx] = e.prob > 0.0 and e.dst in obs.influenced
+
+
+def _expected_influence(policy, instance: Instance, cascades: CascadeOutcomes, state: PolicyState) -> float:
+    """Expected final cascade size of running `policy` on from `state`, which it uses up.
+
+    Expands the policy's decision tree once: each probe is checked as
+    `_apply_probe` checks it, then branches on reject and on every
+    cascade outcome of an accept, each weighted by its probability;
+    branches of probability zero are never entered. A branch runs on a
+    shallow copy of the policy, so per-run flags stay per branch while
+    estimator caches are shared. The policy must decide from the
+    influenced set, the rejections and the budget, not from the states
+    of individual revealed edges (see `_absorb_outcome`).
+    """
+    graph, probs = instance.graph, instance.model.probs
+    policy.begin(state)
+    total = 0.0
+    stack = [(1.0, policy, state)]
+    while stack:
+        weight, pol, st = stack.pop()
+        pair = pol.next_probe(st)
+        if pair is None:
+            total += weight * len(st.obs.influenced)
+            continue
+        rate_idx = _check_probe(instance, st, pair)
+        belief = st.belief
+        q = belief.accept_chance(probs, pair.node, rate_idx)
+        if q > 0.0:
+            for addmask, w in cascades.of(belief.influenced, pair.node):
+                nxt = st.copy()
+                _absorb_outcome(graph, nxt.obs, addmask)
+                _record_accept(instance, nxt, pair, addmask)
+                stack.append((weight * q * w, copy.copy(pol), nxt))
+        if q < 1.0:
+            _record_reject(st, pair, rate_idx)
+            stack.append((weight * (1.0 - q), pol, st))
+    return total
 
 
 class SpreadEstimator:
@@ -275,6 +450,12 @@ def conditional_outcome_count(instance: Instance, obs: PartialObservation) -> in
     return count << len(_undetermined_edges(instance.graph, obs))
 
 
+def _check_outcome_count(instance: Instance, obs: PartialObservation, max_outcomes: int, fix: str = "") -> None:
+    count = conditional_outcome_count(instance, obs)
+    if count > max_outcomes:
+        raise TooLargeError(f"exhaustive evaluation needs {count} realizations, cap is {max_outcomes}{fix}")
+
+
 def enumerate_conditional_realizations(instance: Instance, obs: PartialObservation,
                                        max_outcomes: int = DEFAULT_MAX_OUTCOMES):
     """Yield (weight, realization) consistent with `obs`, weights summing to 1.
@@ -283,9 +464,7 @@ def enumerate_conditional_realizations(instance: Instance, obs: PartialObservati
     a policy can ever distinguish. Influenced nodes get the "never
     accepts" sentinel; nothing may probe them again.
     """
-    count = conditional_outcome_count(instance, obs)
-    if count > max_outcomes:
-        raise TooLargeError(f"exhaustive evaluation needs {count} realizations, cap is {max_outcomes}")
+    _check_outcome_count(instance, obs, max_outcomes)
     graph, model = instance.graph, instance.model
     n, m = graph.node_count, len(instance.menu)
     floors = _rejection_floors(instance, obs)
@@ -372,10 +551,11 @@ class BranchConfig:
 class BranchEstimator:
     """Expected additional influence of running greedy from a given state.
 
-    Estimates are memoized by (influenced set, rejection floors, budget),
-    the whole of what the greedy continuation can depend on. Rollout
-    draws are keyed the same way, so estimates never depend on when or
-    how often they are requested.
+    Estimates are memoized by belief state, the whole of what the greedy
+    continuation can depend on. Exhaustive estimates expand greedy's
+    decision tree from that state; rollout draws are keyed by the
+    state, so estimates never depend on when or how often they are
+    requested.
     """
 
     def __init__(self, instance: Instance, spec: BudgetSpec, estimator: SpreadEstimator,
@@ -387,34 +567,23 @@ class BranchEstimator:
         self.config = config
         self.stream = as_stream(stream) if stream is not None else None
         self._greedy = GreedyPolicy(instance, estimator)
-        self._memo: dict[tuple, float] = {}
-
-    def _state_key(self, state: PolicyState) -> tuple[int, int, Fraction]:
-        dommask = 0
-        for u in state.obs.influenced:
-            dommask |= 1 << u
-        floors = _rejection_floors(self.instance, state.obs)
-        m = len(self.instance.menu)
-        floors_code = 0
-        for v, fl in floors.items():
-            floors_code += (fl + 1) * (m + 1) ** v
-        return (dommask, floors_code, state.budget_left)
+        self._cascades = CascadeOutcomes(instance.graph)
+        self._memo: dict[BeliefState, float] = {}
 
     def greedy_value_from(self, state: PolicyState) -> float:
-        key = self._state_key(state)
+        key = state.belief
         if key in self._memo:
             return self._memo[key]
         base = len(state.obs.influenced)
         if self.config.mode == "exhaustive":
-            total = 0.0
-            for w, realization in enumerate_conditional_realizations(
-                self.instance, state.obs, self.config.max_outcomes
-            ):
-                record = _execute(self._greedy, self.instance, self.spec, state.copy(), realization)
-                total += w * (record.cascade_size - base)
-            val = total
+            _check_outcome_count(self.instance, state.obs, self.config.max_outcomes,
+                                 '; estimate the branch by sampling with BranchConfig(mode="rollouts")'
+                                 " (CLI: --branch rollouts)")
+            val = _expected_influence(self._greedy, self.instance, self._cascades, state.copy()) - base
         else:
-            root = child(self.stream, key[0], key[1], key[2].numerator, key[2].denominator)
+            m = len(self.instance.menu)
+            floors_code = sum((fl + 1) * (m + 1) ** v for v, fl in enumerate(key.floors))
+            root = child(self.stream, key.influenced, floors_code, key.budget.numerator, key.budget.denominator)
             total = 0
             for r in range(self.config.rollouts):
                 realization = sample_conditional_realization(self.instance, state.obs, generator(root, r))
@@ -591,19 +760,20 @@ def evaluate_policy(policy_factory, instance: Instance, spec: BudgetSpec, trials
                     delta: float = 0.05) -> tuple[float, float]:
     """Expected cascade size of a policy, with a confidence radius.
 
-    trials="exhaustive" enumerates every realization (radius 0.0);
-    an integer samples that many realizations and reports a Hoeffding
-    radius at confidence 1 - delta. Sampled trials use per-trial
-    substreams and integer totals, so the result is identical for any
-    worker count.
+    trials="exhaustive" expands the policy's decision tree over belief
+    states, weighting every branch by its probability (radius 0.0); it
+    refuses up front when more than `max_outcomes` joint realizations
+    are consistent with the empty observation. An integer samples that
+    many realizations and reports a Hoeffding radius at confidence
+    1 - delta. Sampled trials use per-trial substreams and integer
+    totals, so the result is identical for any worker count.
     """
     if trials == "exhaustive":
+        _check_outcome_count(instance, PartialObservation(), max_outcomes,
+                             "; sample instead with an integer trial count (CLI: drop --exhaustive)")
         policy = policy_factory(child(as_stream(stream), 0))
-        total = 0.0
-        for w, realization in enumerate_conditional_realizations(instance, PartialObservation(), max_outcomes):
-            record = run_policy(policy, instance, spec, realization)
-            total += w * record.cascade_size
-        return total, 0.0
+        state = initial_state(instance, spec)
+        return _expected_influence(policy, instance, CascadeOutcomes(instance.graph), state), 0.0
     if not isinstance(trials, int) or trials < 1:
         raise ValidationError(f"trials must be a positive int or 'exhaustive', got {trials!r}")
     root = as_stream(stream)
@@ -625,8 +795,7 @@ def optimal_policy_oracle(instance: Instance, spec: BudgetSpec, *,
                           max_nodes: int = 5, max_edges: int = 6, max_rates: int = 2) -> float:
     """Optimal adaptive policy value by backward induction over belief states.
 
-    A state is (influenced set, per-node highest rejected rate, budget);
-    that is sufficient because edges out of uninfluenced nodes stay
+    `BeliefState`s suffice because edges out of uninfluenced nodes stay
     independent of everything revealed so far. Only probes with a
     positive conditional acceptance chance are considered; anything else
     changes no beliefs and wastes nothing but time.
@@ -639,76 +808,36 @@ def optimal_policy_oracle(instance: Instance, spec: BudgetSpec, *,
         raise TooLargeError(f"optimal oracle handles at most {max_edges} edges, got {len(graph.edges)}")
     if m > max_rates:
         raise TooLargeError(f"optimal oracle handles menus up to {max_rates} rates, got {m}")
-    rows = model.probs
-    exact_rates = [menu.exact[r] for r in menu.rates]
+    rates = [menu.exact[r] for r in menu.rates]
+    return _optimal_value(BeliefState.initial(n, spec.exact_budget), model.probs, rates,
+                          CascadeOutcomes(graph), {})
 
-    cascade_memo: dict[tuple[int, int], list[tuple[int, float]]] = {}
 
-    def cascade_dist(dommask: int, v: int) -> list[tuple[int, float]]:
-        key = (dommask, v)
-        if key in cascade_memo:
-            return cascade_memo[key]
-        allowed = {u for u in range(n) if not (dommask >> u) & 1}
-        adj, _closure, uncertain = _relevant_subgraph(graph, [v], allowed)
-        probs = [graph.edges[e].prob for e in uncertain]
-        dist: dict[int, float] = {}
-        for mask in range(1 << len(uncertain)):
-            w = 1.0
-            for i, p in enumerate(probs):
-                w *= p if (mask >> i) & 1 else 1.0 - p
-            if w == 0.0:
+def _optimal_value(belief: BeliefState, probs, rates: list[Fraction], cascades: CascadeOutcomes,
+                   memo: dict[BeliefState, float]) -> float:
+    """The oracle's recursion, kept at module level so that no closure cycle
+    holds its memo alive past the call."""
+    if belief in memo:
+        return memo[belief]
+    best = 0.0
+    for v in range(len(probs)):
+        if (belief.influenced >> v) & 1:
+            continue
+        for i, rate in enumerate(rates):
+            if rate > belief.budget:
                 continue
-            seen = {v}
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for wnode, slot in adj.get(u, ()):
-                    if wnode in seen:
-                        continue
-                    if slot >= 0 and not (mask >> slot) & 1:
-                        continue
-                    seen.add(wnode)
-                    stack.append(wnode)
-            addmask = 0
-            for u in seen:
-                addmask |= 1 << u
-            dist[addmask] = dist.get(addmask, 0.0) + w
-        out = sorted(dist.items())
-        cascade_memo[key] = out
-        return out
-
-    value_memo: dict[tuple[int, tuple[int, ...], Fraction], float] = {}
-
-    def value(dommask: int, floors: tuple[int, ...], budget: Fraction) -> float:
-        key = (dommask, floors, budget)
-        if key in value_memo:
-            return value_memo[key]
-        best = 0.0
-        for v in range(n):
-            if (dommask >> v) & 1:
+            q = belief.accept_chance(probs, v, i)
+            if q <= 0.0:
                 continue
-            p_prev = rows[v][floors[v]] if floors[v] >= 0 else 0.0
-            for i in range(m):
-                if exact_rates[i] > budget:
-                    continue
-                p = rows[v][i]
-                if p <= p_prev:
-                    continue
-                q = (p - p_prev) / (1.0 - p_prev)
-                acc = 0.0
-                for addmask, w in cascade_dist(dommask, v):
-                    nf = tuple(
-                        -1 if (addmask >> u) & 1 else floors[u] for u in range(n)
-                    )
-                    acc += w * (addmask.bit_count() + value(dommask | addmask, nf, budget - exact_rates[i]))
-                if q >= 1.0:
-                    cand = acc
-                else:
-                    rejected = tuple(i if u == v else floors[u] for u in range(n))
-                    cand = q * acc + (1.0 - q) * value(dommask, rejected, budget)
-                if cand > best:
-                    best = cand
-        value_memo[key] = best
-        return best
-
-    return value(0, (-1,) * n, spec.exact_budget)
+            acc = 0.0
+            for addmask, w in cascades.of(belief.influenced, v):
+                after = belief.after_accept(addmask, rate).canonical()
+                acc += w * (addmask.bit_count() + _optimal_value(after, probs, rates, cascades, memo))
+            if q >= 1.0:
+                cand = acc
+            else:
+                cand = q * acc + (1.0 - q) * _optimal_value(belief.after_reject(v, i), probs, rates, cascades, memo)
+            if cand > best:
+                best = cand
+    memo[belief] = best
+    return best

@@ -124,8 +124,8 @@ def _relevant_subgraph(graph: SocialGraph, seeds, allowed, *, stop_after: int | 
     return adj, closure, uncertain
 
 
-def _reach_size(adj, seeds, mask: int) -> int:
-    """|reachable| when uncertain slot i is live iff bit i of mask is set."""
+def _reach(adj, seeds, mask: int) -> set[int]:
+    """Nodes reachable from `seeds` when uncertain slot i is live iff bit i of mask is set."""
     seen = set(seeds)
     stack = list(seeds)
     while stack:
@@ -137,7 +137,7 @@ def _reach_size(adj, seeds, mask: int) -> int:
                 continue
             seen.add(w)
             stack.append(w)
-    return len(seen)
+    return seen
 
 
 def spread_exact(graph: SocialGraph, seeds, *, restrict=None, max_uncertain_edges: int = MAX_UNCERTAIN_EDGES) -> float:
@@ -156,7 +156,8 @@ def spread_exact(graph: SocialGraph, seeds, *, restrict=None, max_uncertain_edge
     )
     if adj is None:
         raise TooLargeError(
-            f"exact spread needs more than {max_uncertain_edges} uncertain edges enumerated"
+            f"exact spread needs more than {max_uncertain_edges} uncertain edges enumerated; "
+            'sample instead with mode="mc" (CLI: --estimator mc; --evaluator mc for nonadaptive)'
         )
     k = len(uncertain)
     probs = [graph.edges[eidx].prob for eidx in uncertain]
@@ -165,7 +166,7 @@ def spread_exact(graph: SocialGraph, seeds, *, restrict=None, max_uncertain_edge
         w = 1.0
         for i, p in enumerate(probs):
             w *= p if (mask >> i) & 1 else 1.0 - p
-        total += w * _reach_size(adj, seed_list, mask)
+        total += w * len(_reach(adj, seed_list, mask))
     return total
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import discountcast as dc
+from discountcast.adaptive import _execute
 from discountcast.rng import as_stream, child
 
 from conftest import tiny_instance
@@ -135,7 +136,8 @@ def test_exhaustive_evaluation_matches_manual_enumeration(fig1, hard2):
         manual += w * dc.run_policy(policy, fig1, hard2, real).cascade_size
         weight += w
     assert weight == pytest.approx(1.0, abs=1e-12)
-    assert val == manual
+    # the decision tree and the replay sum the same terms in different orders
+    assert val == pytest.approx(manual, abs=1e-12)
     assert rad == 0.0
 
 
@@ -262,3 +264,79 @@ def test_iterated_heuristic_runs_clean_on_tiny_instances():
         val, _ = dc.evaluate_policy(dc.IteratedFactory(inst, spec), inst, spec, "exhaustive")
         opt = dc.optimal_policy_oracle(inst, spec)
         assert 0.0 <= val <= opt + 1e-9, f"seed {seed}"
+
+
+def _replay_value(factory, inst, spec):
+    """The exhaustive value by definition: every realization replayed, weighted."""
+    policy = factory(as_stream(0))
+    return sum(
+        w * dc.run_policy(policy, inst, spec, real).cascade_size
+        for w, real in dc.enumerate_conditional_realizations(inst, dc.PartialObservation())
+    )
+
+
+@pytest.mark.parametrize("make", [dc.GreedyFactory, dc.EnhancedFactory, dc.IteratedFactory])
+def test_decision_tree_value_equals_replay(make, fig1, hard2):
+    cases = [(fig1, hard2), (dc.worstcase_instance(10), dc.BudgetSpec(budget=1.0, mode="hard"))]
+    cases += [tiny_instance(seed) for seed in range(20)]
+    for inst, spec in cases:
+        tree, _ = dc.evaluate_policy(make(inst, spec), inst, spec, "exhaustive")
+        assert tree == pytest.approx(_replay_value(make(inst, spec), inst, spec), abs=1e-12)
+
+
+def _script_factory(*probes):
+    return lambda stream: ScriptedPolicy(probes)
+
+
+def test_tree_follows_each_branch_and_only_possible_ones(fig1, hard2):
+    # per-branch policy state: the script's position must not leak between siblings
+    script = _script_factory((4, 1.0), (2, 1.0))
+    tree, _ = dc.evaluate_policy(script, fig1, hard2, "exhaustive")
+    assert tree == pytest.approx(_replay_value(script, fig1, hard2), abs=1e-12)
+    # node 1 never takes the cheap rate; had it accepted, the second probe would overspend
+    inst, spec = dc.worstcase_instance(4), dc.BudgetSpec(budget=1.0, mode="hard")
+    script = _script_factory((1, 0.25), (2, 1.0))
+    tree, _ = dc.evaluate_policy(script, inst, spec, "exhaustive")
+    assert tree == _replay_value(script, inst, spec) == 3.0
+
+
+class _StopAndKeepState(ScriptedPolicy):
+    def next_probe(self, state):
+        pair = super().next_probe(state)
+        if pair is None:
+            self.final = state.copy()
+        return pair
+
+
+@pytest.mark.parametrize("probes", [[(2, 1.0)], [(0, 1.0)]], ids=["after_reject", "after_cascade"])
+def test_exhaustive_branch_estimate_equals_replay_mid_trajectory(probes, fig1, hard2):
+    scripted = _StopAndKeepState(probes)
+    dc.run_policy(scripted, fig1, hard2, dc.fig2_realization(fig1))
+    state = scripted.final  # c rejects rate 1; a accepts and its cascade reaches b
+    assert len(state.obs.influenced) == (0 if probes[0][0] == 2 else 2)
+    est = dc.SpreadEstimator(fig1.graph)
+    branch = dc.BranchEstimator(fig1, hard2, est, dc.BranchConfig(mode="exhaustive"))
+    greedy = dc.GreedyPolicy(fig1, est)
+    base = len(state.obs.influenced)
+    replay = sum(
+        w * (_execute(greedy, fig1, hard2, state.copy(), real).cascade_size - base)
+        for w, real in dc.enumerate_conditional_realizations(fig1, state.obs)
+    )
+    assert branch.greedy_value_from(state) == pytest.approx(replay, abs=1e-12)
+
+
+def test_tree_evaluation_enforces_the_probe_contract(fig1, hard2):
+    # a is spent after either answer: influenced on accept, that rate pruned on reject
+    with pytest.raises(dc.PolicyContractError, match="not available"):
+        dc.evaluate_policy(_script_factory((0, 1.0), (0, 1.0)), fig1, hard2, "exhaustive")
+    with pytest.raises(dc.PolicyContractError, match="exceeds the remaining budget"):
+        dc.evaluate_policy(_script_factory((0, 2.0)), fig1, dc.BudgetSpec(budget=1.0, mode="hard"), "exhaustive")
+
+
+def test_exhaustive_caps_name_the_sampling_fix(fig1, hard2):
+    with pytest.raises(dc.TooLargeError, match="integer trial count.*drop --exhaustive"):
+        dc.evaluate_policy(dc.GreedyFactory(fig1, hard2), fig1, hard2, "exhaustive", max_outcomes=10)
+    est = dc.SpreadEstimator(fig1.graph)
+    branch = dc.BranchEstimator(fig1, hard2, est, dc.BranchConfig(max_outcomes=10))
+    with pytest.raises(dc.TooLargeError, match=r'BranchConfig\(mode="rollouts"\).*--branch rollouts'):
+        branch.greedy_value_from(dc.initial_state(fig1, hard2))

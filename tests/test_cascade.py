@@ -75,7 +75,7 @@ def test_spread_exact_counts_only_uncertain_edges():
 def test_spread_exact_cap():
     edges = tuple(dc.Edge(0, j, 0.5) for j in range(1, 15))
     g = dc.SocialGraph(15, tuple(str(i) for i in range(15)), edges)
-    with pytest.raises(dc.TooLargeError):
+    with pytest.raises(dc.TooLargeError, match='mode="mc".*--estimator mc'):
         dc.spread_exact(g, [0], max_uncertain_edges=10)
 
 

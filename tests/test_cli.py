@@ -163,6 +163,20 @@ def test_evaluate_exhaustive_matches_library(fig1_dir):
     assert rep["trials"] == "exhaustive"
 
 
+def test_evaluate_default_estimator_failure_names_the_fix(tmp_path):
+    res = _invoke([
+        "generate", "--name", "random", "--nodes", "60", "--edge-prob", str(3 / 59),
+        "--seed", "7", "--out", str(tmp_path),
+    ])
+    rep = _report(res.stdout)
+    res = runner.invoke(main, [
+        "evaluate", "--graph", rep["files"]["graph"], "--adoption", rep["files"]["adoption"],
+        "--discounts", ",".join(str(r) for r in rep["discounts"]), "--budget", "1", "--trials", "4",
+    ])
+    assert res.exit_code != 0
+    assert "--estimator mc" in res.output
+
+
 def test_evaluate_report_ignores_worker_count(fig1_dir):
     reports = []
     for workers in ("1", "8"):
