@@ -10,11 +10,13 @@ and an iterated version of that branch rule. A backward-induction
 oracle computes the optimal policy value on tiny instances.
 
 Everything a run's future depends on is its belief state: the
-influenced set, each node's highest rejected rate and the exact budget
-left (`BeliefState`). A policy only ever sees accept or reject and the
-set an accepted seed newly influences, so exhaustive evaluation expands
-its decision tree over belief states once, weighting each branch by its
-probability, instead of replaying it against every joint realization.
+influenced set, each node's highest rejected rate and the budget left
+(`BeliefState`), kept exactly as integer units of one common
+denominator (`BudgetLedger`), so affordability checks compare ints. A
+policy only ever sees accept or reject and the set an accepted seed
+newly influences, so exhaustive evaluation expands its decision tree
+over belief states once, weighting each branch by its probability,
+instead of replaying it against every joint realization.
 The oracle and the exhaustive branch estimate use the same states and
 the same memoized cascade outcomes (`CascadeOutcomes`). Replay against
 one realization (`run_policy`) remains for sampled evaluation.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,7 +47,7 @@ from .cascade import (
 )
 from .errors import PolicyContractError, TooLargeError, ValidationError
 from .graph import Instance, SeedDiscountPair, SocialGraph
-from .nonadaptive import BudgetSpec
+from .nonadaptive import BudgetLedger, BudgetSpec
 from .rng import as_stream, child, generator
 
 _EVAL_CHUNK = 64
@@ -56,18 +59,19 @@ class BeliefState(NamedTuple):
 
     `influenced` is a bitmask of influenced nodes, `floors[v]` the
     highest menu index v has rejected (-1 for none) and `budget` the
-    exact budget left. Edges out of uninfluenced nodes stay independent
-    of everything observed, so nothing else in an observation changes
-    an expected value. Floors stay put when their node is influenced
-    later, as observed; `canonical` drops them.
+    budget left, in the integer units of the run's `BudgetLedger`.
+    Edges out of uninfluenced nodes stay independent of everything
+    observed, so nothing else in an observation changes an expected
+    value. Floors stay put when their node is influenced later, as
+    observed; `canonical` drops them.
     """
 
     influenced: int
     floors: tuple[int, ...]
-    budget: Fraction
+    budget: int
 
     @classmethod
-    def initial(cls, node_count: int, budget: Fraction) -> "BeliefState":
+    def initial(cls, node_count: int, budget: int) -> "BeliefState":
         return cls(0, (-1,) * node_count, budget)
 
     def accept_chance(self, probs, v: int, rate_idx: int) -> float:
@@ -84,7 +88,7 @@ class BeliefState(NamedTuple):
             return 0.0
         return (p - low) / (1.0 - low)
 
-    def after_accept(self, addmask: int, cost: Fraction) -> "BeliefState":
+    def after_accept(self, addmask: int, cost: int) -> "BeliefState":
         return BeliefState(self.influenced | addmask, self.floors, self.budget - cost)
 
     def after_reject(self, v: int, rate_idx: int) -> "BeliefState":
@@ -142,20 +146,25 @@ class CascadeOutcomes:
 
 @dataclass
 class PolicyState:
-    """Mutable per-trajectory view: belief state, open offers, observation."""
+    """Mutable per-trajectory view: belief state, open offers, observation.
+
+    `ledger` holds the run's rate costs and budget in integer units.
+    """
 
     belief: BeliefState
+    ledger: BudgetLedger
     available: set[SeedDiscountPair]
     obs: PartialObservation
     committed: list[SeedDiscountPair] = field(default_factory=list)
 
     @property
     def budget_left(self) -> Fraction:
-        return self.belief.budget
+        return Fraction(self.belief.budget, self.ledger.denom)
 
     def copy(self) -> "PolicyState":
         return PolicyState(
             belief=self.belief,
+            ledger=self.ledger,
             available=set(self.available),
             obs=self.obs.copy(),
             committed=list(self.committed),
@@ -202,8 +211,10 @@ def _fmt_rate(rate: float) -> str:
 
 
 def initial_state(instance: Instance, spec: BudgetSpec) -> PolicyState:
+    ledger = BudgetLedger(instance.menu, spec)
     return PolicyState(
-        belief=BeliefState.initial(instance.graph.node_count, spec.exact_budget),
+        belief=BeliefState.initial(instance.graph.node_count, ledger.budget),
+        ledger=ledger,
         available=set(instance.all_pairs()),
         obs=PartialObservation(),
     )
@@ -211,17 +222,16 @@ def initial_state(instance: Instance, spec: BudgetSpec) -> PolicyState:
 
 def _check_probe(instance: Instance, state: PolicyState, pair: SeedDiscountPair) -> int:
     """The probe's menu index, once it is shown open and affordable."""
-    menu = instance.menu
     if pair not in state.available:
         raise PolicyContractError(f"probe {pair} is not available")
-    if menu.exact[pair.rate] > state.budget_left:
+    if state.ledger.rate_units[pair.rate] > state.belief.budget:
         raise PolicyContractError(f"probe {pair} exceeds the remaining budget {float(state.budget_left)}")
-    return menu.index_of(pair.rate)
+    return instance.menu.index_of(pair.rate)
 
 
-def _record_accept(instance: Instance, state: PolicyState, pair: SeedDiscountPair, addmask: int) -> None:
+def _record_accept(state: PolicyState, pair: SeedDiscountPair, addmask: int) -> None:
     """Commit an accepted probe whose cascade is already in `state.obs`."""
-    state.belief = state.belief.after_accept(addmask, instance.menu.exact[pair.rate])
+    state.belief = state.belief.after_accept(addmask, state.ledger.rate_units[pair.rate])
     state.committed.append(pair)
     # Influenced nodes are spent: offering them anything buys nothing.
     state.available = {p for p in state.available if p.node not in state.obs.influenced}
@@ -242,14 +252,14 @@ def _apply_probe(instance: Instance, state: PolicyState, pair: SeedDiscountPair,
         addmask = 0
         for u in newly:
             addmask |= 1 << u
-        _record_accept(instance, state, pair, addmask)
+        _record_accept(state, pair, addmask)
     else:
         newly, revealed = (), ()
         _record_reject(state, pair, rate_idx)
     return ProbeRecord(pair=pair, accepted=accepted, newly_influenced=newly, revealed=revealed)
 
 
-def _execute(policy, instance: Instance, spec: BudgetSpec, state: PolicyState, realization: Realization) -> TrajectoryRecord:
+def _execute(policy, instance: Instance, state: PolicyState, realization: Realization) -> TrajectoryRecord:
     policy.begin(state)
     probes: list[ProbeRecord] = []
     while True:
@@ -257,10 +267,10 @@ def _execute(policy, instance: Instance, spec: BudgetSpec, state: PolicyState, r
         if pair is None:
             break
         probes.append(_apply_probe(instance, state, pair, realization))
-    delivered = spec.exact_budget - state.budget_left
+    ledger = state.ledger
     return TrajectoryRecord(
         probes=tuple(probes),
-        delivered_cost=float(delivered),
+        delivered_cost=(ledger.budget - state.belief.budget) / ledger.denom,
         influenced=frozenset(state.obs.influenced),
         cascade_size=len(state.obs.influenced),
     )
@@ -268,7 +278,7 @@ def _execute(policy, instance: Instance, spec: BudgetSpec, state: PolicyState, r
 
 def run_policy(policy, instance: Instance, spec: BudgetSpec, realization: Realization) -> TrajectoryRecord:
     """Execute one trajectory of `policy` against a fixed realization."""
-    return _execute(policy, instance, spec, initial_state(instance, spec), realization)
+    return _execute(policy, instance, initial_state(instance, spec), realization)
 
 
 def _absorb_outcome(graph: SocialGraph, obs: PartialObservation, addmask: int) -> None:
@@ -315,7 +325,7 @@ def _expected_influence(policy, instance: Instance, cascades: CascadeOutcomes, s
             for addmask, w in cascades.of(belief.influenced, pair.node):
                 nxt = st.copy()
                 _absorb_outcome(graph, nxt.obs, addmask)
-                _record_accept(instance, nxt, pair, addmask)
+                _record_accept(nxt, pair, addmask)
                 stack.append((weight * q * w, copy.copy(pol), nxt))
         if q < 1.0:
             _record_reject(st, pair, rate_idx)
@@ -374,8 +384,8 @@ class GreedyPolicy:
         pass
 
     def next_probe(self, state: PolicyState) -> SeedDiscountPair | None:
-        exact = self.instance.menu.exact
-        affordable = [p for p in state.available if exact[p.rate] <= state.budget_left]
+        units, left = state.ledger.rate_units, state.belief.budget
+        affordable = [p for p in state.available if units[p.rate] <= left]
         if not affordable:
             return None
         best_pair = None
@@ -583,11 +593,13 @@ class BranchEstimator:
         else:
             m = len(self.instance.menu)
             floors_code = sum((fl + 1) * (m + 1) ** v for v, fl in enumerate(key.floors))
-            root = child(self.stream, key.influenced, floors_code, key.budget.numerator, key.budget.denominator)
+            # The budget left enters reduced, so the key names the amount, not the ledger's units.
+            g = math.gcd(key.budget, state.ledger.denom)
+            root = child(self.stream, key.influenced, floors_code, key.budget // g, state.ledger.denom // g)
             total = 0
             for r in range(self.config.rollouts):
                 realization = sample_conditional_realization(self.instance, state.obs, generator(root, r))
-                record = _execute(self._greedy, self.instance, self.spec, state.copy(), realization)
+                record = _execute(self._greedy, self.instance, state.copy(), realization)
                 total += record.cascade_size - base
             val = total / self.config.rollouts
         self._memo[key] = val
@@ -616,9 +628,8 @@ class EnhancedGreedyPolicy:
     def begin(self, state: PolicyState) -> None:
         self._delegate = False
         self._plan = None
-        menu = self.instance.menu
-        d_max = menu.d_max
-        if menu.exact[d_max] > state.budget_left:
+        d_max = self.instance.menu.d_max
+        if state.ledger.rate_units[d_max] > state.belief.budget:
             self._delegate = True
             self._greedy.begin(state)
             return
@@ -675,9 +686,8 @@ class IteratedHeuristicPolicy:
         if self._delegate:
             return self._greedy.next_probe(state)
         candidates = sorted({p.node for p in state.available})
-        menu = self.instance.menu
-        d_max = menu.d_max
-        if candidates and menu.exact[d_max] <= state.budget_left:
+        d_max = self.instance.menu.d_max
+        if candidates and state.ledger.rate_units[d_max] <= state.belief.budget:
             best_v, best_delta = None, -1.0
             for v in candidates:
                 delta = self.estimator.residual_spread(state.obs.influenced, v)
@@ -808,12 +818,13 @@ def optimal_policy_oracle(instance: Instance, spec: BudgetSpec, *,
         raise TooLargeError(f"optimal oracle handles at most {max_edges} edges, got {len(graph.edges)}")
     if m > max_rates:
         raise TooLargeError(f"optimal oracle handles menus up to {max_rates} rates, got {m}")
-    rates = [menu.exact[r] for r in menu.rates]
-    return _optimal_value(BeliefState.initial(n, spec.exact_budget), model.probs, rates,
+    ledger = BudgetLedger(menu, spec)
+    rates = [ledger.rate_units[r] for r in menu.rates]
+    return _optimal_value(BeliefState.initial(n, ledger.budget), model.probs, rates,
                           CascadeOutcomes(graph), {})
 
 
-def _optimal_value(belief: BeliefState, probs, rates: list[Fraction], cascades: CascadeOutcomes,
+def _optimal_value(belief: BeliefState, probs, rates: list[int], cascades: CascadeOutcomes,
                    memo: dict[BeliefState, float]) -> float:
     """The oracle's recursion, kept at module level so that no closure cycle
     holds its memo alive past the call."""

@@ -111,7 +111,7 @@ class DiscountMenu:
 
     @cached_property
     def exact(self) -> dict[float, Fraction]:
-        """Rate values as exact rationals, for budget arithmetic."""
+        """Rate values as exact rationals; `BudgetLedger` scales them to integer units."""
         return {r: Fraction(r) for r in self.rates}
 
     def index_of(self, rate: float) -> int:

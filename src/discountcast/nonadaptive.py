@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,7 +24,7 @@ from .cascade import (
     spread_mc,
 )
 from .errors import TooLargeError, ValidationError
-from .graph import AdoptionModel, Instance, SeedDiscountPair
+from .graph import AdoptionModel, DiscountMenu, Instance, SeedDiscountPair
 from .rng import as_stream, child, generator
 
 GAIN_EPS = 1e-12
@@ -50,6 +51,57 @@ class BudgetSpec:
     @cached_property
     def exact_budget(self) -> Fraction:
         return Fraction(self.budget)
+
+
+class BudgetLedger:
+    """Exact budget amounts as ints, in units of 1/`denom`.
+
+    Rates and the budget are the exact binary values of their floats
+    (`DiscountMenu.exact`, `BudgetSpec.exact_budget`). Without `probs`
+    an offer costs its rate, as under hard accounting and in adaptive
+    runs; with the adoption rows `probs` it costs its rate times the
+    node's acceptance chance, again exactly, as under soft accounting.
+    Scaled by the lcm of their denominators all of these are ints, so
+    every affordability check is an int comparison.
+    `Fraction(units, denom)` is an amount's exact value and
+    `units / denom` its correctly rounded float, equal to
+    `float(Fraction(units, denom))`.
+    """
+
+    __slots__ = ("denom", "budget", "rate_units", "_node_units")
+
+    def __init__(self, menu: DiscountMenu, spec: BudgetSpec, probs=None):
+        exact, budget = menu.exact, spec.exact_budget
+        rates = [(exact[r].numerator, exact[r].denominator) for r in menu.rates]
+        rows = [] if probs is None else [
+            [(a * c, b * d) for (a, b), (c, d) in zip(rates, (p.as_integer_ratio() for p in row))]
+            for row in probs
+        ]
+        denom = math.lcm(budget.denominator, *(b for _, b in rates), *(b for row in rows for _, b in row))
+        self.denom = denom
+        self.budget = budget.numerator * (denom // budget.denominator)
+        self.rate_units = {r: a * (denom // b) for r, (a, b) in zip(menu.rates, rates)}
+        self._node_units = None if probs is None else [
+            {r: a * (denom // b) for r, (a, b) in zip(menu.rates, row)} for row in rows
+        ]
+
+    @classmethod
+    def for_spec(cls, model: AdoptionModel, spec: BudgetSpec) -> "BudgetLedger":
+        """Offer costs as `spec` accounts configurations."""
+        return cls(model.menu, spec, model.probs if spec.mode == "soft" else None)
+
+    def offer(self, v: int, rate: float) -> int:
+        """Cost of offering menu rate `rate` to node v."""
+        if self._node_units is None:
+            return self.rate_units[rate]
+        return self._node_units[v][rate]
+
+    def raise_cost(self, v: int, rate: float, current: float) -> int:
+        """Extra cost of raising v's offer from `current` (0.0 = none) to `rate`."""
+        return self.offer(v, rate) - (self.offer(v, current) if current else 0)
+
+    def config_cost(self, config: Configuration) -> int:
+        return sum(self.offer(v, rate) for v, rate in config.effective_map.items())
 
 
 @dataclass(frozen=True)
@@ -92,18 +144,8 @@ class Configuration:
 
 
 def config_cost(config: Configuration, model: AdoptionModel, spec: BudgetSpec) -> float:
-    return float(_exact_cost(config, model, spec))
-
-
-def _exact_cost(config: Configuration, model: AdoptionModel, spec: BudgetSpec) -> Fraction:
-    exact = model.menu.exact
-    total = Fraction(0)
-    for v, rate in config.effective_map.items():
-        if spec.mode == "hard":
-            total += exact[rate]
-        else:
-            total += exact[rate] * Fraction(model.prob_at_rate(v, rate))
-    return total
+    ledger = BudgetLedger.for_spec(model, spec)
+    return ledger.config_cost(config) / ledger.denom
 
 
 def seedset_probability(config: Configuration, model: AdoptionModel, seed_set) -> float:
@@ -269,19 +311,6 @@ class MCEvaluator:
         return hoeffding_radius(self.instance.graph.node_count, self.samples, delta)
 
 
-def _incremental_cost(model: AdoptionModel, spec: BudgetSpec, v: int, rate: float, current: float) -> Fraction:
-    """Exact extra cost of raising v's offer from `current` (0.0 = none) to `rate`."""
-    exact = model.menu.exact
-    new = exact[rate]
-    old = exact[current] if current else Fraction(0)
-    if spec.mode == "hard":
-        return new - old
-    new *= Fraction(model.prob_at_rate(v, rate))
-    if current:
-        old *= Fraction(model.prob_at_rate(v, current))
-    return new - old
-
-
 def hill_climbing(
     instance: Instance,
     spec: BudgetSpec,
@@ -300,14 +329,14 @@ def hill_climbing(
     """
     if gain_rule not in ("marginal", "total"):
         raise ValidationError(f"gain_rule must be 'marginal' or 'total', got {gain_rule!r}")
-    graph, model, menu = instance.graph, instance.model, instance.menu
-    budget = spec.exact_budget
+    graph, menu = instance.graph, instance.menu
+    ledger = BudgetLedger.for_spec(instance.model, spec)
 
     best_single: Configuration | None = None
     best_single_val = 0.0
     for v in range(graph.node_count):
         for rate in menu.rates:
-            if _incremental_cost(model, spec, v, rate, 0.0) > budget:
+            if ledger.offer(v, rate) > ledger.budget:
                 continue
             candidate = Configuration.of(SeedDiscountPair(v, rate))
             val = evaluator.value(candidate)
@@ -315,20 +344,20 @@ def hill_climbing(
                 best_single, best_single_val = candidate, val
 
     if gain_rule == "marginal":
-        greedy, greedy_val = _greedy_marginal(instance, spec, evaluator)
+        greedy, greedy_val = _greedy_marginal(instance, ledger, evaluator)
     else:
-        greedy, greedy_val = _greedy_total(instance, spec, evaluator)
+        greedy, greedy_val = _greedy_total(instance, ledger, evaluator)
 
     if best_single is not None and best_single_val >= greedy_val:
         return best_single
     return greedy
 
 
-def _greedy_marginal(instance: Instance, spec: BudgetSpec, evaluator) -> tuple[Configuration, float]:
-    graph, model, menu = instance.graph, instance.model, instance.menu
-    budget = spec.exact_budget
+def _greedy_marginal(instance: Instance, ledger: BudgetLedger, evaluator) -> tuple[Configuration, float]:
+    graph, menu = instance.graph, instance.menu
+    budget, denom = ledger.budget, ledger.denom
     assignment: dict[int, float] = {}
-    spent = Fraction(0)
+    spent = 0
     current_val = 0.0
     version = 0
     # Lazy queue of (negated ratio, node, rate index, version stamp, gain, value).
@@ -336,21 +365,21 @@ def _greedy_marginal(instance: Instance, spec: BudgetSpec, evaluator) -> tuple[C
     heap: list[tuple[float, int, int, int, float, float]] = []
     for v in range(graph.node_count):
         for ridx, rate in enumerate(menu.rates):
-            inc = _incremental_cost(model, spec, v, rate, 0.0)
+            inc = ledger.offer(v, rate)
             if inc <= 0 or inc > budget:
                 continue
             val = evaluator.value(Configuration.of(SeedDiscountPair(v, rate)))
             gain = val
             if gain <= GAIN_EPS:
                 continue
-            heapq.heappush(heap, (-gain / float(inc), v, ridx, version, gain, val))
+            heapq.heappush(heap, (-gain / (inc / denom), v, ridx, version, gain, val))
     while heap:
         _, v, ridx, stamp, gain, val = heapq.heappop(heap)
         rate = menu.rates[ridx]
         current = assignment.get(v, 0.0)
         if rate <= current:
             continue  # dominated by an offer already in place
-        inc = _incremental_cost(model, spec, v, rate, current)
+        inc = ledger.raise_cost(v, rate, current)
         if inc <= 0:
             continue
         if spent + inc > budget:
@@ -367,15 +396,15 @@ def _greedy_marginal(instance: Instance, spec: BudgetSpec, evaluator) -> tuple[C
         gain = val - current_val
         if gain <= GAIN_EPS:
             continue  # gains only shrink as the configuration grows
-        heapq.heappush(heap, (-gain / float(inc), v, ridx, version, gain, val))
+        heapq.heappush(heap, (-gain / (inc / denom), v, ridx, version, gain, val))
     return Configuration.from_assignment(assignment), current_val
 
 
-def _greedy_total(instance: Instance, spec: BudgetSpec, evaluator) -> tuple[Configuration, float]:
-    graph, model, menu = instance.graph, instance.model, instance.menu
-    budget = spec.exact_budget
+def _greedy_total(instance: Instance, ledger: BudgetLedger, evaluator) -> tuple[Configuration, float]:
+    graph, menu = instance.graph, instance.menu
+    budget = ledger.budget
     assignment: dict[int, float] = {}
-    spent = Fraction(0)
+    spent = 0
     current_val = 0.0
     while True:
         best = None  # (ratio, v, ridx, inc, val)
@@ -384,7 +413,7 @@ def _greedy_total(instance: Instance, spec: BudgetSpec, evaluator) -> tuple[Conf
             for ridx, rate in enumerate(menu.rates):
                 if rate <= current:
                     continue
-                inc = _incremental_cost(model, spec, v, rate, current)
+                inc = ledger.raise_cost(v, rate, current)
                 if inc <= 0 or spent + inc > budget:
                     continue
                 val = evaluator.value(Configuration.from_assignment(assignment | {v: rate}))
@@ -423,13 +452,13 @@ def brute_force_config(
             f"brute force would enumerate {total} configurations, cap is {max_assignments}"
         )
     evaluator = ExactEvaluator(instance, max_support=max_support, max_uncertain_edges=max_uncertain_edges)
-    budget = spec.exact_budget
+    ledger = BudgetLedger.for_spec(model, spec)
     best_config = Configuration.empty()
     best_val = 0.0
     for choice in itertools.product(range(m + 1), repeat=n):
         assignment = {v: menu.rates[c - 1] for v, c in enumerate(choice) if c}
         config = Configuration.from_assignment(assignment)
-        if _exact_cost(config, model, spec) > budget:
+        if ledger.config_cost(config) > ledger.budget:
             continue
         val = evaluator.value(config)
         if val > best_val:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discountcast as dc
-from discountcast.nonadaptive import GAIN_EPS, _incremental_cost
+from discountcast.nonadaptive import GAIN_EPS, BudgetLedger
 from discountcast.rng import as_stream, child
 
 from conftest import tiny_instance
@@ -190,6 +190,17 @@ def test_hill_climbing_single_pair_tie_prefers_lowest_node():
     assert cfg.effective_map == {0: 1.0}
 
 
+def exact_raise_cost(model, spec, v, rate, current):
+    """Extra cost of raising v's offer from `current` (0.0 = none) to `rate`, as a Fraction."""
+    def cost(r):
+        if not r:
+            return Fraction(0)
+        if spec.mode == "hard":
+            return model.menu.exact[r]
+        return model.menu.exact[r] * Fraction(model.prob_at_rate(v, r))
+    return cost(rate) - cost(current)
+
+
 def naive_marginal_greedy(instance, spec, evaluator):
     """Reference hill climb: full rescan every step, same tie-breaking."""
     model, menu = instance.model, instance.menu
@@ -202,7 +213,7 @@ def naive_marginal_greedy(instance, spec, evaluator):
         for pair in instance.all_pairs():
             if pair.rate <= current.effective_rate(pair.node):
                 continue
-            inc = _incremental_cost(model, spec, pair.node, pair.rate, current.effective_rate(pair.node))
+            inc = exact_raise_cost(model, spec, pair.node, pair.rate, current.effective_rate(pair.node))
             if inc <= 0 or spent + inc > budget:
                 continue
             gain = evaluator.value(current.add(pair)) - base
@@ -217,7 +228,7 @@ def naive_marginal_greedy(instance, spec, evaluator):
     # the climb keeps the better of the greedy set and the best lone pair
     single = None
     for pair in instance.all_pairs():
-        if _incremental_cost(model, spec, pair.node, pair.rate, 0.0) > budget:
+        if exact_raise_cost(model, spec, pair.node, pair.rate, 0.0) > budget:
             continue
         val = evaluator.value(dc.Configuration.of(pair))
         if single is None or val > single[0]:
@@ -277,6 +288,70 @@ def test_soft_mode_admits_more_offers(fig1):
     assert dc.config_cost(cfg, fig1.model, spec) <= 1.0
     hard_cfg = dc.hill_climbing(fig1, dc.BudgetSpec(budget=1.0, mode="hard"), ev)
     assert ev.value(cfg) > ev.value(hard_cfg)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4: rates and budgets are the binary values of their floats, and "
+    "Fraction(0.1) * 3 > Fraction(0.3); reading them as decimals fixes this"
+))
+def test_hill_climbing_buys_three_tenths_under_three_tenths():
+    g = dc.SocialGraph(3, ("0", "1", "2"), ())
+    menu = dc.DiscountMenu(rates=(0.1,))
+    inst = dc.Instance(graph=g, model=dc.AdoptionModel(menu=menu, probs=((1.0,),) * 3))
+    cfg = dc.hill_climbing(inst, dc.BudgetSpec(budget=0.3, mode="hard"), dc.ExactEvaluator(inst))
+    assert len(cfg.effective_map) == 3
+
+
+@st.composite
+def ledger_cases(draw):
+    """A 1-3 rate menu, 1-3 adoption rows, a mode and a budget near a sum of rates."""
+    rate = st.floats(min_value=0.01, max_value=4.0, allow_nan=False, allow_infinity=False)
+    rates = tuple(sorted(set(draw(st.lists(rate, min_size=1, max_size=3)))))
+    prob = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+    rows = tuple(
+        tuple(sorted(draw(st.lists(prob, min_size=len(rates), max_size=len(rates)))))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    near = sum(draw(st.lists(st.sampled_from(rates), min_size=1, max_size=4)))
+    budget = draw(st.one_of(
+        st.just(near), st.just(math.nextafter(near, 0.0)), st.just(math.nextafter(near, math.inf)),
+        st.floats(min_value=0.01, max_value=12.0),
+    ))
+    model = dc.AdoptionModel(menu=dc.DiscountMenu(rates=rates), probs=rows)
+    return model, dc.BudgetSpec(budget=budget, mode=draw(st.sampled_from(["hard", "soft"])))
+
+
+@given(ledger_cases())
+@settings(max_examples=60, deadline=None)
+def test_integer_ledger_decides_as_fractions(case):
+    model, spec = case
+    menu, budget = model.menu, spec.exact_budget
+    ledger = BudgetLedger.for_spec(model, spec)
+    denom = ledger.denom
+    assert Fraction(ledger.budget, denom) == budget
+    offers = [(v, r) for v in range(model.node_count) for r in menu.rates]
+    for k in range(4):
+        for bought in itertools.combinations_with_replacement(offers, k):
+            spent = sum(ledger.offer(v, r) for v, r in bought)
+            spent_exact = sum((exact_raise_cost(model, spec, v, r, 0.0) for v, r in bought), Fraction(0))
+            assert Fraction(spent, denom) == spent_exact
+            for v, rate in offers:
+                for current in (0.0,) + tuple(r for r in menu.rates if r < rate):
+                    inc = ledger.raise_cost(v, rate, current)
+                    inc_exact = exact_raise_cost(model, spec, v, rate, current)
+                    assert (spent + inc <= ledger.budget) == (spent_exact + inc_exact <= budget)
+                    assert inc / denom == float(inc_exact)
+
+    # Adaptive runs pay rates in full: the budget left and the delivered cost.
+    rates = BudgetLedger(menu, spec)
+    for k in range(4):
+        for bought in itertools.combinations_with_replacement(menu.rates, k):
+            left = rates.budget - sum(rates.rate_units[r] for r in bought)
+            left_exact = budget - sum((menu.exact[r] for r in bought), Fraction(0))
+            assert Fraction(left, rates.denom) == left_exact
+            assert (rates.budget - left) / rates.denom == float(budget - left_exact)
+            for r in menu.rates:
+                assert (rates.rate_units[r] <= left) == (menu.exact[r] <= left_exact)
 
 
 @given(st.integers(0, 10_000))
