@@ -4,10 +4,12 @@ An adaptive policy probes one seed-discount offer at a time against a
 fixed but hidden realization. An accepted offer commits its rate,
 triggers the seed's cascade, and reveals the out-edges of every node
 the cascade reaches; a rejected offer costs nothing but rules out that
-node at that rate and below. Policies here: benefit-per-cost greedy, a
-two-branch variant that can spend everything on the single best node,
-and an iterated version of that branch rule. A backward-induction
-oracle computes the optimal policy value on tiny instances.
+node at that rate and below. One policy class, `GreedyPolicy`, covers
+the paper's three: benefit-per-cost greedy; with a `branch` estimator,
+enhanced greedy, which may first spend the top rate on the single best
+node; and with `iterate=True` as well, the iterated heuristic, which
+repeats that comparison every round. A backward-induction oracle
+computes the optimal policy value on tiny instances.
 
 Everything a run's future depends on is its belief state: the
 influenced set, each node's highest rejected rate and the budget left
@@ -303,8 +305,8 @@ def _expected_influence(policy, instance: Instance, cascades: CascadeOutcomes, s
     `_apply_probe` checks it, then branches on reject and on every
     cascade outcome of an accept, each weighted by its probability;
     branches of probability zero are never entered. A branch runs on a
-    shallow copy of the policy, so per-run flags stay per branch while
-    estimator caches are shared. The policy must decide from the
+    shallow copy of the policy, so the per-run phase stays per branch
+    while estimator caches are shared. The policy must decide from the
     influenced set, the rejections and the budget, not from the states
     of individual revealed edges (see `_absorb_outcome`).
     """
@@ -341,8 +343,7 @@ class SpreadEstimator:
     source behind.
     """
 
-    def __init__(self, graph: SocialGraph, *, mode: str = "exact", samples: int = 1000,
-                 stream=None, max_uncertain_edges: int = 25):
+    def __init__(self, graph: SocialGraph, *, mode: str = "exact", samples: int = 1000, stream=None):
         if mode not in ("exact", "mc"):
             raise ValidationError(f"spread mode must be 'exact' or 'mc', got {mode!r}")
         if mode == "mc" and stream is None:
@@ -351,7 +352,6 @@ class SpreadEstimator:
         self.mode = mode
         self.samples = samples
         self.stream = as_stream(stream) if stream is not None else None
-        self.max_uncertain_edges = max_uncertain_edges
         self._cache: dict[tuple[frozenset[int], int], float] = {}
 
     def residual_spread(self, influenced: set[int], v: int) -> float:
@@ -359,9 +359,7 @@ class SpreadEstimator:
         if key not in self._cache:
             restrict = set(range(self.graph.node_count)) - set(influenced)
             if self.mode == "exact":
-                val = spread_exact(
-                    self.graph, [v], restrict=restrict, max_uncertain_edges=self.max_uncertain_edges
-                )
+                val = spread_exact(self.graph, [v], restrict=restrict)
             else:
                 dommask = 0
                 for u in influenced:
@@ -374,16 +372,36 @@ class SpreadEstimator:
 
 
 class GreedyPolicy:
-    """Probe the affordable offer with the best residual spread per rate."""
+    """Probe the affordable offer with the best residual spread per rate.
 
-    def __init__(self, instance: Instance, estimator: SpreadEstimator):
+    With a `branch` estimator the run first weighs a one-shot move: the
+    top rate offered to the open node with the best residual spread,
+    taken when acceptance chance times spread beats the estimated value
+    of the greedy continuation. Once that comparison loses, greedy
+    finishes the run. Without `iterate` (enhanced greedy) a taken shot
+    ends the run, accepted or rejected; with it (the iterated heuristic)
+    the comparison repeats on the residual graph.
+    """
+
+    def __init__(self, instance: Instance, estimator: SpreadEstimator,
+                 branch: BranchEstimator | None = None, *, iterate: bool = False):
         self.instance = instance
         self.estimator = estimator
+        self.branch = branch
+        self.iterate = iterate
 
     def begin(self, state: PolicyState) -> None:
-        pass
+        self._phase = "greedy" if self.branch is None else "shot"
 
     def next_probe(self, state: PolicyState) -> SeedDiscountPair | None:
+        if self._phase == "done":
+            return None
+        if self._phase == "shot":
+            shot = self._top_rate_shot(state)
+            if shot is not None:
+                self._phase = "shot" if self.iterate else "done"
+                return shot
+            self._phase = "greedy"
         units, left = state.ledger.rate_units, state.belief.budget
         affordable = [p for p in state.available if units[p.rate] <= left]
         if not affordable:
@@ -396,6 +414,20 @@ class GreedyPolicy:
             if ratio > best_ratio:
                 best_ratio, best_pair = ratio, pair
         return best_pair
+
+    def _top_rate_shot(self, state: PolicyState) -> SeedDiscountPair | None:
+        """The top-rate offer to the best open node, if it beats the greedy continuation."""
+        d_max = self.instance.menu.d_max
+        nodes = sorted({p.node for p in state.available})
+        if not nodes or state.ledger.rate_units[d_max] > state.belief.budget:
+            return None
+        spreads = {v: self.estimator.residual_spread(state.obs.influenced, v) for v in nodes}
+        best = max(spreads, key=spreads.get)  # ties keep the lowest node
+        # An open node's top rate is open too: a rejection closes only that rate and cheaper ones.
+        p = self.instance.model.prob_at_rate(best, d_max)
+        if p * spreads[best] > self.branch.greedy_value_from(state):
+            return SeedDiscountPair(best, d_max)
+        return None
 
 
 def _rejection_floors(instance: Instance, obs: PartialObservation) -> dict[int, int]:
@@ -568,12 +600,10 @@ class BranchEstimator:
     requested.
     """
 
-    def __init__(self, instance: Instance, spec: BudgetSpec, estimator: SpreadEstimator,
-                 config: BranchConfig, stream=None):
+    def __init__(self, instance: Instance, estimator: SpreadEstimator, config: BranchConfig, stream=None):
         if config.mode == "rollouts" and stream is None:
             raise ValidationError("rollout branch estimation needs a seed stream")
         self.instance = instance
-        self.spec = spec
         self.config = config
         self.stream = as_stream(stream) if stream is not None else None
         self._greedy = GreedyPolicy(instance, estimator)
@@ -606,113 +636,13 @@ class BranchEstimator:
         return val
 
 
-class EnhancedGreedyPolicy:
-    """Either spend the full top rate on the highest-spread node, or run greedy.
-
-    The one-shot branch is taken when its expected value, acceptance
-    chance times spread, beats the estimated value of the greedy
-    policy. With a budget below the top rate the branch is off the
-    table and this is plain greedy.
-    """
-
-    def __init__(self, instance: Instance, spec: BudgetSpec, estimator: SpreadEstimator,
-                 branch: BranchEstimator):
-        self.instance = instance
-        self.spec = spec
-        self.estimator = estimator
-        self.branch = branch
-        self._greedy = GreedyPolicy(instance, estimator)
-        self._delegate = False
-        self._plan: SeedDiscountPair | None = None
-
-    def begin(self, state: PolicyState) -> None:
-        self._delegate = False
-        self._plan = None
-        d_max = self.instance.menu.d_max
-        if state.ledger.rate_units[d_max] > state.belief.budget:
-            self._delegate = True
-            self._greedy.begin(state)
-            return
-        v_star, delta = self._best_node(state)
-        if v_star is None:
-            self._delegate = True
-            return
-        p = self.instance.model.prob_at_rate(v_star, d_max)
-        if p * delta > self.branch.greedy_value_from(state):
-            self._plan = SeedDiscountPair(v_star, d_max)
-        else:
-            self._delegate = True
-            self._greedy.begin(state)
-
-    def _best_node(self, state: PolicyState):
-        best_v, best_delta = None, -1.0
-        for v in range(self.instance.graph.node_count):
-            if v in state.obs.influenced:
-                continue
-            delta = self.estimator.residual_spread(state.obs.influenced, v)
-            if delta > best_delta:
-                best_v, best_delta = v, delta
-        return best_v, best_delta
-
-    def next_probe(self, state: PolicyState) -> SeedDiscountPair | None:
-        if self._delegate:
-            return self._greedy.next_probe(state)
-        plan, self._plan = self._plan, None
-        return plan
-
-
-class IteratedHeuristicPolicy:
-    """Repeat the one-shot branch on the residual graph until it stops paying.
-
-    Each round offers the top rate to the unspent node with the best
-    residual spread if that beats the greedy continuation; acceptance
-    shrinks the graph, rejection retires the node. Otherwise the run
-    finishes under plain greedy.
-    """
-
-    def __init__(self, instance: Instance, spec: BudgetSpec, estimator: SpreadEstimator,
-                 branch: BranchEstimator):
-        self.instance = instance
-        self.spec = spec
-        self.estimator = estimator
-        self.branch = branch
-        self._greedy = GreedyPolicy(instance, estimator)
-        self._delegate = False
-
-    def begin(self, state: PolicyState) -> None:
-        self._delegate = False
-
-    def next_probe(self, state: PolicyState) -> SeedDiscountPair | None:
-        if self._delegate:
-            return self._greedy.next_probe(state)
-        candidates = sorted({p.node for p in state.available})
-        d_max = self.instance.menu.d_max
-        if candidates and state.ledger.rate_units[d_max] <= state.belief.budget:
-            best_v, best_delta = None, -1.0
-            for v in candidates:
-                delta = self.estimator.residual_spread(state.obs.influenced, v)
-                if delta > best_delta:
-                    best_v, best_delta = v, delta
-            pair = SeedDiscountPair(best_v, d_max)
-            if pair in state.available:
-                p = self.instance.model.prob_at_rate(best_v, d_max)
-                if p * best_delta > self.branch.greedy_value_from(state):
-                    return pair
-        self._delegate = True
-        return self._greedy.next_probe(state)
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     mode: str = "exact"
     samples: int = 1000
-    max_uncertain_edges: int = 25
 
     def build(self, graph: SocialGraph, stream) -> SpreadEstimator:
-        return SpreadEstimator(
-            graph, mode=self.mode, samples=self.samples, stream=stream,
-            max_uncertain_edges=self.max_uncertain_edges,
-        )
+        return SpreadEstimator(graph, mode=self.mode, samples=self.samples, stream=stream)
 
 
 @dataclass(frozen=True)
@@ -725,6 +655,13 @@ class GreedyFactory:
         return GreedyPolicy(self.instance, self.estimator.build(self.instance.graph, child(as_stream(stream), 10)))
 
 
+def _branch_policy(factory, stream, *, iterate: bool) -> GreedyPolicy:
+    root = as_stream(stream)
+    est = factory.estimator.build(factory.instance.graph, child(root, 10))
+    branch = BranchEstimator(factory.instance, est, factory.branch, stream=child(root, 11))
+    return GreedyPolicy(factory.instance, est, branch, iterate=iterate)
+
+
 @dataclass(frozen=True)
 class EnhancedFactory:
     instance: Instance
@@ -732,11 +669,8 @@ class EnhancedFactory:
     estimator: EstimatorConfig = EstimatorConfig()
     branch: BranchConfig = BranchConfig()
 
-    def __call__(self, stream) -> EnhancedGreedyPolicy:
-        root = as_stream(stream)
-        est = self.estimator.build(self.instance.graph, child(root, 10))
-        br = BranchEstimator(self.instance, self.spec, est, self.branch, stream=child(root, 11))
-        return EnhancedGreedyPolicy(self.instance, self.spec, est, br)
+    def __call__(self, stream) -> GreedyPolicy:
+        return _branch_policy(self, stream, iterate=False)
 
 
 @dataclass(frozen=True)
@@ -746,11 +680,8 @@ class IteratedFactory:
     estimator: EstimatorConfig = EstimatorConfig()
     branch: BranchConfig = BranchConfig()
 
-    def __call__(self, stream) -> IteratedHeuristicPolicy:
-        root = as_stream(stream)
-        est = self.estimator.build(self.instance.graph, child(root, 10))
-        br = BranchEstimator(self.instance, self.spec, est, self.branch, stream=child(root, 11))
-        return IteratedHeuristicPolicy(self.instance, self.spec, est, br)
+    def __call__(self, stream) -> GreedyPolicy:
+        return _branch_policy(self, stream, iterate=True)
 
 
 def _mc_chunk(args):

@@ -304,16 +304,8 @@ def reveal_cascade(graph: SocialGraph, diffusion: DiffusionRealization, obs: Par
     return tuple(newly), tuple(revealed_now)
 
 
-def conditional_spread(
-    graph: SocialGraph,
-    obs: PartialObservation,
-    v: int,
-    *,
-    mode: str = "exact",
-    samples: int = 1000,
-    stream=None,
-    max_uncertain_edges: int = MAX_UNCERTAIN_EDGES,
-) -> float:
+def conditional_spread(graph: SocialGraph, obs: PartialObservation, v: int, *,
+                       mode: str = "exact", samples: int = 1000, stream=None) -> float:
     """Expected cascade of seeding v alone in the graph minus influenced nodes.
 
     Already influenced nodes soak up no new influence and cannot relay
@@ -324,7 +316,7 @@ def conditional_spread(
         raise ValidationError(f"node {v} is already influenced")
     restrict = set(range(graph.node_count)) - obs.influenced
     if mode == "exact":
-        return spread_exact(graph, [v], restrict=restrict, max_uncertain_edges=max_uncertain_edges)
+        return spread_exact(graph, [v], restrict=restrict)
     if mode == "mc":
         return spread_mc(graph, [v], samples, stream, restrict=restrict)
     raise ValidationError(f"unknown spread mode {mode!r}")

@@ -71,18 +71,31 @@ def _guarded(fn):
 
 
 def _with_config(params: dict, config_path) -> dict:
-    """Fill unset options from a JSON config file; explicit flags win."""
+    """Fill unset options from a JSON config file; explicit flags win.
+
+    A file value passes through its option's click type as if it were
+    typed after the flag. Choices are left to the commands, which name
+    what is unknown, and a list stays a list (`discounts` may be one).
+    """
     merged = dict(params)
     if not config_path:
         return merged
     raw = json.loads(Path(config_path).read_text())
     if not isinstance(raw, dict):
         raise ValidationError("config file must hold a JSON object")
+    ctx = click.get_current_context()
+    options = {p.name: p for p in ctx.command.params}
     for key, val in raw.items():
         name = key.replace("-", "_")
         if name not in merged:
             raise ValidationError(f"unknown config key: {key}")
         if merged[name] is None or merged[name] is False:
+            param = options[name]
+            if val is not None and not isinstance(val, list) and not isinstance(param.type, click.Choice):
+                try:
+                    val = param.type.convert(str(val), param, ctx)
+                except click.BadParameter as exc:
+                    raise ValidationError(f"config key {key}: {exc.message}") from exc
             merged[name] = val
     return merged
 

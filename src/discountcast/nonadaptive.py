@@ -173,7 +173,6 @@ def f_exact(
     instance: Instance,
     *,
     max_support: int = MAX_SUPPORT_NODES,
-    max_uncertain_edges: int = 25,
     spread_cache: dict | None = None,
 ) -> float:
     """Exact objective: sum over acceptance patterns of the exact spread.
@@ -200,7 +199,7 @@ def f_exact(
             continue
         seeds = frozenset(support[i] for i in range(len(support)) if (mask >> i) & 1)
         if seeds not in cache:
-            cache[seeds] = spread_exact(graph, seeds, max_uncertain_edges=max_uncertain_edges)
+            cache[seeds] = spread_exact(graph, seeds)
         total += weight * cache[seeds]
     return total
 
@@ -238,23 +237,15 @@ def f_mc(config: Configuration, instance: Instance, samples: int, stream) -> flo
 class ExactEvaluator:
     """Caching exact-objective provider for repeated configuration queries."""
 
-    def __init__(self, instance: Instance, *, max_support: int = MAX_SUPPORT_NODES, max_uncertain_edges: int = 25):
+    def __init__(self, instance: Instance):
         self.instance = instance
-        self.max_support = max_support
-        self.max_uncertain_edges = max_uncertain_edges
         self._spreads: dict[frozenset, float] = {}
         self._values: dict[tuple, float] = {}
 
     def value(self, config: Configuration) -> float:
         key = tuple(sorted(config.effective_map.items()))
         if key not in self._values:
-            self._values[key] = f_exact(
-                config,
-                self.instance,
-                max_support=self.max_support,
-                max_uncertain_edges=self.max_uncertain_edges,
-                spread_cache=self._spreads,
-            )
+            self._values[key] = f_exact(config, self.instance, spread_cache=self._spreads)
         return self._values[key]
 
     def radius(self) -> float:
@@ -431,14 +422,8 @@ def _greedy_total(instance: Instance, ledger: BudgetLedger, evaluator) -> tuple[
     return Configuration.from_assignment(assignment), current_val
 
 
-def brute_force_config(
-    instance: Instance,
-    spec: BudgetSpec,
-    *,
-    max_assignments: int = 1_000_000,
-    max_support: int = MAX_SUPPORT_NODES,
-    max_uncertain_edges: int = 25,
-) -> tuple[Configuration, float]:
+def brute_force_config(instance: Instance, spec: BudgetSpec, *,
+                       max_assignments: int = 1_000_000) -> tuple[Configuration, float]:
     """Exact optimum over every feasible configuration, by enumeration.
 
     Ties keep the first maximizer in lexicographic assignment order
@@ -451,7 +436,7 @@ def brute_force_config(
         raise TooLargeError(
             f"brute force would enumerate {total} configurations, cap is {max_assignments}"
         )
-    evaluator = ExactEvaluator(instance, max_support=max_support, max_uncertain_edges=max_uncertain_edges)
+    evaluator = ExactEvaluator(instance)
     ledger = BudgetLedger.for_spec(model, spec)
     best_config = Configuration.empty()
     best_val = 0.0

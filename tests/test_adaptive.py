@@ -165,6 +165,21 @@ def test_worstcase_policy_values():
     assert iv == pytest.approx(9.0, abs=1e-9)
 
 
+def test_enhanced_and_iterated_differ_after_a_shot():
+    # A rejected top-rate shot ends the enhanced run with the whole budget
+    # left; iterated compares again and greedy may finish the run.
+    inst = dc.random_instance(4, 0.5, 6, rates=(0.5, 1.0), prob_range=(0.3, 0.9), accept_range=(0.2, 1.0))
+    spec = dc.BudgetSpec(budget=1.2, mode="hard")
+    recorded = {  # exhaustive values, float.hex, recorded before the three policies shared one class
+        dc.GreedyFactory: "0x1.43d9773f48f79p+1",
+        dc.EnhancedFactory: "0x1.45660cba93a0fp+1",
+        dc.IteratedFactory: "0x1.7060c9be7aa50p+1",
+    }
+    for make, want in recorded.items():
+        val, _ = dc.evaluate_policy(make(inst, spec), inst, spec, "exhaustive")
+        assert val == pytest.approx(float.fromhex(want), abs=1e-12), make.__name__
+
+
 def test_enhanced_delegates_when_branch_is_worse(fig1, hard2):
     gv, _ = dc.evaluate_policy(dc.GreedyFactory(fig1, hard2), fig1, hard2, "exhaustive")
     ev, _ = dc.evaluate_policy(dc.EnhancedFactory(fig1, hard2), fig1, hard2, "exhaustive")
@@ -241,16 +256,16 @@ def test_enumeration_cap(fig1):
 
 def test_branch_estimator_modes_agree(fig1, hard2):
     est = dc.SpreadEstimator(fig1.graph)
-    exhaustive = dc.BranchEstimator(fig1, hard2, est, dc.BranchConfig(mode="exhaustive"))
+    exhaustive = dc.BranchEstimator(fig1, est, dc.BranchConfig(mode="exhaustive"))
     rollout = dc.BranchEstimator(
-        fig1, hard2, est, dc.BranchConfig(mode="rollouts", rollouts=4000), stream=as_stream(7)
+        fig1, est, dc.BranchConfig(mode="rollouts", rollouts=4000), stream=as_stream(7)
     )
     state = dc.initial_state(fig1, hard2)
     a = exhaustive.greedy_value_from(state)
     b = rollout.greedy_value_from(state)
     assert a == pytest.approx(b, abs=0.15)
     again = dc.BranchEstimator(
-        fig1, hard2, est, dc.BranchConfig(mode="rollouts", rollouts=4000), stream=as_stream(7)
+        fig1, est, dc.BranchConfig(mode="rollouts", rollouts=4000), stream=as_stream(7)
     )
     assert again.greedy_value_from(dc.initial_state(fig1, hard2)) == b
 
@@ -361,7 +376,7 @@ def test_exhaustive_branch_estimate_equals_replay_mid_trajectory(probes, fig1, h
     state = scripted.final  # c rejects rate 1; a accepts and its cascade reaches b
     assert len(state.obs.influenced) == (0 if probes[0][0] == 2 else 2)
     est = dc.SpreadEstimator(fig1.graph)
-    branch = dc.BranchEstimator(fig1, hard2, est, dc.BranchConfig(mode="exhaustive"))
+    branch = dc.BranchEstimator(fig1, est, dc.BranchConfig(mode="exhaustive"))
     greedy = dc.GreedyPolicy(fig1, est)
     base = len(state.obs.influenced)
     replay = sum(
@@ -383,6 +398,6 @@ def test_exhaustive_caps_name_the_sampling_fix(fig1, hard2):
     with pytest.raises(dc.TooLargeError, match="integer trial count.*drop --exhaustive"):
         dc.evaluate_policy(dc.GreedyFactory(fig1, hard2), fig1, hard2, "exhaustive", max_outcomes=10)
     est = dc.SpreadEstimator(fig1.graph)
-    branch = dc.BranchEstimator(fig1, hard2, est, dc.BranchConfig(max_outcomes=10))
+    branch = dc.BranchEstimator(fig1, est, dc.BranchConfig(max_outcomes=10))
     with pytest.raises(dc.TooLargeError, match=r'BranchConfig\(mode="rollouts"\).*--branch rollouts'):
         branch.greedy_value_from(dc.initial_state(fig1, hard2))

@@ -230,6 +230,24 @@ def test_config_values_are_validated_like_flags(fig1_dir, tmp_path):
     assert "unknown evaluator" in res.output
 
 
+def test_config_values_are_typed_like_flags(fig1_dir, tmp_path):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"samples": "10", "trials": "20", "estimator": "mc"}))
+    by_file = _invoke(["evaluate", *_instance_args(fig1_dir), "--config", str(cfg)])
+    by_flag = _invoke(["evaluate", *_instance_args(fig1_dir), "--samples", "10", "--trials", "20",
+                       "--estimator", "mc"])
+    reports = [_report(res.stdout) for res in (by_file, by_flag)]
+    for rep in reports:
+        rep.pop("wall_time_s")
+    assert reports[0] == reports[1]
+    assert reports[0]["samples"] == 10
+    cfg.write_text(json.dumps({"samples": "ten", "estimator": "mc"}))
+    res = runner.invoke(main, ["evaluate", *_instance_args(fig1_dir), "--config", str(cfg)])
+    assert res.exit_code != 0
+    assert isinstance(res.exception, SystemExit)  # a click error, not an uncaught exception
+    assert res.output.splitlines() == ["Error: config key samples: 'ten' is not a valid integer."]
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"bogus": 1}))
