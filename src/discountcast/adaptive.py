@@ -15,13 +15,14 @@ Everything a run's future depends on is its belief state: the
 influenced set, each node's highest rejected rate and the budget left
 (`BeliefState`), kept exactly as integer units of one common
 denominator (`BudgetLedger`), so affordability checks compare ints. A
-policy only ever sees accept or reject and the set an accepted seed
-newly influences, so exhaustive evaluation expands its decision tree
-over belief states once, weighting each branch by its probability,
-instead of replaying it against every joint realization.
-The oracle and the exhaustive branch estimate use the same states and
-the same memoized cascade outcomes (`CascadeOutcomes`). Replay against
-one realization (`run_policy`) remains for sampled evaluation.
+policy decides from its `PolicyState`: that belief state, the ledger
+and the open offers, and each probe answer yields the next one. So
+exhaustive evaluation expands its decision tree over states once,
+weighting each branch by its probability, instead of replaying it
+against every joint realization. The oracle and the exhaustive branch
+estimate share the memoized cascade outcomes (`CascadeOutcomes`). Only
+replay against one realization (`run_policy`), used for sampled
+evaluation, records which edges each probe revealed.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import copy
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -146,31 +147,35 @@ class CascadeOutcomes:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyState:
-    """Mutable per-trajectory view: belief state, open offers, observation.
+    """What a policy may decide from: the belief state, the ledger and the open offers.
 
     `ledger` holds the run's rate costs and budget in integer units.
+    `available` holds the offers still worth making: no influenced node,
+    and no rate at or below one its node rejected. A probe's answer
+    yields the next state through `after_accept` or `after_reject`.
     """
 
     belief: BeliefState
     ledger: BudgetLedger
-    available: set[SeedDiscountPair]
-    obs: PartialObservation
-    committed: list[SeedDiscountPair] = field(default_factory=list)
+    available: frozenset[SeedDiscountPair]
 
     @property
     def budget_left(self) -> Fraction:
         return Fraction(self.belief.budget, self.ledger.denom)
 
-    def copy(self) -> "PolicyState":
-        return PolicyState(
-            belief=self.belief,
-            ledger=self.ledger,
-            available=set(self.available),
-            obs=self.obs.copy(),
-            committed=list(self.committed),
-        )
+    def after_accept(self, pair: SeedDiscountPair, addmask: int) -> "PolicyState":
+        """The state after `pair` is accepted and its cascade newly influences `addmask`."""
+        rates = self.ledger.rate_units
+        # Influenced nodes are spent: offering them anything buys nothing.
+        spent = {SeedDiscountPair(u, r) for u in range(addmask.bit_length()) if (addmask >> u) & 1 for r in rates}
+        return PolicyState(self.belief.after_accept(addmask, rates[pair.rate]), self.ledger, self.available - spent)
+
+    def after_reject(self, pair: SeedDiscountPair, rate_idx: int) -> "PolicyState":
+        """The state after `pair`, menu index `rate_idx`, is rejected."""
+        closed = {SeedDiscountPair(pair.node, r) for r in self.ledger.rate_units if r <= pair.rate}
+        return PolicyState(self.belief.after_reject(pair.node, rate_idx), self.ledger, self.available - closed)
 
 
 @dataclass(frozen=True)
@@ -217,8 +222,7 @@ def initial_state(instance: Instance, spec: BudgetSpec) -> PolicyState:
     return PolicyState(
         belief=BeliefState.initial(instance.graph.node_count, ledger.budget),
         ledger=ledger,
-        available=set(instance.all_pairs()),
-        obs=PartialObservation(),
+        available=frozenset(instance.all_pairs()),
     )
 
 
@@ -231,50 +235,30 @@ def _check_probe(instance: Instance, state: PolicyState, pair: SeedDiscountPair)
     return instance.menu.index_of(pair.rate)
 
 
-def _record_accept(state: PolicyState, pair: SeedDiscountPair, addmask: int) -> None:
-    """Commit an accepted probe whose cascade is already in `state.obs`."""
-    state.belief = state.belief.after_accept(addmask, state.ledger.rate_units[pair.rate])
-    state.committed.append(pair)
-    # Influenced nodes are spent: offering them anything buys nothing.
-    state.available = {p for p in state.available if p.node not in state.obs.influenced}
-    state.obs.probed.append((pair, True))
-
-
-def _record_reject(state: PolicyState, pair: SeedDiscountPair, rate_idx: int) -> None:
-    state.belief = state.belief.after_reject(pair.node, rate_idx)
-    state.available = {p for p in state.available if p.node != pair.node or p.rate > pair.rate}
-    state.obs.probed.append((pair, False))
-
-
-def _apply_probe(instance: Instance, state: PolicyState, pair: SeedDiscountPair, realization: Realization) -> ProbeRecord:
-    rate_idx = _check_probe(instance, state, pair)
-    accepted = realization.seeding.accepts(pair.node, rate_idx)
-    if accepted:
-        newly, revealed = reveal_cascade(instance.graph, realization.diffusion, state.obs, pair.node)
-        addmask = 0
-        for u in newly:
-            addmask |= 1 << u
-        _record_accept(state, pair, addmask)
-    else:
-        newly, revealed = (), ()
-        _record_reject(state, pair, rate_idx)
-    return ProbeRecord(pair=pair, accepted=accepted, newly_influenced=newly, revealed=revealed)
-
-
 def _execute(policy, instance: Instance, state: PolicyState, realization: Realization) -> TrajectoryRecord:
+    """Run `policy` from `state` against `realization` and record what it did and saw."""
+    graph = instance.graph
+    start = state.belief.influenced
+    # The edges out of nodes influenced before the run are never read again.
+    obs = PartialObservation(influenced={u for u in range(graph.node_count) if (start >> u) & 1})
     policy.begin(state)
     probes: list[ProbeRecord] = []
-    while True:
-        pair = policy.next_probe(state)
-        if pair is None:
-            break
-        probes.append(_apply_probe(instance, state, pair, realization))
+    while (pair := policy.next_probe(state)) is not None:
+        rate_idx = _check_probe(instance, state, pair)
+        accepted = realization.seeding.accepts(pair.node, rate_idx)
+        if accepted:
+            newly, revealed = reveal_cascade(graph, realization.diffusion, obs, pair.node)
+            state = state.after_accept(pair, sum(1 << u for u in newly))  # newly holds distinct nodes
+        else:
+            newly, revealed = (), ()
+            state = state.after_reject(pair, rate_idx)
+        probes.append(ProbeRecord(pair=pair, accepted=accepted, newly_influenced=newly, revealed=revealed))
     ledger = state.ledger
     return TrajectoryRecord(
         probes=tuple(probes),
         delivered_cost=(ledger.budget - state.belief.budget) / ledger.denom,
-        influenced=frozenset(state.obs.influenced),
-        cascade_size=len(state.obs.influenced),
+        influenced=frozenset(obs.influenced),
+        cascade_size=len(obs.influenced),
     )
 
 
@@ -283,34 +267,17 @@ def run_policy(policy, instance: Instance, spec: BudgetSpec, realization: Realiz
     return _execute(policy, instance, initial_state(instance, spec), realization)
 
 
-def _absorb_outcome(graph: SocialGraph, obs: PartialObservation, addmask: int) -> None:
-    """Mark the nodes of a cascade outcome influenced and their out-edges revealed.
-
-    The outcome fixes which nodes joined, not every edge among them; the
-    recorded states are one realization consistent with it: an edge is
-    live exactly when it can fire and ends at an influenced node.
-    """
-    newly = [u for u in range(graph.node_count) if (addmask >> u) & 1]
-    obs.influenced.update(newly)
-    for u in newly:
-        for eidx in graph.out_edges[u]:
-            e = graph.edges[eidx]
-            obs.revealed[eidx] = e.prob > 0.0 and e.dst in obs.influenced
-
-
 def _expected_influence(policy, instance: Instance, cascades: CascadeOutcomes, state: PolicyState) -> float:
-    """Expected final cascade size of running `policy` on from `state`, which it uses up.
+    """Expected final cascade size of running `policy` on from `state`.
 
     Expands the policy's decision tree once: each probe is checked as
-    `_apply_probe` checks it, then branches on reject and on every
-    cascade outcome of an accept, each weighted by its probability;
-    branches of probability zero are never entered. A branch runs on a
-    shallow copy of the policy, so the per-run phase stays per branch
-    while estimator caches are shared. The policy must decide from the
-    influenced set, the rejections and the budget, not from the states
-    of individual revealed edges (see `_absorb_outcome`).
+    replay checks it, then branches on reject and on every cascade
+    outcome of an accept, each weighted by its probability; branches of
+    probability zero are never entered. A branch runs on a shallow copy
+    of the policy, so the per-run phase stays per branch while estimator
+    caches are shared.
     """
-    graph, probs = instance.graph, instance.model.probs
+    probs = instance.model.probs
     policy.begin(state)
     total = 0.0
     stack = [(1.0, policy, state)]
@@ -318,29 +285,27 @@ def _expected_influence(policy, instance: Instance, cascades: CascadeOutcomes, s
         weight, pol, st = stack.pop()
         pair = pol.next_probe(st)
         if pair is None:
-            total += weight * len(st.obs.influenced)
+            total += weight * st.belief.influenced.bit_count()
             continue
         rate_idx = _check_probe(instance, st, pair)
         belief = st.belief
         q = belief.accept_chance(probs, pair.node, rate_idx)
         if q > 0.0:
             for addmask, w in cascades.of(belief.influenced, pair.node):
-                nxt = st.copy()
-                _absorb_outcome(graph, nxt.obs, addmask)
-                _record_accept(nxt, pair, addmask)
-                stack.append((weight * q * w, copy.copy(pol), nxt))
+                stack.append((weight * q * w, copy.copy(pol), st.after_accept(pair, addmask)))
         if q < 1.0:
-            _record_reject(st, pair, rate_idx)
-            stack.append((weight * (1.0 - q), pol, st))
+            stack.append((weight * (1.0 - q), pol, st.after_reject(pair, rate_idx)))
     return total
 
 
 class SpreadEstimator:
     """Expected residual cascade of a single node, cached per influenced set.
 
-    The residual spread depends only on the influenced set, not on which
-    edges were revealed, because every revealed edge leaves an influenced
-    source behind.
+    The cascade runs on the graph minus the influenced nodes: they soak
+    up no new influence and cannot relay any they have not already
+    relayed. So the answer depends only on the influenced set, not on
+    which edges were revealed, because every revealed edge leaves an
+    influenced source behind.
     """
 
     def __init__(self, graph: SocialGraph, *, mode: str = "exact", samples: int = 1000, stream=None):
@@ -352,20 +317,27 @@ class SpreadEstimator:
         self.mode = mode
         self.samples = samples
         self.stream = as_stream(stream) if stream is not None else None
-        self._cache: dict[tuple[frozenset[int], int], float] = {}
+        self._cache: dict[tuple[int, int], float] = {}
 
-    def residual_spread(self, influenced: set[int], v: int) -> float:
-        key = (frozenset(influenced), v)
+    def residual_spread(self, influenced, v: int) -> float:
+        """Expected cascade of seeding v alone; `influenced` is a node bitmask or a set of nodes."""
+        if not isinstance(influenced, int):
+            influenced = sum(1 << u for u in set(influenced))
+        key = (influenced, v)
         if key not in self._cache:
-            restrict = set(range(self.graph.node_count)) - set(influenced)
+            if (influenced >> v) & 1:
+                raise ValidationError(f"node {v} is already influenced")
+            restrict = set(range(self.graph.node_count))
+            rest = influenced
+            while rest:  # one step per influenced node, not per graph node
+                low = rest & -rest
+                restrict.discard(low.bit_length() - 1)
+                rest ^= low
             if self.mode == "exact":
                 val = spread_exact(self.graph, [v], restrict=restrict)
             else:
-                dommask = 0
-                for u in influenced:
-                    dommask |= 1 << u
                 val = spread_mc(
-                    self.graph, [v], self.samples, child(self.stream, v, dommask), restrict=restrict
+                    self.graph, [v], self.samples, child(self.stream, v, influenced), restrict=restrict
                 )
             self._cache[key] = val
         return self._cache[key]
@@ -409,7 +381,7 @@ class GreedyPolicy:
         best_pair = None
         best_ratio = -1.0
         for pair in sorted(affordable):  # ties keep the lowest node, then lowest rate
-            delta = self.estimator.residual_spread(state.obs.influenced, pair.node)
+            delta = self.estimator.residual_spread(state.belief.influenced, pair.node)
             ratio = delta / pair.rate
             if ratio > best_ratio:
                 best_ratio, best_pair = ratio, pair
@@ -421,25 +393,13 @@ class GreedyPolicy:
         nodes = sorted({p.node for p in state.available})
         if not nodes or state.ledger.rate_units[d_max] > state.belief.budget:
             return None
-        spreads = {v: self.estimator.residual_spread(state.obs.influenced, v) for v in nodes}
+        spreads = {v: self.estimator.residual_spread(state.belief.influenced, v) for v in nodes}
         best = max(spreads, key=spreads.get)  # ties keep the lowest node
         # An open node's top rate is open too: a rejection closes only that rate and cheaper ones.
         p = self.instance.model.prob_at_rate(best, d_max)
         if p * spreads[best] > self.branch.greedy_value_from(state):
             return SeedDiscountPair(best, d_max)
         return None
-
-
-def _rejection_floors(instance: Instance, obs: PartialObservation) -> dict[int, int]:
-    """Highest rejected rate index per node observed so far."""
-    menu = instance.menu
-    floors: dict[int, int] = {}
-    for pair, accepted in obs.probed:
-        if not accepted:
-            ridx = menu.index_of(pair.rate)
-            if ridx > floors.get(pair.node, -1):
-                floors[pair.node] = ridx
-    return floors
 
 
 def _threshold_options(row: tuple[float, ...], floor_idx: int) -> list[tuple[int, float]]:
@@ -466,73 +426,77 @@ def _threshold_options(row: tuple[float, ...], floor_idx: int) -> list[tuple[int
     return options
 
 
-def _undetermined_edges(graph: SocialGraph, obs: PartialObservation) -> list[int]:
-    return [
-        i for i, e in enumerate(graph.edges)
-        if i not in obs.revealed and 0.0 < e.prob < 1.0
+def _conditional_support(instance: Instance, given):
+    """What stays open in a realization consistent with `given`.
+
+    `given` is a `BeliefState`, or a `PartialObservation` read as the
+    belief it implies with its revealed edge states pinned. Returns the
+    fixed threshold index per node ("never accepts" if influenced), the
+    (node, threshold options) pairs still open, the edge states fixed by
+    observation or by a 0/1 probability, and the undetermined edges:
+    0 < p < 1 out of uninfluenced nodes, as every revealed edge leaves
+    an influenced one.
+    """
+    graph = instance.graph
+    live = [e.prob >= 1.0 for e in graph.edges]
+    if isinstance(given, BeliefState):
+        influenced, floors = given.influenced, given.floors
+    else:
+        influenced, floors = sum(1 << u for u in given.influenced), [-1] * graph.node_count
+        for pair, accepted in given.probed:
+            if not accepted:
+                floors[pair.node] = max(floors[pair.node], instance.menu.index_of(pair.rate))
+        for eidx, state in given.revealed.items():
+            live[eidx] = state
+    fixed = [len(instance.menu)] * graph.node_count
+    varying: list[tuple[int, list[tuple[int, float]]]] = []
+    for v, row in enumerate(instance.model.probs):
+        if not (influenced >> v) & 1:
+            options = _threshold_options(row, floors[v])
+            if len(options) == 1:
+                fixed[v] = options[0][0]
+            else:
+                varying.append((v, options))
+    undetermined = [
+        i for i, e in enumerate(graph.edges) if not (influenced >> e.src) & 1 and 0.0 < e.prob < 1.0
     ]
+    return fixed, varying, live, undetermined
 
 
-def _resolved_live(graph: SocialGraph, obs: PartialObservation) -> list[bool]:
-    """Edge states fixed by observation or by a 0/1 probability."""
-    return [
-        obs.revealed[i] if i in obs.revealed else graph.edges[i].prob >= 1.0
-        for i in range(len(graph.edges))
-    ]
+def conditional_outcome_count(instance: Instance, given) -> int:
+    """Number of joint realizations an exhaustive pass would enumerate from `given`."""
+    _fixed, varying, _live, undetermined = _conditional_support(instance, given)
+    return math.prod(len(options) for _, options in varying) << len(undetermined)
 
 
-def conditional_outcome_count(instance: Instance, obs: PartialObservation) -> int:
-    """Number of joint realizations an exhaustive pass would enumerate."""
-    floors = _rejection_floors(instance, obs)
-    count = 1
-    for v in range(instance.graph.node_count):
-        if v in obs.influenced:
-            continue
-        count *= max(1, len(_threshold_options(instance.model.probs[v], floors.get(v, -1))))
-    return count << len(_undetermined_edges(instance.graph, obs))
-
-
-def _check_outcome_count(instance: Instance, obs: PartialObservation, max_outcomes: int, fix: str = "") -> None:
-    count = conditional_outcome_count(instance, obs)
+def _check_outcome_count(instance: Instance, given, max_outcomes: int, fix: str = "") -> None:
+    count = conditional_outcome_count(instance, given)
     if count > max_outcomes:
         raise TooLargeError(f"exhaustive evaluation needs {count} realizations, cap is {max_outcomes}{fix}")
 
 
-def enumerate_conditional_realizations(instance: Instance, obs: PartialObservation,
-                                       max_outcomes: int = DEFAULT_MAX_OUTCOMES):
-    """Yield (weight, realization) consistent with `obs`, weights summing to 1.
+def enumerate_conditional_realizations(instance: Instance, given, max_outcomes: int = DEFAULT_MAX_OUTCOMES):
+    """Yield (weight, realization) consistent with `given`, weights summing to 1.
 
-    Thresholds are enumerated at menu-interval resolution, which is all
-    a policy can ever distinguish. Influenced nodes get the "never
-    accepts" sentinel; nothing may probe them again.
+    `given` is a `BeliefState` or a `PartialObservation`. Thresholds are
+    enumerated at menu-interval resolution, which is all a policy can
+    ever distinguish. Influenced nodes get the "never accepts" sentinel;
+    nothing may probe them again.
     """
-    _check_outcome_count(instance, obs, max_outcomes)
-    graph, model = instance.graph, instance.model
-    n, m = graph.node_count, len(instance.menu)
-    floors = _rejection_floors(instance, obs)
-    varying_nodes: list[tuple[int, list[tuple[int, float]]]] = []
-    base_idx = [m] * n
-    for v in range(n):
-        if v in obs.influenced:
-            continue
-        options = _threshold_options(model.probs[v], floors.get(v, -1))
-        if len(options) == 1:
-            base_idx[v] = options[0][0]
-        else:
-            varying_nodes.append((v, options))
-    varying_edges = _undetermined_edges(graph, obs)
-    base_live = _resolved_live(graph, obs)
-    for combo in itertools.product(*(opts for _, opts in varying_nodes)):
-        idx = list(base_idx)
+    _check_outcome_count(instance, given, max_outcomes)
+    edges = instance.graph.edges
+    fixed, varying, base_live, undetermined = _conditional_support(instance, given)
+    for combo in itertools.product(*(options for _, options in varying)):
+        idx = list(fixed)
         w_nodes = 1.0
-        for (v, _), (i, p) in zip(varying_nodes, combo):
+        for (v, _), (i, p) in zip(varying, combo):
             idx[v] = i
             w_nodes *= p
-        for mask in range(1 << len(varying_edges)):
+        for mask in range(1 << len(undetermined)):
             live = list(base_live)
             w = w_nodes
-            for j, eidx in enumerate(varying_edges):
-                p = graph.edges[eidx].prob
+            for j, eidx in enumerate(undetermined):
+                p = edges[eidx].prob
                 if (mask >> j) & 1:
                     live[eidx] = True
                     w *= p
@@ -545,30 +509,20 @@ def enumerate_conditional_realizations(instance: Instance, obs: PartialObservati
             )
 
 
-def sample_conditional_realization(instance: Instance, obs: PartialObservation, gen: np.random.Generator) -> Realization:
-    """Draw a realization consistent with `obs` (nodes first, then edges)."""
-    graph, model = instance.graph, instance.model
-    n, m = graph.node_count, len(instance.menu)
-    floors = _rejection_floors(instance, obs)
-    idx = [m] * n
-    for v in range(n):
-        if v in obs.influenced:
-            continue
-        options = _threshold_options(model.probs[v], floors.get(v, -1))
-        if len(options) == 1:
-            idx[v] = options[0][0]
-            continue
+def sample_conditional_realization(instance: Instance, given, gen: np.random.Generator) -> Realization:
+    """Draw a realization consistent with `given`, a `BeliefState` or a
+    `PartialObservation` (nodes first, then edges)."""
+    idx, varying, live, undetermined = _conditional_support(instance, given)
+    for v, options in varying:
         u = gen.random()
-        chosen = options[-1][0]
+        idx[v] = options[-1][0]
         for i, p in options:
             u -= p
             if u < 0:
-                chosen = i
+                idx[v] = i
                 break
-        idx[v] = chosen
-    live = _resolved_live(graph, obs)
-    for eidx in _undetermined_edges(graph, obs):
-        live[eidx] = bool(gen.random() < graph.edges[eidx].prob)
+    for eidx in undetermined:
+        live[eidx] = bool(gen.random() < instance.graph.edges[eidx].prob)
     return Realization(
         seeding=SeedingRealization(min_rate_idx=tuple(idx)),
         diffusion=DiffusionRealization(live=tuple(live)),
@@ -595,9 +549,9 @@ class BranchEstimator:
 
     Estimates are memoized by belief state, the whole of what the greedy
     continuation can depend on. Exhaustive estimates expand greedy's
-    decision tree from that state; rollout draws are keyed by the
-    state, so estimates never depend on when or how often they are
-    requested.
+    decision tree from that state; rollouts replay greedy from it against
+    realizations drawn given its belief, with draws keyed by the belief,
+    so estimates never depend on when or how often they are requested.
     """
 
     def __init__(self, instance: Instance, estimator: SpreadEstimator, config: BranchConfig, stream=None):
@@ -614,12 +568,12 @@ class BranchEstimator:
         key = state.belief
         if key in self._memo:
             return self._memo[key]
-        base = len(state.obs.influenced)
+        base = key.influenced.bit_count()
         if self.config.mode == "exhaustive":
-            _check_outcome_count(self.instance, state.obs, self.config.max_outcomes,
+            _check_outcome_count(self.instance, key, self.config.max_outcomes,
                                  '; estimate the branch by sampling with BranchConfig(mode="rollouts")'
                                  " (CLI: --branch rollouts)")
-            val = _expected_influence(self._greedy, self.instance, self._cascades, state.copy()) - base
+            val = _expected_influence(self._greedy, self.instance, self._cascades, state) - base
         else:
             m = len(self.instance.menu)
             floors_code = sum((fl + 1) * (m + 1) ** v for v, fl in enumerate(key.floors))
@@ -628,8 +582,8 @@ class BranchEstimator:
             root = child(self.stream, key.influenced, floors_code, key.budget // g, state.ledger.denom // g)
             total = 0
             for r in range(self.config.rollouts):
-                realization = sample_conditional_realization(self.instance, state.obs, generator(root, r))
-                record = _execute(self._greedy, self.instance, state.copy(), realization)
+                realization = sample_conditional_realization(self.instance, key, generator(root, r))
+                record = _execute(self._greedy, self.instance, state, realization)
                 total += record.cascade_size - base
             val = total / self.config.rollouts
         self._memo[key] = val
@@ -688,32 +642,33 @@ def _mc_chunk(args):
     factory, instance, spec, entropy, spawn_key, lo, hi = args
     root = np.random.SeedSequence(entropy=entropy, spawn_key=tuple(spawn_key))
     policy = factory(child(root, 1))
+    prior = BeliefState.initial(instance.graph.node_count, 0)
     sizes = []
     for t in range(lo, hi):
-        realization = sample_conditional_realization(instance, PartialObservation(), generator(root, 2, t))
+        realization = sample_conditional_realization(instance, prior, generator(root, 2, t))
         record = run_policy(policy, instance, spec, realization)
         sizes.append(record.cascade_size)
     return sizes
 
 
 def evaluate_policy(policy_factory, instance: Instance, spec: BudgetSpec, trials,
-                    stream=None, *, workers: int = 1, max_outcomes: int = DEFAULT_MAX_OUTCOMES,
-                    delta: float = 0.05) -> tuple[float, float]:
+                    stream=None, *, workers: int = 1,
+                    max_outcomes: int = DEFAULT_MAX_OUTCOMES) -> tuple[float, float]:
     """Expected cascade size of a policy, with a confidence radius.
 
     trials="exhaustive" expands the policy's decision tree over belief
     states, weighting every branch by its probability (radius 0.0); it
     refuses up front when more than `max_outcomes` joint realizations
-    are consistent with the empty observation. An integer samples that
+    are consistent with the initial belief. An integer samples that
     many realizations and reports a Hoeffding radius at confidence
-    1 - delta. Sampled trials use per-trial substreams and integer
+    95%. Sampled trials use per-trial substreams and integer
     totals, so the result is identical for any worker count.
     """
     if trials == "exhaustive":
-        _check_outcome_count(instance, PartialObservation(), max_outcomes,
+        state = initial_state(instance, spec)
+        _check_outcome_count(instance, state.belief, max_outcomes,
                              "; sample instead with an integer trial count (CLI: drop --exhaustive)")
         policy = policy_factory(child(as_stream(stream), 0))
-        state = initial_state(instance, spec)
         return _expected_influence(policy, instance, CascadeOutcomes(instance.graph), state), 0.0
     if not isinstance(trials, int) or trials < 1:
         raise ValidationError(f"trials must be a positive int or 'exhaustive', got {trials!r}")
@@ -729,7 +684,7 @@ def evaluate_policy(policy_factory, instance: Instance, spec: BudgetSpec, trials
         results = [_mc_chunk(c) for c in chunks]
     total = sum(size for chunk in results for size in chunk)
     mean = total / trials
-    return mean, hoeffding_radius(instance.graph.node_count, trials, delta)
+    return mean, hoeffding_radius(instance.graph.node_count, trials)
 
 
 def optimal_policy_oracle(instance: Instance, spec: BudgetSpec, *,

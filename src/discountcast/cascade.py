@@ -257,23 +257,19 @@ def hoeffding_radius(node_count: int, samples: int, delta: float = 0.05) -> floa
 
 @dataclass
 class PartialObservation:
-    """What an adaptive policy has seen so far.
+    """Everything seen of one realization: revealed edge states, influenced nodes, probe answers.
 
     `influenced` is exactly the set reachable from accepted seeds via
     revealed live edges, and every out-edge of an influenced node is
-    revealed; `reveal_cascade` maintains both invariants.
+    revealed; `reveal_cascade` maintains both invariants. Replay keeps
+    one to report what each probe revealed. Policies decide from the
+    belief state it implies (`adaptive.BeliefState`), and the
+    conditional-realization functions accept either.
     """
 
     revealed: dict[int, bool] = field(default_factory=dict)
     influenced: set[int] = field(default_factory=set)
     probed: list[tuple[SeedDiscountPair, bool]] = field(default_factory=list)
-
-    def copy(self) -> "PartialObservation":
-        return PartialObservation(
-            revealed=dict(self.revealed),
-            influenced=set(self.influenced),
-            probed=list(self.probed),
-        )
 
 
 def reveal_cascade(graph: SocialGraph, diffusion: DiffusionRealization, obs: PartialObservation, seed: int):
@@ -302,24 +298,6 @@ def reveal_cascade(graph: SocialGraph, diffusion: DiffusionRealization, obs: Par
                 newly.append(w)
                 queue.append(w)
     return tuple(newly), tuple(revealed_now)
-
-
-def conditional_spread(graph: SocialGraph, obs: PartialObservation, v: int, *,
-                       mode: str = "exact", samples: int = 1000, stream=None) -> float:
-    """Expected cascade of seeding v alone in the graph minus influenced nodes.
-
-    Already influenced nodes soak up no new influence and cannot relay
-    any they have not already relayed, so the residual induced subgraph
-    carries the whole answer.
-    """
-    if v in obs.influenced:
-        raise ValidationError(f"node {v} is already influenced")
-    restrict = set(range(graph.node_count)) - obs.influenced
-    if mode == "exact":
-        return spread_exact(graph, [v], restrict=restrict)
-    if mode == "mc":
-        return spread_mc(graph, [v], samples, stream, restrict=restrict)
-    raise ValidationError(f"unknown spread mode {mode!r}")
 
 
 def write_realization(path, instance: Instance, realization: Realization) -> None:

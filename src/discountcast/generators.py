@@ -133,9 +133,8 @@ def _integer_labels(labels: tuple[str, ...]) -> bool:
     return labels == tuple(str(i) for i in range(len(labels)))
 
 
-def write_instance(instance: Instance, out_dir, *, graph_name: str = "graph.txt",
-                   adoption_name: str = "adoption.txt") -> dict:
-    """Write graph and adoption files that load back to an equal instance."""
+def write_instance(instance: Instance, out_dir) -> dict:
+    """Write `graph.txt` and `adoption.txt` into `out_dir`; they load back to an equal instance."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     graph, model, menu = instance.graph, instance.model, instance.menu
@@ -157,7 +156,7 @@ def write_instance(instance: Instance, out_dir, *, graph_name: str = "graph.txt"
             )
     for e in graph.edges:
         lines.append(f"{graph.labels[e.src]} {graph.labels[e.dst]} {e.prob!r}")
-    graph_path = out / graph_name
+    graph_path = out / "graph.txt"
     graph_path.write_text("\n".join(lines) + "\n")
 
     rows = model.probs
@@ -169,7 +168,7 @@ def write_instance(instance: Instance, out_dir, *, graph_name: str = "graph.txt"
         for v, row in enumerate(rows):
             for rate, p in zip(menu.rates, row):
                 adoption_lines.append(f"{graph.labels[v]} {rate!r} {p!r}")
-    adoption_path = out / adoption_name
+    adoption_path = out / "adoption.txt"
     adoption_path.write_text("\n".join(adoption_lines) + "\n")
     return {
         "graph": str(graph_path),

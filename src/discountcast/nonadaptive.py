@@ -298,8 +298,8 @@ class MCEvaluator:
         self._values[key] = val
         return val
 
-    def radius(self, delta: float = 0.05) -> float:
-        return hoeffding_radius(self.instance.graph.node_count, self.samples, delta)
+    def radius(self) -> float:
+        return hoeffding_radius(self.instance.graph.node_count, self.samples)
 
 
 def hill_climbing(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import discountcast as dc
-from discountcast.adaptive import _execute
+from discountcast.adaptive import _execute, conditional_outcome_count
 from discountcast.rng import as_stream, child
 
 from conftest import tiny_instance
@@ -282,7 +282,7 @@ def test_estimator_guards():
         dc.BranchConfig(mode="rollouts", rollouts=0)
 
 
-def test_mc_spread_estimator_is_state_keyed(fig1):
+def test_mc_spread_estimator_is_state_keyed(fig1, monkeypatch):
     est = dc.SpreadEstimator(fig1.graph, mode="mc", samples=2000, stream=as_stream(31))
     val_empty = est.residual_spread(set(), 2)
     val_after = est.residual_spread({0, 1}, 2)
@@ -290,6 +290,14 @@ def test_mc_spread_estimator_is_state_keyed(fig1):
     # same keys, fresh caches: identical draws either way around
     assert est2.residual_spread({0, 1}, 2) == val_after
     assert est2.residual_spread(set(), 2) == val_empty
+    # a node set and its bitmask name one cache entry
+    calls = []
+    kernel = dc.adaptive.spread_mc
+    monkeypatch.setattr(dc.adaptive, "spread_mc", lambda *a, **k: calls.append(a) or kernel(*a, **k))
+    est3 = dc.SpreadEstimator(fig1.graph, mode="mc", samples=2000, stream=as_stream(31))
+    assert est3.residual_spread(0b11, 2) == val_after
+    assert est3.residual_spread({0, 1}, 2) == val_after
+    assert len(calls) == 1
 
 
 def test_optimal_oracle_hand_computed_two_node_case():
@@ -365,7 +373,7 @@ class _StopAndKeepState(ScriptedPolicy):
     def next_probe(self, state):
         pair = super().next_probe(state)
         if pair is None:
-            self.final = state.copy()
+            self.final = state
         return pair
 
 
@@ -374,16 +382,52 @@ def test_exhaustive_branch_estimate_equals_replay_mid_trajectory(probes, fig1, h
     scripted = _StopAndKeepState(probes)
     dc.run_policy(scripted, fig1, hard2, dc.fig2_realization(fig1))
     state = scripted.final  # c rejects rate 1; a accepts and its cascade reaches b
-    assert len(state.obs.influenced) == (0 if probes[0][0] == 2 else 2)
+    base = state.belief.influenced.bit_count()
+    assert base == (0 if probes[0][0] == 2 else 2)
     est = dc.SpreadEstimator(fig1.graph)
     branch = dc.BranchEstimator(fig1, est, dc.BranchConfig(mode="exhaustive"))
     greedy = dc.GreedyPolicy(fig1, est)
-    base = len(state.obs.influenced)
     replay = sum(
-        w * (_execute(greedy, fig1, state.copy(), real).cascade_size - base)
-        for w, real in dc.enumerate_conditional_realizations(fig1, state.obs)
+        w * (_execute(greedy, fig1, state, real).cascade_size - base)
+        for w, real in dc.enumerate_conditional_realizations(fig1, state.belief)
     )
     assert branch.greedy_value_from(state) == pytest.approx(replay, abs=1e-12)
+
+
+def test_belief_and_observation_give_one_conditional_distribution(fig1, hard2):
+    real = dc.fig2_realization(fig1)
+    scripted = _StopAndKeepState([(2, 1.0), (0, 1.0)])
+    dc.run_policy(scripted, fig1, hard2, real)
+    belief = scripted.final.belief  # c rejects rate 1; a accepts and its cascade reaches b
+    obs = dc.PartialObservation()
+    obs.probed.append((dc.SeedDiscountPair(2, 1.0), False))
+    dc.reveal_cascade(fig1.graph, real.diffusion, obs, 0)
+    obs.probed.append((dc.SeedDiscountPair(0, 1.0), True))
+    assert (belief.influenced, belief.floors[2]) == (0b11, 0)
+    assert conditional_outcome_count(fig1, belief) == conditional_outcome_count(fig1, obs) > 1
+    open_edges = [i for i, e in enumerate(fig1.graph.edges) if e.src not in obs.influenced]
+
+    def seen(real):
+        return real.seeding.min_rate_idx, [real.diffusion.live[i] for i in open_edges]
+
+    from_belief = [(w, seen(r)) for w, r in dc.enumerate_conditional_realizations(fig1, belief)]
+    from_obs = [(w, seen(r)) for w, r in dc.enumerate_conditional_realizations(fig1, obs)]
+    assert from_belief == from_obs
+    gen_b, gen_o = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(50):
+        assert seen(dc.sample_conditional_realization(fig1, belief, gen_b)) == \
+            seen(dc.sample_conditional_realization(fig1, obs, gen_o))
+
+
+def test_exhaustive_evaluation_builds_no_observation(fig1, hard2, monkeypatch):
+    makers = (dc.GreedyFactory, dc.EnhancedFactory, dc.IteratedFactory)
+    want = [dc.evaluate_policy(make(fig1, hard2), fig1, hard2, "exhaustive") for make in makers]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exhaustive evaluation built a PartialObservation")
+
+    monkeypatch.setattr(dc.adaptive, "PartialObservation", refuse)
+    assert [dc.evaluate_policy(make(fig1, hard2), fig1, hard2, "exhaustive") for make in makers] == want
 
 
 def test_tree_evaluation_enforces_the_probe_contract(fig1, hard2):

@@ -175,12 +175,13 @@ def test_conditional_spread_on_residual_graph(fig1):
     real = dc.fig2_realization(fig1)
     obs = dc.PartialObservation()
     dc.reveal_cascade(fig1.graph, real.diffusion, obs, 0)
-    assert dc.conditional_spread(fig1.graph, obs, 2) == pytest.approx(1.55, abs=1e-9)
-    assert dc.conditional_spread(fig1.graph, obs, 3) == pytest.approx(1.1, abs=1e-9)
+    est = dc.SpreadEstimator(fig1.graph)
+    assert est.residual_spread(obs.influenced, 2) == pytest.approx(1.55, abs=1e-9)
+    assert est.residual_spread(obs.influenced, 3) == pytest.approx(1.1, abs=1e-9)
     with pytest.raises(dc.ValidationError):
-        dc.conditional_spread(fig1.graph, obs, 0)  # already influenced
-    mc = dc.conditional_spread(fig1.graph, obs, 2, mode="mc", samples=100_000, stream=as_stream(2))
-    assert mc == pytest.approx(1.55, abs=0.02)
+        est.residual_spread(obs.influenced, 0)  # already influenced
+    mc = dc.SpreadEstimator(fig1.graph, mode="mc", samples=100_000, stream=as_stream(2))
+    assert mc.residual_spread(obs.influenced, 2) == pytest.approx(1.55, abs=0.02)
 
 
 def test_realization_round_trip(tmp_path, fig1):
