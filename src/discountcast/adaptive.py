@@ -185,6 +185,16 @@ class ProbeRecord:
     newly_influenced: tuple[int, ...]
     revealed: tuple[tuple[int, bool], ...]
 
+    def revealed_edges(self, graph: SocialGraph) -> list[tuple[str, str, str]]:
+        """Each revealed edge as (src label, dst label, "live" or "blocked")."""
+        labels, edges = graph.labels, graph.edges
+        return [(labels[edges[e].src], labels[edges[e].dst], "live" if live else "blocked")
+                for e, live in self.revealed]
+
+    def revealed_text(self, graph: SocialGraph) -> list[str]:
+        """Each revealed edge as `src->dst:live` or `src->dst:blocked`."""
+        return [f"{src}->{dst}:{state}" for src, dst, state in self.revealed_edges(graph)]
+
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
@@ -196,21 +206,11 @@ class TrajectoryRecord:
     cascade_size: int
 
     def log_lines(self, graph: SocialGraph) -> list[str]:
-        lines = []
-        for rec in self.probes:
-            parts = [
-                "probe",
-                graph.labels[rec.pair.node],
-                _fmt_rate(rec.pair.rate),
-                "accept" if rec.accepted else "reject",
-            ]
-            for eidx, live in rec.revealed:
-                e = graph.edges[eidx]
-                parts.append(
-                    f"{graph.labels[e.src]}->{graph.labels[e.dst]}:{'live' if live else 'blocked'}"
-                )
-            lines.append(" ".join(parts))
-        return lines
+        return [
+            " ".join(["probe", graph.labels[rec.pair.node], _fmt_rate(rec.pair.rate),
+                      "accept" if rec.accepted else "reject", *rec.revealed_text(graph)])
+            for rec in self.probes
+        ]
 
 
 def _fmt_rate(rate: float) -> str:

@@ -217,17 +217,17 @@ def test_config_file_fills_options_but_flags_win(fig1_dir, tmp_path):
 
 
 def test_config_values_are_validated_like_flags(fig1_dir, tmp_path):
-    # click only validates choices given on the command line; values
-    # arriving through the config file must hit the same wall
+    # config values are the command's defaults, so click checks their
+    # choices exactly as it checks a typed flag, naming the option
     cfg = tmp_path / "bad_algo.json"
     cfg.write_text(json.dumps({"algorithm": "simulated-annealing"}))
     res = runner.invoke(main, ["nonadaptive", *_instance_args(fig1_dir), "--config", str(cfg)])
     assert res.exit_code != 0
-    assert "unknown algorithm" in res.output
+    assert "'--algorithm': 'simulated-annealing' is not one of" in res.output
     cfg.write_text(json.dumps({"evaluator": "psychic"}))
     res = runner.invoke(main, ["nonadaptive", *_instance_args(fig1_dir), "--config", str(cfg)])
     assert res.exit_code != 0
-    assert "unknown evaluator" in res.output
+    assert "'--evaluator': 'psychic' is not one of" in res.output
 
 
 def test_config_values_are_typed_like_flags(fig1_dir, tmp_path):
@@ -245,7 +245,43 @@ def test_config_values_are_typed_like_flags(fig1_dir, tmp_path):
     res = runner.invoke(main, ["evaluate", *_instance_args(fig1_dir), "--config", str(cfg)])
     assert res.exit_code != 0
     assert isinstance(res.exception, SystemExit)  # a click error, not an uncaught exception
-    assert res.output.splitlines() == ["Error: config key samples: 'ten' is not a valid integer."]
+    assert res.exit_code == 2
+    last = res.output.splitlines()[-1]
+    assert last.startswith("Error: Invalid value for '--samples': 'ten' is not a valid integer")
+
+
+def test_config_null_means_unset_and_discounts_may_be_a_list(fig1_dir, tmp_path):
+    cfg = tmp_path / "run.json"
+    files = {"graph": fig1_dir["graph"], "adoption": fig1_dir["adoption"]}
+    cfg.write_text(json.dumps({**files, "discounts": "1,2", "budget": None}))
+    res = runner.invoke(main, ["oracle", "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert res.output.splitlines()[-1] == "Error: Missing option '--budget'."
+    cfg.write_text(json.dumps({**files, "discounts": [1, 2], "budget": 2}))
+    by_file = _invoke(["oracle", "--config", str(cfg)])
+    by_flag = _invoke(["oracle", *_instance_args(fig1_dir)])
+    reports = [_report(res.stdout) for res in (by_file, by_flag)]
+    for rep in reports:
+        rep.pop("wall_time_s")
+    assert reports[0] == reports[1]
+    assert reports[0]["discounts"] == [1.0, 2.0]
+
+
+def test_help_shows_the_real_defaults():
+    out = _invoke(["evaluate", "--help"]).output
+    for option, default in [("--trials", "1000"), ("--workers", "1"), ("--estimator", "exact"),
+                            ("--branch", "exhaustive"), ("--mode", "hard"), ("--seed", "0")]:
+        entry = out[out.index(f"  {option} "):]
+        entry = entry[:entry.index("\n  -")]
+        assert f"default: {default}" in " ".join(entry.split()), entry
+
+
+def test_malformed_menu_is_a_usage_error_naming_the_option(fig1_dir):
+    res = runner.invoke(main, ["nonadaptive", *_instance_args(fig1_dir)[:4], "--discounts", "1,x", "--budget", "2"])
+    assert res.exit_code == 2
+    assert res.output.splitlines()[-1] == (
+        "Error: Invalid value for '--discounts': '1,x' is not a comma-separated list of rates."
+    )
 
 
 def test_config_rejects_unknown_keys(tmp_path):
