@@ -23,10 +23,23 @@ against every joint realization. The oracle and the exhaustive branch
 estimate share the memoized cascade outcomes (`CascadeOutcomes`). Only
 replay against one realization (`run_policy`), used for sampled
 evaluation, records which edges each probe revealed.
+
+The greedy scan is lazy (the accelerated greedy of Golovin and Krause,
+2011). A residual spread never grows as the influenced set grows, so a
+ratio scored at an earlier state bounds the current one from above:
+the policy keeps its offers in a heap stamped with the influenced set
+each was scored at, and re-scores only a stale top. Monte Carlo
+residual spreads are mean reaches over R live-edge snapshots that each
+estimator draws once (R * E bytes for E positive-probability edges),
+so they shrink the same way, and lazy and eager scans pick the same
+offers in both estimator modes. Sampled evaluation builds one policy
+per process and reuses it across trials: every estimate and draw is
+keyed by state, so reuse changes no value.
 """
 from __future__ import annotations
 
 import copy
+import heapq
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -44,6 +57,7 @@ from .cascade import (
     _reach,
     _relevant_subgraph,
     hoeffding_radius,
+    live_edge_snapshots,
     reveal_cascade,
     spread_exact,
     spread_mc,
@@ -273,9 +287,9 @@ def _expected_influence(policy, instance: Instance, cascades: CascadeOutcomes, s
     Expands the policy's decision tree once: each probe is checked as
     replay checks it, then branches on reject and on every cascade
     outcome of an accept, each weighted by its probability; branches of
-    probability zero are never entered. A branch runs on a shallow copy
-    of the policy, so the per-run phase stays per branch while estimator
-    caches are shared.
+    probability zero are never entered. A branch runs on a `copy.copy`
+    of the policy, so its per-run state (phase, scan heaps) stays per
+    branch while estimator caches are shared.
     """
     probs = instance.model.probs
     policy.begin(state)
@@ -305,7 +319,9 @@ class SpreadEstimator:
     up no new influence and cannot relay any they have not already
     relayed. So the answer depends only on the influenced set, not on
     which edges were revealed, because every revealed edge leaves an
-    influenced source behind.
+    influenced source behind. In "mc" mode the answer is the mean reach
+    over `samples` live-edge snapshots drawn once from `stream`, so it
+    never grows as the influenced set grows, exactly as in "exact" mode.
     """
 
     def __init__(self, graph: SocialGraph, *, mode: str = "exact", samples: int = 1000, stream=None):
@@ -317,6 +333,7 @@ class SpreadEstimator:
         self.mode = mode
         self.samples = samples
         self.stream = as_stream(stream) if stream is not None else None
+        self._snapshots = live_edge_snapshots(graph, samples, self.stream) if mode == "mc" else None
         self._cache: dict[tuple[int, int], float] = {}
 
     def residual_spread(self, influenced, v: int) -> float:
@@ -327,18 +344,19 @@ class SpreadEstimator:
         if key not in self._cache:
             if (influenced >> v) & 1:
                 raise ValidationError(f"node {v} is already influenced")
-            restrict = set(range(self.graph.node_count))
-            rest = influenced
-            while rest:  # one step per influenced node, not per graph node
-                low = rest & -rest
-                restrict.discard(low.bit_length() - 1)
-                rest ^= low
+            n = self.graph.node_count
             if self.mode == "exact":
+                restrict = set(range(n))
+                rest = influenced
+                while rest:  # one step per influenced node, not per graph node
+                    low = rest & -rest
+                    restrict.discard(low.bit_length() - 1)
+                    rest ^= low
                 val = spread_exact(self.graph, [v], restrict=restrict)
             else:
-                val = spread_mc(
-                    self.graph, [v], self.samples, child(self.stream, v, influenced), restrict=restrict
-                )
+                packed = np.frombuffer(influenced.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+                blocked = np.unpackbits(packed, count=n, bitorder="little").view(bool)
+                val = spread_mc(self.graph, [v], self.samples, None, blocked=blocked, snapshots=self._snapshots)
             self._cache[key] = val
         return self._cache[key]
 
@@ -353,6 +371,14 @@ class GreedyPolicy:
     finishes the run. Without `iterate` (enhanced greedy) a taken shot
     ends the run, accepted or rejected; with it (the iterated heuristic)
     the comparison repeats on the residual graph.
+
+    Both scans are lazy. The per-run heaps hold `(-spread / rate, pair,
+    stamp)` and `(-spread, node, stamp)`, `stamp` being the influenced
+    set the key was scored at (None before any scoring). A stale top is
+    re-scored and pushed back; a fresh top is the best offer, ties going
+    to the lowest node, then the lowest rate, as an eager scan would
+    pick. A copy of the policy, one per branch of an exhaustive
+    evaluation, copies the heaps.
     """
 
     def __init__(self, instance: Instance, estimator: SpreadEstimator,
@@ -362,8 +388,18 @@ class GreedyPolicy:
         self.branch = branch
         self.iterate = iterate
 
+    def __copy__(self) -> "GreedyPolicy":
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin._ratios, twin._spreads = list(self._ratios), list(self._spreads)
+        return twin
+
     def begin(self, state: PolicyState) -> None:
         self._phase = "greedy" if self.branch is None else "shot"
+        # Sorted lists with equal first keys are heaps already.
+        self._ratios = [(-math.inf, pair, None) for pair in sorted(state.available)]
+        nodes = sorted({p.node for p in state.available}) if self.branch is not None else ()
+        self._spreads = [(-math.inf, v, None) for v in nodes]
 
     def next_probe(self, state: PolicyState) -> SeedDiscountPair | None:
         if self._phase == "done":
@@ -374,31 +410,35 @@ class GreedyPolicy:
                 self._phase = "shot" if self.iterate else "done"
                 return shot
             self._phase = "greedy"
+        heap, available, influenced = self._ratios, state.available, state.belief.influenced
         units, left = state.ledger.rate_units, state.belief.budget
-        affordable = [p for p in state.available if units[p.rate] <= left]
-        if not affordable:
-            return None
-        best_pair = None
-        best_ratio = -1.0
-        for pair in sorted(affordable):  # ties keep the lowest node, then lowest rate
-            delta = self.estimator.residual_spread(state.belief.influenced, pair.node)
-            ratio = delta / pair.rate
-            if ratio > best_ratio:
-                best_ratio, best_pair = ratio, pair
-        return best_pair
+        while heap:
+            _, pair, stamp = heap[0]
+            if pair not in available or units[pair.rate] > left:
+                heapq.heappop(heap)  # closed, or out of reach for good: the budget only falls
+            elif stamp != influenced:
+                ratio = self.estimator.residual_spread(influenced, pair.node) / pair.rate
+                heapq.heapreplace(heap, (-ratio, pair, influenced))
+            else:
+                return heapq.heappop(heap)[1]
+        return None
 
     def _top_rate_shot(self, state: PolicyState) -> SeedDiscountPair | None:
         """The top-rate offer to the best open node, if it beats the greedy continuation."""
         d_max = self.instance.menu.d_max
-        nodes = sorted({p.node for p in state.available})
-        if not nodes or state.ledger.rate_units[d_max] > state.belief.budget:
+        if state.ledger.rate_units[d_max] > state.belief.budget:
             return None
-        spreads = {v: self.estimator.residual_spread(state.belief.influenced, v) for v in nodes}
-        best = max(spreads, key=spreads.get)  # ties keep the lowest node
-        # An open node's top rate is open too: a rejection closes only that rate and cheaper ones.
-        p = self.instance.model.prob_at_rate(best, d_max)
-        if p * spreads[best] > self.branch.greedy_value_from(state):
-            return SeedDiscountPair(best, d_max)
+        heap, available, influenced = self._spreads, state.available, state.belief.influenced
+        while heap:
+            key, v, stamp = heap[0]
+            # An open node's top rate is open too: a rejection closes only that rate and cheaper ones.
+            if SeedDiscountPair(v, d_max) not in available:
+                heapq.heappop(heap)
+            elif stamp != influenced:
+                heapq.heapreplace(heap, (-self.estimator.residual_spread(influenced, v), v, influenced))
+            else:
+                p = self.instance.model.prob_at_rate(v, d_max)
+                return SeedDiscountPair(v, d_max) if p * -key > self.branch.greedy_value_from(state) else None
         return None
 
 
@@ -638,17 +678,27 @@ class IteratedFactory:
         return _branch_policy(self, stream, iterate=True)
 
 
-def _mc_chunk(args):
-    factory, instance, spec, entropy, spawn_key, lo, hi = args
-    root = np.random.SeedSequence(entropy=entropy, spawn_key=tuple(spawn_key))
-    policy = factory(child(root, 1))
+def _run_trials(policy, instance: Instance, spec: BudgetSpec, root, lo: int, hi: int) -> list[int]:
+    """Cascade sizes of `policy` over trials lo..hi-1, each against its own keyed draw."""
     prior = BeliefState.initial(instance.graph.node_count, 0)
-    sizes = []
-    for t in range(lo, hi):
-        realization = sample_conditional_realization(instance, prior, generator(root, 2, t))
-        record = run_policy(policy, instance, spec, realization)
-        sizes.append(record.cascade_size)
-    return sizes
+    return [
+        run_policy(policy, instance, spec, sample_conditional_realization(instance, prior, generator(root, 2, t)))
+        .cascade_size
+        for t in range(lo, hi)
+    ]
+
+
+# A pool worker's policy and inputs, set once per process by `_start_worker`.
+_worker_args = None
+
+
+def _start_worker(policy_factory, instance: Instance, spec: BudgetSpec, root) -> None:
+    global _worker_args
+    _worker_args = (policy_factory(child(root, 1)), instance, spec, root)
+
+
+def _worker_trials(bounds: tuple[int, int]) -> list[int]:
+    return _run_trials(*_worker_args, *bounds)
 
 
 def evaluate_policy(policy_factory, instance: Instance, spec: BudgetSpec, trials,
@@ -662,7 +712,10 @@ def evaluate_policy(policy_factory, instance: Instance, spec: BudgetSpec, trials
     are consistent with the initial belief. An integer samples that
     many realizations and reports a Hoeffding radius at confidence
     95%. Sampled trials use per-trial substreams and integer
-    totals, so the result is identical for any worker count.
+    totals, so the result is identical for any worker count. Each
+    process builds the policy once (a pool worker in its initializer)
+    and runs all its trials with it; chunks of trials carry only their
+    bounds.
     """
     if trials == "exhaustive":
         state = initial_state(instance, spec)
@@ -673,16 +726,13 @@ def evaluate_policy(policy_factory, instance: Instance, spec: BudgetSpec, trials
     if not isinstance(trials, int) or trials < 1:
         raise ValidationError(f"trials must be a positive int or 'exhaustive', got {trials!r}")
     root = as_stream(stream)
-    chunks = [
-        (policy_factory, instance, spec, root.entropy, tuple(root.spawn_key), lo, min(lo + _EVAL_CHUNK, trials))
-        for lo in range(0, trials, _EVAL_CHUNK)
-    ]
+    chunks = [(lo, min(lo + _EVAL_CHUNK, trials)) for lo in range(0, trials, _EVAL_CHUNK)]
     if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mc_chunk, chunks))
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks)), initializer=_start_worker,
+                                 initargs=(policy_factory, instance, spec, root)) as pool:
+            total = sum(size for chunk in pool.map(_worker_trials, chunks) for size in chunk)
     else:
-        results = [_mc_chunk(c) for c in chunks]
-    total = sum(size for chunk in results for size in chunk)
+        total = sum(_run_trials(policy_factory(child(root, 1)), instance, spec, root, 0, trials))
     mean = total / trials
     return mean, hoeffding_radius(instance.graph.node_count, trials)
 

@@ -13,7 +13,11 @@ enumerates the states of the uncertain edges a cascade can reach, or
 from one Monte Carlo kernel shared by `spread_mc` and
 `nonadaptive.f_mc`. The kernel runs a block of replicates as a single
 breadth-first search over the graph's CSR arrays, flipping each edge
-the cascade examines with one uniform draw.
+the cascade examines with one uniform draw, or reading its state from
+a matrix of fixed live-edge snapshots (`live_edge_snapshots`): one row
+per replicate and one bool per CSR edge, so R snapshots of a graph
+with E positive-probability edges take R * E bytes. On fixed snapshots
+a cascade's mean size can only shrink as more nodes are blocked.
 """
 from __future__ import annotations
 
@@ -170,40 +174,61 @@ def spread_exact(graph: SocialGraph, seeds, *, restrict=None, max_uncertain_edge
     return total
 
 
-def spread_mc(graph: SocialGraph, seeds, samples: int, stream, *, restrict=None) -> float:
+def live_edge_snapshots(graph: SocialGraph, samples: int, stream) -> np.ndarray:
+    """`samples` independent live-edge draws, one bool row each over the CSR edges.
+
+    Drawn one row at a time, so memory stays at the matrix itself.
+    """
+    prob = graph.csr.prob
+    gen = generator(as_stream(stream))
+    live = np.empty((samples, prob.size), dtype=bool)
+    for row in live:
+        np.less(gen.random(prob.size), prob, out=row)
+    return live
+
+
+def spread_mc(graph: SocialGraph, seeds, samples: int, stream, *, restrict=None, blocked=None,
+              snapshots=None) -> float:
     """Monte Carlo estimate of the expected cascade size from `seeds`.
 
     Every replicate starts from the same seeds, run through the shared
-    kernel in blocks. With `restrict`, nodes outside it are blocked:
-    they neither seed nor receive influence. Bit-deterministic for a
-    fixed stream; the mean is an integer total over the sample count.
+    kernel in blocks. Nodes outside `restrict` (a node collection), or
+    set in `blocked` (a bool mask over the nodes), neither seed nor
+    receive influence. With `snapshots` (from `live_edge_snapshots`,
+    one row per sample) replicate i follows row i and `stream` goes
+    unused; otherwise each examined edge draws from `stream`.
+    Bit-deterministic either way; the mean is an integer total over the
+    sample count.
     """
     if samples < 1:
         raise ValidationError("samples must be at least 1")
-    allowed = None if restrict is None else set(restrict)
-    seed_nodes = np.array(sorted({s for s in seeds if allowed is None or s in allowed}), dtype=np.int64)
-    if not seed_nodes.size:
-        return 0.0
     n = graph.node_count
-    blocked = None
-    if allowed is not None:
+    if restrict is not None:
+        allowed = set(restrict)
         blocked = np.ones(n, dtype=bool)
         blocked[np.fromiter(allowed, dtype=np.int64, count=len(allowed))] = False
-    gen = generator(as_stream(stream))
+    seed_nodes = np.array(sorted({s for s in seeds if blocked is None or not blocked[s]}), dtype=np.int64)
+    if not seed_nodes.size:
+        return 0.0
+    if snapshots is not None and snapshots.shape != (samples, graph.csr.prob.size):
+        raise ValidationError(f"snapshots must be {samples} rows of {graph.csr.prob.size} edges")
+    gen = None if snapshots is not None else generator(as_stream(stream))
 
     def block_seeds(r: int) -> np.ndarray:
         return (np.arange(0, r * n, n, dtype=np.int64)[:, None] + seed_nodes).ravel()
 
-    return _mc_total(graph, samples, gen, block_seeds, blocked) / samples
+    return _mc_total(graph, samples, gen, block_seeds, blocked, snapshots) / samples
 
 
-def _mc_total(graph: SocialGraph, samples: int, gen: np.random.Generator, block_seeds, blocked=None) -> int:
+def _mc_total(graph: SocialGraph, samples: int, gen: np.random.Generator | None, block_seeds, blocked=None,
+              snapshots=None) -> int:
     """Cascade sizes summed over `samples` independent replicates.
 
     Replicates run in blocks of r, each as one level-synchronous BFS
     over keys replicate*n + node. `block_seeds(r)` returns the next
     block's seed keys, sorted and distinct; it may draw from `gen`
-    first. Each examined out-edge then takes one uniform draw, and its
+    first. Each examined out-edge is then live by one uniform draw from
+    `gen`, or, with `snapshots`, by its cell in the replicate's row; its
     target joins the next frontier when the edge is live, the target is
     unvisited in that replicate and not `blocked`. Since a node is
     expanded at most once per replicate, so is each edge.
@@ -214,10 +239,9 @@ def _mc_total(graph: SocialGraph, samples: int, gen: np.random.Generator, block_
     per_block = max(1, _VISITED_CELLS // n)
     visited = csr.visited(min(samples, per_block) * n)
     total = 0
-    left = samples
-    while left:
-        r = min(left, per_block)
-        left -= r
+    done = 0
+    while done < samples:
+        r = min(samples - done, per_block)
         frontier = block_seeds(r)
         visited[frontier] = True
         touched = [frontier]
@@ -232,8 +256,12 @@ def _mc_total(graph: SocialGraph, samples: int, gen: np.random.Generator, block_
                 break
             pos = np.repeat(starts - ends + counts, counts) + np.arange(m)
             targets = dst[pos]
-            keys = np.repeat(frontier - node, counts) + targets
-            keep = gen.random(m) < prob[pos]
+            base = np.repeat(frontier - node, counts)  # replicate * n, per examined edge
+            keys = base + targets
+            if snapshots is None:
+                keep = gen.random(m) < prob[pos]
+            else:
+                keep = snapshots[base // n + done, pos]
             keep &= ~visited[keys]
             if blocked is not None:
                 keep &= ~blocked[targets]
@@ -247,6 +275,7 @@ def _mc_total(graph: SocialGraph, samples: int, gen: np.random.Generator, block_
             frontier = keys
         for keys in touched:
             visited[keys] = False
+        done += r
     return total
 
 

@@ -143,14 +143,15 @@ def test_delivered_cost_and_budget_left_are_exact():
 
 def test_sampled_rollout_value_is_pinned():
     # Rollout draws are keyed by the budget left as a reduced fraction;
-    # keying them by the ledger's unreduced units changes this value.
+    # keying them by the ledger's unreduced units changes this value
+    # (to 0x1.4a00000000000p+2).
     inst = dc.random_instance(10, 2.5 / 9, 6, rates=(0.1, 0.5), prob_range=(0.3, 0.7),
                               accept_range=(0.0, 0.2))
     spec = dc.BudgetSpec(budget=0.6, mode="hard")
     factory = dc.IteratedFactory(inst, spec, dc.EstimatorConfig(mode="mc", samples=30),
                                  dc.BranchConfig(mode="rollouts", rollouts=2))
     val, _ = dc.evaluate_policy(factory, inst, spec, 32, stream=5)
-    assert val.hex() == "0x1.5600000000000p+2"
+    assert val.hex() == "0x1.5400000000000p+2"
 
 
 def test_worstcase_policy_values():
@@ -445,3 +446,139 @@ def test_exhaustive_caps_name_the_sampling_fix(fig1, hard2):
     branch = dc.BranchEstimator(fig1, est, dc.BranchConfig(max_outcomes=10))
     with pytest.raises(dc.TooLargeError, match=r'BranchConfig\(mode="rollouts"\).*--branch rollouts'):
         branch.greedy_value_from(dc.initial_state(fig1, hard2))
+
+
+class EagerGreedy:
+    """The reference scan: every probe re-scores every open offer (and, for the
+    shot, every open node) at the current state."""
+
+    def __init__(self, inst, est, branch=None, iterate=False):
+        self.inst, self.est, self.branch, self.iterate = inst, est, branch, iterate
+
+    def begin(self, state):
+        self.phase = "greedy" if self.branch is None else "shot"
+
+    def next_probe(self, state):
+        if self.phase == "done":
+            return None
+        if self.phase == "shot":
+            shot = self._shot(state)
+            if shot is not None:
+                self.phase = "shot" if self.iterate else "done"
+                return shot
+            self.phase = "greedy"
+        units, left, influenced = state.ledger.rate_units, state.belief.budget, state.belief.influenced
+        affordable = [p for p in state.available if units[p.rate] <= left]
+        if not affordable:
+            return None
+        return max(affordable, key=lambda p: (self.est.residual_spread(influenced, p.node) / p.rate,
+                                              -p.node, -p.rate))
+
+    def _shot(self, state):
+        d_max = self.inst.menu.d_max
+        nodes = {p.node for p in state.available}
+        if not nodes or state.ledger.rate_units[d_max] > state.belief.budget:
+            return None
+        spread = {v: self.est.residual_spread(state.belief.influenced, v) for v in nodes}
+        best = max(nodes, key=lambda v: (spread[v], -v))
+        if self.inst.model.prob_at_rate(best, d_max) * spread[best] > self.branch.greedy_value_from(state):
+            return dc.SeedDiscountPair(best, d_max)
+        return None
+
+
+class _AlwaysShoot:
+    """A branch estimate that every top-rate shot beats."""
+
+    def greedy_value_from(self, state):
+        return 0.0
+
+
+def _lazy_and_eager(kind, inst, spec, est):
+    """The lazy policy of `kind` and its eager reference. Branch estimators
+    are separate, the eager one continuing with the eager scan; "shots"
+    is iterated with a branch estimate every shot beats, so it shoots
+    until the top rate is out of reach."""
+    if kind == "greedy":
+        return dc.GreedyPolicy(inst, est), EagerGreedy(inst, est)
+    if kind == "shots":
+        return dc.GreedyPolicy(inst, est, _AlwaysShoot(), iterate=True), EagerGreedy(inst, est, _AlwaysShoot(), True)
+    # Exhaustive branch estimates only where the enumeration stays small.
+    small = conditional_outcome_count(inst, dc.initial_state(inst, spec).belief) <= 5000
+    config = dc.BranchConfig(mode="exhaustive" if small else "rollouts", rollouts=3)
+    lazy_branch = dc.BranchEstimator(inst, est, config, stream=as_stream(4))
+    eager_branch = dc.BranchEstimator(inst, est, config, stream=as_stream(4))
+    eager_branch._greedy = EagerGreedy(inst, est)
+    iterate = kind == "iterated"
+    return (dc.GreedyPolicy(inst, est, lazy_branch, iterate=iterate),
+            EagerGreedy(inst, est, eager_branch, iterate))
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("kind", ["greedy", "enhanced", "iterated", "shots"])
+def test_lazy_scan_probes_what_the_eager_scan_probes(mode, kind):
+    cases = [tiny_instance(seed) for seed in range(12)]
+    # Sparse enough for exact spreads, large enough for many stale heap
+    # entries; strong edges and a budget of three top-rate shots, so that
+    # cascades shrink later spreads and repeated shots re-score nodes.
+    cases += [(dc.random_instance(n, 0.8 / (n - 1), seed, rates=(0.5, 1.0), prob_range=(0.3, 0.9)),
+               dc.BudgetSpec(budget=3.2, mode="hard"))
+              for seed, n in enumerate(range(8, 20), start=40)]
+    compared = 0
+    for i, (inst, spec) in enumerate(cases):
+        est = dc.SpreadEstimator(inst.graph, mode=mode, samples=40, stream=as_stream(i))
+        lazy, eager = _lazy_and_eager(kind, inst, spec, est)
+        for t in range(4):
+            real = dc.sample_realization(inst, child(as_stream(100 + i), t))
+            want = dc.run_policy(eager, inst, spec, real)
+            got = dc.run_policy(lazy, inst, spec, real)
+            assert got == want, f"case {i} realization {t}"
+            compared += len(want.probes)
+    assert compared > 100
+
+
+def test_snapshot_residual_spread_never_grows():
+    inst = dc.random_instance(30, 3 / 29, 8)
+    est = dc.SpreadEstimator(inst.graph, mode="mc", samples=100, stream=as_stream(2))
+    rng = np.random.default_rng(0)
+    strict = 0
+    for _ in range(300):
+        nodes = rng.permutation(30).tolist()
+        k = int(rng.integers(0, 20))
+        influenced, u, v = set(nodes[:k]), nodes[k], nodes[k + 1]
+        before = est.residual_spread(influenced, v)
+        after = est.residual_spread(influenced | {u}, v)
+        assert after <= before
+        strict += after < before
+    assert strict > 10
+
+
+def test_branches_of_an_exhaustive_evaluation_keep_their_own_heaps(fig1, hard2, monkeypatch):
+    factory = dc.GreedyFactory(fig1, hard2)
+    right, _ = dc.evaluate_policy(factory, fig1, hard2, "exhaustive")
+
+    def share_heaps(self):
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        return twin
+
+    monkeypatch.setattr(dc.GreedyPolicy, "__copy__", share_heaps)
+    shared, _ = dc.evaluate_policy(factory, fig1, hard2, "exhaustive")
+    assert right == pytest.approx(2.47853125, abs=1e-12)
+    assert shared != pytest.approx(right, abs=1e-3)
+
+
+def test_sampled_evaluation_builds_one_policy_per_process():
+    inst = dc.random_instance(12, 2.5 / 11, 3, rates=(0.1, 0.5))
+    spec = dc.BudgetSpec(budget=0.6, mode="hard")
+    factory = dc.IteratedFactory(inst, spec, dc.EstimatorConfig(mode="mc", samples=40),
+                                 dc.BranchConfig(mode="rollouts", rollouts=3))
+    builds = []
+
+    def counting(stream):
+        builds.append(stream)
+        return factory(stream)
+
+    serial, _ = dc.evaluate_policy(counting, inst, spec, 256, stream=9)  # four chunks of trials
+    assert len(builds) == 1
+    for workers in (2, 8):
+        assert dc.evaluate_policy(factory, inst, spec, 256, stream=9, workers=workers)[0] == serial

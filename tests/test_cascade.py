@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import discountcast as dc
+from discountcast.cascade import live_edge_snapshots
 from discountcast.rng import as_stream, child
 
 from conftest import tiny_instance
@@ -135,6 +136,40 @@ def test_spread_mc_across_many_blocks(fig1):
     g = dc.SocialGraph(n, tuple(str(i) for i in range(n)), fig1.graph.edges)
     est = dc.spread_mc(g, [0], 20_001, as_stream(19))
     assert est == pytest.approx(dc.spread_exact(g, [0]), abs=0.03)
+
+
+def test_spread_mc_on_snapshots_matches_a_plain_walk():
+    # 2**16 nodes hold a block of only 64 replicates, so 150 snapshots run
+    # in three blocks and each block must read its own rows
+    small = dc.random_instance(40, 3 / 39, 12, prob_range=(0.2, 0.8)).graph
+    n = 1 << 16
+    g = dc.SocialGraph(n, tuple(str(i) for i in range(n)), small.edges)
+    snaps = live_edge_snapshots(g, 150, as_stream(3))
+    assert snaps.shape == (150, len(small.edges)) and snaps.dtype == bool
+    indptr, dst = g.csr.indptr, g.csr.dst
+    blocked = np.zeros(n, dtype=bool)
+    blocked[[1, 5, 9, 30]] = True
+
+    def reach(row, v):
+        seen, stack = {v}, [v]
+        while stack:
+            u = stack.pop()
+            for pos in range(indptr[u], indptr[u + 1]):
+                w = int(dst[pos])
+                if row[pos] and w not in seen and not blocked[w]:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen)
+
+    for v in (0, 2, 7, 11):
+        want = sum(reach(row, v) for row in snaps) / 150
+        assert dc.spread_mc(g, [v], 150, None, blocked=blocked, snapshots=snaps) == want
+    with pytest.raises(dc.ValidationError):
+        dc.spread_mc(g, [0], 100, None, snapshots=snaps)
+    # a blocked mask and the restrict= node set name the same blocking
+    allowed = [u for u in range(40) if not blocked[u]]
+    assert dc.spread_mc(small, [0, 2], 300, as_stream(4), restrict=allowed) == \
+        dc.spread_mc(small, [0, 2], 300, as_stream(4), blocked=blocked[:40])
 
 
 def test_spread_certain_edges_always_fire():
