@@ -12,17 +12,18 @@ repeats that comparison every round. A backward-induction oracle
 computes the optimal policy value on tiny instances.
 
 Everything a run's future depends on is its belief state: the
-influenced set, each node's highest rejected rate and the budget left
-(`BeliefState`), kept exactly as integer units of one common
-denominator (`BudgetLedger`), so affordability checks compare ints. A
-policy decides from its `PolicyState`: that belief state, the ledger
-and the open offers, and each probe answer yields the next one. So
-exhaustive evaluation expands its decision tree over states once,
-weighting each branch by its probability, instead of replaying it
-against every joint realization. The oracle and the exhaustive branch
-estimate share the memoized cascade outcomes (`CascadeOutcomes`). Only
-replay against one realization (`run_policy`), used for sampled
-evaluation, records which edges each probe revealed.
+influenced set, each uninfluenced node's highest rejected rate and the
+budget left (`BeliefState`), kept exactly as integer units of one
+common denominator (`BudgetLedger`), so affordability checks compare
+ints. A policy decides from its `PolicyState`, that belief state and
+the ledger; the open offers are read off the belief, and each probe
+answer yields the next state. So exhaustive evaluation expands its
+decision tree over states once, weighting each branch by its
+probability, instead of replaying it against every joint realization.
+The oracle and the exhaustive branch estimate share the memoized
+cascade outcomes (`CascadeOutcomes`). Only replay against one
+realization (`run_policy`), used for sampled evaluation, records which
+edges each probe revealed.
 
 The greedy scan is lazy (the accelerated greedy of Golovin and Krause,
 2011). A residual spread never grows as the influenced set grows, so a
@@ -54,8 +55,7 @@ from .cascade import (
     PartialObservation,
     Realization,
     SeedingRealization,
-    _reach,
-    _relevant_subgraph,
+    _live_edge_outcomes,
     hoeffding_radius,
     live_edge_snapshots,
     reveal_cascade,
@@ -71,16 +71,24 @@ _EVAL_CHUNK = 64
 DEFAULT_MAX_OUTCOMES = 200_000
 
 
+def _bits(mask: int):
+    """The set bits of `mask`, lowest first, one step per set bit."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class BeliefState(NamedTuple):
     """What the rest of an adaptive run depends on.
 
     `influenced` is a bitmask of influenced nodes, `floors[v]` the
-    highest menu index v has rejected (-1 for none) and `budget` the
-    budget left, in the integer units of the run's `BudgetLedger`.
-    Edges out of uninfluenced nodes stay independent of everything
-    observed, so nothing else in an observation changes an expected
-    value. Floors stay put when their node is influenced later, as
-    observed; `canonical` drops them.
+    highest menu index an uninfluenced v has rejected (-1 for none, and
+    for every influenced node) and `budget` the budget left, in the
+    integer units of the run's `BudgetLedger`. Edges out of uninfluenced
+    nodes stay independent of everything observed, so nothing else in
+    an observation changes an expected value, and two runs that agree
+    here have equal values.
     """
 
     influenced: int
@@ -105,23 +113,21 @@ class BeliefState(NamedTuple):
             return 0.0
         return (p - low) / (1.0 - low)
 
+    def is_open(self, v: int, rate_idx: int) -> bool:
+        """Whether offering v menu rate `rate_idx` can still buy anything:
+        v is uninfluenced and has rejected no rate at or above it."""
+        return not (self.influenced >> v) & 1 and rate_idx > self.floors[v]
+
     def after_accept(self, addmask: int, cost: int) -> "BeliefState":
-        return BeliefState(self.influenced | addmask, self.floors, self.budget - cost)
+        floors = self.floors
+        for u in _bits(addmask):
+            if floors[u] >= 0:  # the newly influenced drop their floors
+                floors = floors[:u] + (-1,) + floors[u + 1:]
+        return BeliefState(self.influenced | addmask, floors, self.budget - cost)
 
     def after_reject(self, v: int, rate_idx: int) -> "BeliefState":
         floors = self.floors
         return BeliefState(self.influenced, floors[:v] + (rate_idx,) + floors[v + 1:], self.budget)
-
-    def canonical(self) -> "BeliefState":
-        """This state without the floors of influenced nodes.
-
-        No value depends on those floors, so states that agree here have
-        equal values. Policy states keep the floors anyway: rollout
-        estimates draw from streams keyed by the state as observed.
-        """
-        influenced = self.influenced
-        floors = tuple(-1 if (influenced >> u) & 1 else f for u, f in enumerate(self.floors))
-        return BeliefState(influenced, floors, self.budget)
 
 
 class CascadeOutcomes:
@@ -141,20 +147,10 @@ class CascadeOutcomes:
         key = (influenced, v)
         if key in self._memo:
             return self._memo[key]
-        graph = self.graph
-        allowed = {u for u in range(graph.node_count) if not (influenced >> u) & 1}
-        adj, _closure, uncertain = _relevant_subgraph(graph, [v], allowed)
-        probs = [graph.edges[e].prob for e in uncertain]
+        allowed = set(range(self.graph.node_count)).difference(_bits(influenced))
         dist: dict[int, float] = {}
-        for mask in range(1 << len(uncertain)):
-            w = 1.0
-            for i, p in enumerate(probs):
-                w *= p if (mask >> i) & 1 else 1.0 - p
-            if w == 0.0:
-                continue
-            addmask = 0
-            for u in _reach(adj, [v], mask):
-                addmask |= 1 << u
+        for w, reached in _live_edge_outcomes(self.graph, [v], allowed):
+            addmask = sum(1 << u for u in reached)
             dist[addmask] = dist.get(addmask, 0.0) + w
         out = sorted(dist.items())
         self._memo[key] = out
@@ -163,33 +159,34 @@ class CascadeOutcomes:
 
 @dataclass(frozen=True)
 class PolicyState:
-    """What a policy may decide from: the belief state, the ledger and the open offers.
+    """What a policy may decide from: the belief state and the ledger.
 
-    `ledger` holds the run's rate costs and budget in integer units.
-    `available` holds the offers still worth making: no influenced node,
-    and no rate at or below one its node rejected. A probe's answer
-    yields the next state through `after_accept` or `after_reject`.
+    `ledger` holds the run's rate costs and budget in integer units. A
+    probe's answer yields the next state through `after_accept` or
+    `after_reject`.
     """
 
     belief: BeliefState
     ledger: BudgetLedger
-    available: frozenset[SeedDiscountPair]
 
     @property
     def budget_left(self) -> Fraction:
         return Fraction(self.belief.budget, self.ledger.denom)
 
+    @property
+    def available(self) -> frozenset[SeedDiscountPair]:
+        """The offers still worth making, affordable or not (`BeliefState.is_open`)."""
+        belief, rates = self.belief, self.ledger.rate_units  # rates in menu order
+        return frozenset(SeedDiscountPair(v, r) for v in range(len(belief.floors))
+                         for i, r in enumerate(rates) if belief.is_open(v, i))
+
     def after_accept(self, pair: SeedDiscountPair, addmask: int) -> "PolicyState":
         """The state after `pair` is accepted and its cascade newly influences `addmask`."""
-        rates = self.ledger.rate_units
-        # Influenced nodes are spent: offering them anything buys nothing.
-        spent = {SeedDiscountPair(u, r) for u in range(addmask.bit_length()) if (addmask >> u) & 1 for r in rates}
-        return PolicyState(self.belief.after_accept(addmask, rates[pair.rate]), self.ledger, self.available - spent)
+        return PolicyState(self.belief.after_accept(addmask, self.ledger.rate_units[pair.rate]), self.ledger)
 
     def after_reject(self, pair: SeedDiscountPair, rate_idx: int) -> "PolicyState":
         """The state after `pair`, menu index `rate_idx`, is rejected."""
-        closed = {SeedDiscountPair(pair.node, r) for r in self.ledger.rate_units if r <= pair.rate}
-        return PolicyState(self.belief.after_reject(pair.node, rate_idx), self.ledger, self.available - closed)
+        return PolicyState(self.belief.after_reject(pair.node, rate_idx), self.ledger)
 
 
 @dataclass(frozen=True)
@@ -233,28 +230,26 @@ def _fmt_rate(rate: float) -> str:
 
 def initial_state(instance: Instance, spec: BudgetSpec) -> PolicyState:
     ledger = BudgetLedger(instance.menu, spec)
-    return PolicyState(
-        belief=BeliefState.initial(instance.graph.node_count, ledger.budget),
-        ledger=ledger,
-        available=frozenset(instance.all_pairs()),
-    )
+    return PolicyState(BeliefState.initial(instance.graph.node_count, ledger.budget), ledger)
 
 
 def _check_probe(instance: Instance, state: PolicyState, pair: SeedDiscountPair) -> int:
     """The probe's menu index, once it is shown open and affordable."""
-    if pair not in state.available:
+    belief, units = state.belief, state.ledger.rate_units
+    rate_idx = instance.menu.index_of(pair.rate) if pair.rate in units else None
+    # Bound the node first: floors[-1] would read the last node's floor.
+    if rate_idx is None or not 0 <= pair.node < len(belief.floors) or not belief.is_open(pair.node, rate_idx):
         raise PolicyContractError(f"probe {pair} is not available")
-    if state.ledger.rate_units[pair.rate] > state.belief.budget:
+    if units[pair.rate] > belief.budget:
         raise PolicyContractError(f"probe {pair} exceeds the remaining budget {float(state.budget_left)}")
-    return instance.menu.index_of(pair.rate)
+    return rate_idx
 
 
 def _execute(policy, instance: Instance, state: PolicyState, realization: Realization) -> TrajectoryRecord:
     """Run `policy` from `state` against `realization` and record what it did and saw."""
     graph = instance.graph
-    start = state.belief.influenced
     # The edges out of nodes influenced before the run are never read again.
-    obs = PartialObservation(influenced={u for u in range(graph.node_count) if (start >> u) & 1})
+    obs = PartialObservation(influenced=set(_bits(state.belief.influenced)))
     policy.begin(state)
     probes: list[ProbeRecord] = []
     while (pair := policy.next_probe(state)) is not None:
@@ -346,13 +341,7 @@ class SpreadEstimator:
                 raise ValidationError(f"node {v} is already influenced")
             n = self.graph.node_count
             if self.mode == "exact":
-                restrict = set(range(n))
-                rest = influenced
-                while rest:  # one step per influenced node, not per graph node
-                    low = rest & -rest
-                    restrict.discard(low.bit_length() - 1)
-                    rest ^= low
-                val = spread_exact(self.graph, [v], restrict=restrict)
+                val = spread_exact(self.graph, [v], restrict=set(range(n)).difference(_bits(influenced)))
             else:
                 packed = np.frombuffer(influenced.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
                 blocked = np.unpackbits(packed, count=n, bitorder="little").view(bool)
@@ -397,8 +386,9 @@ class GreedyPolicy:
     def begin(self, state: PolicyState) -> None:
         self._phase = "greedy" if self.branch is None else "shot"
         # Sorted lists with equal first keys are heaps already.
-        self._ratios = [(-math.inf, pair, None) for pair in sorted(state.available)]
-        nodes = sorted({p.node for p in state.available}) if self.branch is not None else ()
+        open_pairs = sorted(state.available)
+        self._ratios = [(-math.inf, pair, None) for pair in open_pairs]
+        nodes = sorted({p.node for p in open_pairs}) if self.branch is not None else ()
         self._spreads = [(-math.inf, v, None) for v in nodes]
 
     def next_probe(self, state: PolicyState) -> SeedDiscountPair | None:
@@ -410,11 +400,11 @@ class GreedyPolicy:
                 self._phase = "shot" if self.iterate else "done"
                 return shot
             self._phase = "greedy"
-        heap, available, influenced = self._ratios, state.available, state.belief.influenced
-        units, left = state.ledger.rate_units, state.belief.budget
+        heap, belief, index_of = self._ratios, state.belief, self.instance.menu.index_of
+        influenced, units, left = belief.influenced, state.ledger.rate_units, belief.budget
         while heap:
             _, pair, stamp = heap[0]
-            if pair not in available or units[pair.rate] > left:
+            if not belief.is_open(pair.node, index_of(pair.rate)) or units[pair.rate] > left:
                 heapq.heappop(heap)  # closed, or out of reach for good: the budget only falls
             elif stamp != influenced:
                 ratio = self.estimator.residual_spread(influenced, pair.node) / pair.rate
@@ -425,14 +415,15 @@ class GreedyPolicy:
 
     def _top_rate_shot(self, state: PolicyState) -> SeedDiscountPair | None:
         """The top-rate offer to the best open node, if it beats the greedy continuation."""
-        d_max = self.instance.menu.d_max
-        if state.ledger.rate_units[d_max] > state.belief.budget:
+        menu, belief = self.instance.menu, state.belief
+        d_max, top, influenced = menu.d_max, len(menu) - 1, belief.influenced
+        if state.ledger.rate_units[d_max] > belief.budget:
             return None
-        heap, available, influenced = self._spreads, state.available, state.belief.influenced
+        heap = self._spreads
         while heap:
             key, v, stamp = heap[0]
             # An open node's top rate is open too: a rejection closes only that rate and cheaper ones.
-            if SeedDiscountPair(v, d_max) not in available:
+            if not belief.is_open(v, top):
                 heapq.heappop(heap)
             elif stamp != influenced:
                 heapq.heapreplace(heap, (-self.estimator.residual_spread(influenced, v), v, influenced))
@@ -778,7 +769,7 @@ def _optimal_value(belief: BeliefState, probs, rates: list[int], cascades: Casca
                 continue
             acc = 0.0
             for addmask, w in cascades.of(belief.influenced, v):
-                after = belief.after_accept(addmask, rate).canonical()
+                after = belief.after_accept(addmask, rate)
                 acc += w * (addmask.bit_count() + _optimal_value(after, probs, rates, cascades, memo))
             if q >= 1.0:
                 cand = acc

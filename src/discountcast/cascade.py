@@ -32,7 +32,7 @@ from .errors import ParseError, TooLargeError, ValidationError
 from .graph import Instance, SeedDiscountPair, SocialGraph
 from .rng import as_stream, child, generator
 
-MAX_UNCERTAIN_EDGES = 25
+MAX_UNCERTAIN_EDGES = 16
 _VISITED_CELLS = 1 << 22  # replicates * nodes in one Monte Carlo block
 
 
@@ -87,18 +87,18 @@ def sample_realization(instance: Instance, stream) -> Realization:
     )
 
 
-def _relevant_subgraph(graph: SocialGraph, seeds, allowed, *, stop_after: int | None = None):
+def _relevant_subgraph(graph: SocialGraph, seeds, allowed, *, max_uncertain_edges: int | None = None):
     """Forward closure of `seeds` over positive-probability edges.
 
-    Returns (adjacency, closure, uncertain) where adjacency maps a node
-    to (dst, slot) pairs: slot -1 marks an always-live edge, other slots
-    index into `uncertain` (edge indices with 0 < p < 1). With
-    `stop_after` set, the traversal gives up once more than that many
-    uncertain edges turn up and returns (None, closure, uncertain), so
-    callers can bail out without paying for a huge closure.
+    Returns (adjacency, probs) where adjacency maps a node to
+    (dst, slot) pairs: slot -1 marks an always-live edge, other slots
+    index into `probs`, the probabilities of the uncertain edges
+    (0 < p < 1). With `max_uncertain_edges` set, the traversal raises
+    `TooLargeError` once more than that many uncertain edges turn up,
+    without paying for a huge closure.
     """
     adj: dict[int, list[tuple[int, int]]] = {}
-    uncertain: list[int] = []
+    probs: list[float] = []
     closure: set[int] = set()
     queue: deque[int] = deque()
     for s in seeds:
@@ -117,15 +117,18 @@ def _relevant_subgraph(graph: SocialGraph, seeds, allowed, *, stop_after: int | 
             if e.prob >= 1.0:
                 slot = -1
             else:
-                slot = len(uncertain)
-                uncertain.append(eidx)
+                slot = len(probs)
+                probs.append(e.prob)
             entries.append((e.dst, slot))
             if e.dst not in closure:
                 closure.add(e.dst)
                 queue.append(e.dst)
-        if stop_after is not None and len(uncertain) > stop_after:
-            return None, closure, uncertain
-    return adj, closure, uncertain
+        if max_uncertain_edges is not None and len(probs) > max_uncertain_edges:
+            raise TooLargeError(
+                f"exact spread needs more than {max_uncertain_edges} uncertain edges enumerated; "
+                'sample instead with mode="mc" (CLI: --estimator mc; --evaluator mc for nonadaptive)'
+            )
+    return adj, probs
 
 
 def _reach(adj, seeds, mask: int) -> set[int]:
@@ -144,6 +147,22 @@ def _reach(adj, seeds, mask: int) -> set[int]:
     return seen
 
 
+def _live_edge_outcomes(graph: SocialGraph, seeds, allowed, *, max_uncertain_edges: int | None = None):
+    """Yield (weight, reached) for each state of the uncertain edges a cascade
+    from `seeds` can cross, in mask order, skipping states of weight zero.
+
+    `reached` is the node set the cascade reaches in that state; the cap
+    is `_relevant_subgraph`'s.
+    """
+    adj, probs = _relevant_subgraph(graph, seeds, allowed, max_uncertain_edges=max_uncertain_edges)
+    for mask in range(1 << len(probs)):
+        w = 1.0
+        for i, p in enumerate(probs):
+            w *= p if (mask >> i) & 1 else 1.0 - p
+        if w:
+            yield w, _reach(adj, seeds, mask)
+
+
 def spread_exact(graph: SocialGraph, seeds, *, restrict=None, max_uncertain_edges: int = MAX_UNCERTAIN_EDGES) -> float:
     """Expected cascade size from `seeds`, by enumerating live-edge states.
 
@@ -155,22 +174,10 @@ def spread_exact(graph: SocialGraph, seeds, *, restrict=None, max_uncertain_edge
     seed_list = sorted({s for s in seeds if allowed is None or s in allowed})
     if not seed_list:
         return 0.0
-    adj, _closure, uncertain = _relevant_subgraph(
-        graph, seed_list, allowed, stop_after=max_uncertain_edges
-    )
-    if adj is None:
-        raise TooLargeError(
-            f"exact spread needs more than {max_uncertain_edges} uncertain edges enumerated; "
-            'sample instead with mode="mc" (CLI: --estimator mc; --evaluator mc for nonadaptive)'
-        )
-    k = len(uncertain)
-    probs = [graph.edges[eidx].prob for eidx in uncertain]
     total = 0.0
-    for mask in range(1 << k):
-        w = 1.0
-        for i, p in enumerate(probs):
-            w *= p if (mask >> i) & 1 else 1.0 - p
-        total += w * len(_reach(adj, seed_list, mask))
+    # A plain loop: sum() compensates float sums from Python 3.12 on, which moves the last bits.
+    for w, reached in _live_edge_outcomes(graph, seed_list, allowed, max_uncertain_edges=max_uncertain_edges):
+        total += w * len(reached)
     return total
 
 

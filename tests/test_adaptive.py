@@ -439,6 +439,28 @@ def test_tree_evaluation_enforces_the_probe_contract(fig1, hard2):
         dc.evaluate_policy(_script_factory((0, 2.0)), fig1, dc.BudgetSpec(budget=1.0, mode="hard"), "exhaustive")
 
 
+@pytest.mark.parametrize("probe", [(0, 1.5), (5, 1.0), (-1, 1.0)], ids=["off_menu", "node_n", "node_minus_1"])
+def test_probe_outside_the_instance_is_not_available(probe, fig1, hard2):
+    with pytest.raises(dc.PolicyContractError, match="not available"):
+        dc.run_policy(ScriptedPolicy([probe]), fig1, hard2, dc.fig2_realization(fig1))
+    with pytest.raises(dc.PolicyContractError, match="not available"):
+        dc.evaluate_policy(_script_factory(probe), fig1, hard2, "exhaustive")
+
+
+def test_influenced_nodes_keep_no_floor(fig1, hard2):
+    # c rejects rate 1, then a accepts and its cascade reaches c over a live a->c
+    live = tuple(e.src == 0 for e in fig1.graph.edges)
+    real = dc.Realization(seeding=dc.SeedingRealization(min_rate_idx=(0, 2, 1, 2, 2)),
+                          diffusion=dc.DiffusionRealization(live=live))
+    beliefs = []
+    for probes in ([(2, 1.0), (0, 1.0)], [(0, 1.0)]):
+        scripted = _StopAndKeepState(probes)
+        dc.run_policy(scripted, fig1, hard2, real)
+        beliefs.append(scripted.final.belief)
+    assert (beliefs[0].influenced >> 2) & 1 and beliefs[0].floors[2] == -1
+    assert beliefs[0] == beliefs[1]
+
+
 def test_exhaustive_caps_name_the_sampling_fix(fig1, hard2):
     with pytest.raises(dc.TooLargeError, match="integer trial count.*drop --exhaustive"):
         dc.evaluate_policy(dc.GreedyFactory(fig1, hard2), fig1, hard2, "exhaustive", max_outcomes=10)

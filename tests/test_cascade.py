@@ -80,6 +80,14 @@ def test_spread_exact_cap():
         dc.spread_exact(g, [0], max_uncertain_edges=10)
 
 
+def test_spread_exact_default_cap_refuses_seventeen_uncertain_edges():
+    # 2^17 Python reach walks take seconds; the default cap sends them to sampling up front
+    edges = tuple(dc.Edge(0, j, 0.5) for j in range(1, 18))
+    g = dc.SocialGraph(18, tuple(str(i) for i in range(18)), edges)
+    with pytest.raises(dc.TooLargeError, match='more than 16 uncertain edges.*mode="mc"'):
+        dc.spread_exact(g, [0])
+
+
 def test_spread_mc_agrees_with_exact(fig1):
     g = fig1.graph
     val = dc.spread_mc(g, [0], 200_000, as_stream(3))
