@@ -18,6 +18,11 @@ a matrix of fixed live-edge snapshots (`live_edge_snapshots`): one row
 per replicate and one bool per CSR edge, so R snapshots of a graph
 with E positive-probability edges take R * E bytes. On fixed snapshots
 a cascade's mean size can only shrink as more nodes are blocked.
+`singleton_spreads` gives every node's single-seed estimate from one
+batched pass of the same search; node v still draws from its own
+substream (v,), so each entry equals a lone `spread_mc` run bit for bit.
+Once cascades grow too large to batch cheaply within a bounded visited
+set, the remaining nodes run as just such lone runs.
 """
 from __future__ import annotations
 
@@ -34,6 +39,9 @@ from .rng import as_stream, child, generator
 
 MAX_UNCERTAIN_EDGES = 16
 _VISITED_CELLS = 1 << 22  # replicates * nodes in one Monte Carlo block
+_GROUP_EDGES = 1 << 15  # first-level edge draws per node group in `singleton_spreads`
+_GROUP_KEYS = 1 << 17  # visited keys per block of a node group: 1 MB, and a bound on its level arrays
+_SLOT_KEYS = 1 << 12  # visited keys per slot past which a group's per-level merges cost more than it saves
 
 
 @dataclass(frozen=True)
@@ -231,59 +239,162 @@ def _mc_total(graph: SocialGraph, samples: int, gen: np.random.Generator | None,
               snapshots=None) -> int:
     """Cascade sizes summed over `samples` independent replicates.
 
-    Replicates run in blocks of r, each as one level-synchronous BFS
-    over keys replicate*n + node. `block_seeds(r)` returns the next
-    block's seed keys, sorted and distinct; it may draw from `gen`
-    first. Each examined out-edge is then live by one uniform draw from
-    `gen`, or, with `snapshots`, by its cell in the replicate's row; its
-    target joins the next frontier when the edge is live, the target is
-    unvisited in that replicate and not `blocked`. Since a node is
-    expanded at most once per replicate, so is each edge.
+    Replicates run in blocks of r, each as one `_bfs` over keys
+    replicate*n + node, marking reached keys in the graph's dense
+    visited buffer. `block_seeds(r)` returns the next block's seed keys,
+    sorted and distinct; it may draw from `gen` first. Each examined
+    out-edge is then live by one uniform draw from `gen`, or, with
+    `snapshots`, by its cell in the replicate's row.
     """
     n = graph.node_count
     csr = graph.csr
-    indptr, dst, prob = csr.indptr, csr.dst, csr.prob
+    prob = csr.prob
     per_block = max(1, _VISITED_CELLS // n)
     visited = csr.visited(min(samples, per_block) * n)
+
+    def live(pos, base):
+        if snapshots is None:
+            return gen.random(pos.size) < prob[pos]
+        return snapshots[base // n + done, pos]
+
+    def fresh(keys, keep):
+        keep &= ~visited[keys]
+        return keys[keep]
+
+    def mark(keys):
+        visited[keys] = True
+
     total = 0
-    done = 0
-    while done < samples:
+    for done in range(0, samples, per_block):
         r = min(samples - done, per_block)
-        frontier = block_seeds(r)
-        visited[frontier] = True
-        touched = [frontier]
-        total += frontier.size
-        while frontier.size:
-            node = frontier % n
-            starts = indptr[node]
-            counts = indptr[node + 1] - starts
-            ends = np.cumsum(counts)
-            m = int(ends[-1])
-            if not m:
-                break
-            pos = np.repeat(starts - ends + counts, counts) + np.arange(m)
-            targets = dst[pos]
-            base = np.repeat(frontier - node, counts)  # replicate * n, per examined edge
-            keys = base + targets
-            if snapshots is None:
-                keep = gen.random(m) < prob[pos]
-            else:
-                keep = snapshots[base // n + done, pos]
-            keep &= ~visited[keys]
-            if blocked is not None:
-                keep &= ~blocked[targets]
-            keys = keys[keep]
-            keys.sort()
-            if keys.size > 1:
-                keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-            visited[keys] = True
-            touched.append(keys)
+        for keys in _bfs(csr, n, block_seeds(r), live, fresh, mark, blocked):
             total += keys.size
-            frontier = keys
-        for keys in touched:
             visited[keys] = False
-        done += r
     return total
+
+
+class _GroupOverflow(Exception):
+    """A node group's visited keys would pass its limit."""
+
+
+def singleton_spreads(graph: SocialGraph, samples: int, stream) -> list[float]:
+    """Every node's single-seed Monte Carlo spread, from one batched kernel run.
+
+    Entry v equals `spread_mc(graph, [v], samples, child(stream, v))`
+    bit for bit: node v still draws from its own substream (v,), in the
+    order its lone run would. Nodes run in groups of about
+    `_GROUP_EDGES` first-level edge draws (see `_group_totals`). The
+    first group whose cascades outgrow its visited-key limit ends the
+    batching: it and every later node run as lone `spread_mc` calls.
+    Cascades that large dwarf the per-call overhead that batching
+    saves, and one dropped group is all the work lost.
+    """
+    if samples < 1:
+        raise ValidationError("samples must be at least 1")
+    n = graph.node_count
+    root = as_stream(stream)
+    load = np.cumsum(min(samples, max(1, _VISITED_CELLS // n)) * np.maximum(np.diff(graph.csr.indptr), 1))
+    table: list[float] = []
+    while len(table) < n:
+        start = len(table)
+        floor = int(load[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(load, floor + _GROUP_EDGES, side="right")))
+        try:
+            table += (_group_totals(graph, samples, root, start, stop) / samples).tolist()
+        except _GroupOverflow:
+            break
+    return table + [spread_mc(graph, [v], samples, child(root, v)) for v in range(len(table), n)]
+
+
+def _group_totals(graph: SocialGraph, samples: int, root, start: int, stop: int) -> np.ndarray:
+    """Summed single-seed cascade sizes of nodes start..stop-1, batched.
+
+    A block of r replicates of the group is one `_bfs` over keys
+    (slot*r + replicate)*n + node, so each slot's keys, and so its
+    examined edges, stay contiguous and in the lone run's order, and at
+    each level every slot draws its share of uniforms from its own
+    generator. Blocks split replicates as `_mc_total` does. The keys
+    span slots*r*n cells, too many for the dense visited buffer, so a
+    block keeps its visited keys as a sorted array, merged anew at each
+    level. It raises `_GroupOverflow` before that array would pass
+    `_SLOT_KEYS` keys per slot, where the merges start to cost more
+    than the per-call overhead the batch saves, or `_GROUP_KEYS` keys,
+    which bounds its memory.
+    """
+    n = graph.node_count
+    csr = graph.csr
+    prob = csr.prob
+    slots = stop - start
+    per_block = max(1, _VISITED_CELLS // n)
+    limit = min(slots * _SLOT_KEYS, _GROUP_KEYS)
+    gens = [generator(root, v) for v in range(start, stop)]
+
+    def live(pos, base):
+        share = np.bincount(base // cells, minlength=slots).tolist()  # this level's draws per slot
+        return np.concatenate([gen.random(m) for gen, m in zip(gens, share) if m]) < prob[pos]
+
+    def fresh(keys, keep):
+        keys = keys[keep]
+        return keys[seen[seen.searchsorted(keys)] != keys]
+
+    def mark(keys):
+        nonlocal seen
+        if seen.size - 1 + keys.size > limit:  # the sentinel is no key
+            raise _GroupOverflow
+        seen = np.concatenate((seen, keys))
+        seen.sort(kind="stable")  # a merge of two sorted runs
+
+    totals = np.zeros(slots, dtype=np.int64)
+    for done in range(0, samples, per_block):
+        r = min(samples - done, per_block)
+        cells = r * n  # keys per slot
+        seen = np.array([np.iinfo(np.int64).max])  # the sentinel caps every search
+        seeds = np.arange(slots * r, dtype=np.int64) * n + np.repeat(np.arange(start, stop), r)
+        for keys in _bfs(csr, n, seeds, live, fresh, mark):
+            totals += np.bincount(keys // cells, minlength=slots)
+    return totals
+
+
+def _bfs(csr, n: int, frontier: np.ndarray, live, fresh, mark, blocked=None) -> list[np.ndarray]:
+    """Level-synchronous breadth-first search from the sorted, distinct keys
+    `frontier`; returns each level's newly reached keys, the seeds first.
+
+    A key is base + node, where base is a multiple of n naming the
+    replicate. Level by level, the frontier's out-edges are gathered in
+    key order and `live(pos, base)` says which of them fire, given their
+    CSR positions and their keys' bases. A fired edge's target key joins
+    the next frontier unless it is `blocked` (a bool mask over nodes) or
+    already reached. The caller keeps the reached keys: `fresh(keys,
+    keep)` returns the keys where the bool mask `keep` holds, less those
+    already reached, and `mark(keys)` records a level's sorted, distinct
+    new keys, the seeds first. Since a key is expanded at most once, so
+    is each edge.
+    """
+    indptr, dst = csr.indptr, csr.dst
+    mark(frontier)
+    levels = [frontier]
+    while frontier.size:
+        node = frontier % n
+        starts = indptr[node]
+        counts = indptr[node + 1] - starts
+        ends = np.cumsum(counts)
+        m = int(ends[-1])
+        if not m:
+            break
+        pos = np.repeat(starts - ends + counts, counts) + np.arange(m)
+        targets = dst[pos]
+        base = np.repeat(frontier - node, counts)
+        keep = live(pos, base)
+        if blocked is not None:
+            keep &= ~blocked[targets]
+        keys = fresh(base + targets, keep)
+        keys.sort()
+        if keys.size > 1:
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        mark(keys)
+        levels.append(keys)
+        frontier = keys
+    return levels
 
 
 def hoeffding_radius(node_count: int, samples: int, delta: float = 0.05) -> float:

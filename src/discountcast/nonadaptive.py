@@ -20,8 +20,8 @@ import numpy as np
 from .cascade import (
     _mc_total,
     hoeffding_radius,
+    singleton_spreads,
     spread_exact,
-    spread_mc,
 )
 from .errors import TooLargeError, ValidationError
 from .graph import AdoptionModel, DiscountMenu, Instance, SeedDiscountPair
@@ -258,11 +258,13 @@ class MCEvaluator:
     Draws for a configuration depend only on its contents (and on the
     root stream), never on when the evaluation happens, so lazy greedy
     search gives the same answers as an eager scan. Single-offer
-    configurations reuse one cached `spread_mc` estimate per node, on
-    substream (0, node), since there the objective factors into
-    acceptance times spread. Larger configurations go to `f_mc` on a
-    substream keyed by their (node, rate index) pairs. Both run the
-    same cascade kernel.
+    configurations read one spread per node, since there the objective
+    factors into acceptance times spread: the first of them builds every
+    node's spread in one batched `singleton_spreads` pass, node v still
+    drawing from substream (0, v), so each entry equals
+    `spread_mc(graph, [v], samples, child(stream, 0, v))`. Larger
+    configurations go to `f_mc` on a substream keyed by their
+    (node, rate index) pairs. Both run the same cascade kernel.
     """
 
     def __init__(self, instance: Instance, samples: int, stream):
@@ -271,14 +273,12 @@ class MCEvaluator:
         self.instance = instance
         self.samples = samples
         self.stream = as_stream(stream)
-        self._node_spread: dict[int, float] = {}
+        self._node_spread: list[float] | None = None  # built on the first singleton query
         self._values: dict[tuple, float] = {}
 
     def _spread(self, v: int) -> float:
-        if v not in self._node_spread:
-            self._node_spread[v] = spread_mc(
-                self.instance.graph, [v], self.samples, child(self.stream, 0, v)
-            )
+        if self._node_spread is None:
+            self._node_spread = singleton_spreads(self.instance.graph, self.samples, child(self.stream, 0))
         return self._node_spread[v]
 
     def value(self, config: Configuration) -> float:
@@ -323,19 +323,23 @@ def hill_climbing(
     graph, menu = instance.graph, instance.menu
     ledger = BudgetLedger.for_spec(instance.model, spec)
 
+    # Every affordable single offer, scored once: (node, rate index, cost, value).
+    singles: list[tuple[int, int, int, float]] = []
     best_single: Configuration | None = None
     best_single_val = 0.0
     for v in range(graph.node_count):
-        for rate in menu.rates:
-            if ledger.offer(v, rate) > ledger.budget:
+        for ridx, rate in enumerate(menu.rates):
+            inc = ledger.offer(v, rate)
+            if inc > ledger.budget:
                 continue
             candidate = Configuration.of(SeedDiscountPair(v, rate))
             val = evaluator.value(candidate)
+            singles.append((v, ridx, inc, val))
             if best_single is None or val > best_single_val:
                 best_single, best_single_val = candidate, val
 
     if gain_rule == "marginal":
-        greedy, greedy_val = _greedy_marginal(instance, ledger, evaluator)
+        greedy, greedy_val = _greedy_marginal(instance, ledger, evaluator, singles)
     else:
         greedy, greedy_val = _greedy_total(instance, ledger, evaluator)
 
@@ -344,26 +348,21 @@ def hill_climbing(
     return greedy
 
 
-def _greedy_marginal(instance: Instance, ledger: BudgetLedger, evaluator) -> tuple[Configuration, float]:
-    graph, menu = instance.graph, instance.menu
+def _greedy_marginal(instance: Instance, ledger: BudgetLedger, evaluator,
+                     singles: list[tuple[int, int, int, float]]) -> tuple[Configuration, float]:
+    menu = instance.menu
     budget, denom = ledger.budget, ledger.denom
     assignment: dict[int, float] = {}
     spent = 0
     current_val = 0.0
     version = 0
-    # Lazy queue of (negated ratio, node, rate index, version stamp, gain, value).
-    # Submodularity makes stale ratios upper bounds, so recheck-on-pop suffices.
-    heap: list[tuple[float, int, int, int, float, float]] = []
-    for v in range(graph.node_count):
-        for ridx, rate in enumerate(menu.rates):
-            inc = ledger.offer(v, rate)
-            if inc <= 0 or inc > budget:
-                continue
-            val = evaluator.value(Configuration.of(SeedDiscountPair(v, rate)))
-            gain = val
-            if gain <= GAIN_EPS:
-                continue
-            heapq.heappush(heap, (-gain / (inc / denom), v, ridx, version, gain, val))
+    # Lazy queue of (negated ratio, node, rate index, version stamp, gain, value),
+    # seeded from the affordable single offers; from the empty configuration
+    # an offer's gain is its value. Submodularity makes stale ratios upper
+    # bounds, so recheck-on-pop suffices.
+    heap = [(-val / (inc / denom), v, ridx, version, val, val)
+            for v, ridx, inc, val in singles if inc > 0 and val > GAIN_EPS]
+    heapq.heapify(heap)
     while heap:
         _, v, ridx, stamp, gain, val = heapq.heappop(heap)
         rate = menu.rates[ridx]

@@ -1,11 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import discountcast as dc
-from discountcast.cascade import live_edge_snapshots
+import discountcast.cascade as cascade
+from discountcast.cascade import live_edge_snapshots, singleton_spreads
 from discountcast.rng import as_stream, child
 
 from conftest import tiny_instance
@@ -184,6 +186,81 @@ def test_spread_certain_edges_always_fire():
     g = dc.SocialGraph(3, ("0", "1", "2"), (dc.Edge(0, 1, 1.0), dc.Edge(1, 2, 0.0)))
     assert dc.spread_exact(g, [0]) == pytest.approx(2.0, abs=1e-12)
     assert dc.spread_mc(g, [0], 100, as_stream(0)) == pytest.approx(2.0, abs=1e-12)
+
+
+def assert_table_matches_lone_runs(g, samples, stream):
+    """singleton_spreads, batched throughout, agrees with one spread_mc run per node, on
+    substream (v,), bit for bit."""
+    with mock.patch.object(cascade, "_mc_total", wraps=cascade._mc_total) as lone:
+        table = singleton_spreads(g, samples, stream)
+    assert not lone.called  # no group fell back to lone runs
+    runs = [dc.spread_mc(g, [v], samples, child(stream, v)) for v in range(g.node_count)]
+    assert [x.hex() for x in table] == [x.hex() for x in runs]
+    return table
+
+
+def test_singleton_spreads_match_lone_runs_on_fig1(fig1):
+    table = assert_table_matches_lone_runs(fig1.graph, 2000, as_stream(8))
+    assert table[4] == 1.0  # e has no out-edges
+    assert table[0] == pytest.approx(1.609, abs=0.05)
+
+
+def test_singleton_spreads_match_lone_runs_with_certain_and_dead_edges():
+    # p = 1 edges fire in every replicate and p = 0 edges never; nodes 4 and 6 have no
+    # out-edges. The cycle 0-1-2 dies out, so a lost visited test shows here as a wrong
+    # table rather than as a cascade that never ends.
+    edges = (dc.Edge(0, 1, 1.0), dc.Edge(1, 2, 1.0), dc.Edge(2, 0, 0.5), dc.Edge(2, 3, 0.0),
+             dc.Edge(3, 4, 0.0), dc.Edge(5, 3, 0.7), dc.Edge(5, 6, 1.0), dc.Edge(3, 5, 0.4))
+    g = dc.SocialGraph(7, tuple(str(i) for i in range(7)), edges)
+    table = assert_table_matches_lone_runs(g, 500, as_stream(2))
+    assert table[0] == 3.0
+    assert table[4] == table[6] == 1.0
+
+
+def test_singleton_spreads_match_lone_runs_where_cascades_revisit():
+    # the dense cyclic graph of test_spread_mc_loop_path_matches_exact
+    rng = np.random.default_rng(0)
+    edges = [dc.Edge(i, j, round(float(rng.uniform(0.2, 0.8)), 3)) for i in range(4) for j in range(4) if i != j]
+    g = dc.SocialGraph(5, tuple(str(i) for i in range(5)), tuple(edges) + (dc.Edge(3, 4, 0.5),))
+    table = assert_table_matches_lone_runs(g, 1000, as_stream(21))
+    assert table[0] == pytest.approx(dc.spread_exact(g, [0]), abs=0.1)
+
+
+def test_singleton_spreads_match_lone_runs_across_blocks(monkeypatch):
+    # 3 replicates per block, so 20 samples run in 7 blocks, the last one partial
+    g = dc.random_instance(40, 3 / 39, 12, prob_range=(0.2, 0.8)).graph
+    monkeypatch.setattr(cascade, "_VISITED_CELLS", 3 * 40)
+    assert_table_matches_lone_runs(g, 20, as_stream(6))
+
+
+def test_singleton_spreads_match_lone_runs_across_node_groups(monkeypatch):
+    g = dc.random_instance(300, 4 / 299, 5).graph
+    # 300 samples at a mean out-degree of 4 put about 27 nodes in each default group
+    assert np.sum(300 * np.maximum(np.diff(g.csr.indptr), 1)) > 10 * cascade._GROUP_EDGES
+    assert_table_matches_lone_runs(g, 300, as_stream(4))
+    # groups of a node or two, across blocks
+    monkeypatch.setattr(cascade, "_GROUP_EDGES", 64)
+    monkeypatch.setattr(cascade, "_VISITED_CELLS", 25 * 300)
+    assert_table_matches_lone_runs(g, 60, as_stream(4))
+
+
+@pytest.mark.parametrize("limit", [("_GROUP_KEYS", 4000), ("_SLOT_KEYS", 2000)])
+def test_singleton_spreads_match_lone_runs_after_a_group_overflows(monkeypatch, limit):
+    # 20 isolated nodes, then a core of 60 with near-certain edges: a core cascade reaches
+    # about 55 nodes, so a core slot holds about 2,750 keys at 50 samples and a group of
+    # core nodes passes either limit, while groups of isolated nodes (50 keys a slot) fit
+    core = dc.random_instance(60, 3 / 59, 9, prob_range=(0.9, 1.0)).graph
+    edges = tuple(dc.Edge(e.src + 20, e.dst + 20, e.prob) for e in core.edges)
+    g = dc.SocialGraph(80, tuple(str(i) for i in range(80)), edges)
+    monkeypatch.setattr(cascade, "_GROUP_EDGES", 400)
+    monkeypatch.setattr(cascade, *limit)
+    with mock.patch.object(cascade, "_mc_total", wraps=cascade._mc_total) as lone:
+        table = singleton_spreads(g, 50, as_stream(3))
+    # the isolated nodes, and any core node sharing their group, stay batched; from the
+    # first group that passes its limit on, every node runs lone
+    assert 0 < lone.call_count <= 60
+    assert [x.hex() for x in table] == [dc.spread_mc(g, [v], 50, child(as_stream(3), v)).hex() for v in range(80)]
+    assert table[:20] == [1.0] * 20 and max(table) > 50
 
 
 def test_hoeffding_radius_shrinks():

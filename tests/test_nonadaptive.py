@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discountcast as dc
+import discountcast.cascade as cascade
+import discountcast.nonadaptive as nonadaptive
 from discountcast.nonadaptive import GAIN_EPS, BudgetLedger
 from discountcast.rng import as_stream, child
 
@@ -163,6 +165,67 @@ def test_mc_evaluator_singleton_factors(fig1):
     spread = dc.spread_mc(fig1.graph, [0], 50_000, child(as_stream(23), 0, 0))
     assert val == pytest.approx(0.5 * spread, abs=1e-12)
     assert ev.radius() == dc.hoeffding_radius(5, 50_000)
+
+
+def test_mc_evaluator_builds_its_singleton_table_in_the_solve(monkeypatch):
+    inst = dc.random_instance(300, 4 / 299, 9, rates=(0.5, 1.0))
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel work at construction")
+
+    with monkeypatch.context() as m:
+        for name in ("singleton_spreads", "_mc_total", "f_mc"):
+            m.setattr(nonadaptive, name, no_kernel)
+        ev = dc.MCEvaluator(inst, samples=150, stream=as_stream(17))
+    assert "csr" not in vars(inst.graph)
+    stream = as_stream(17)
+    for v in range(inst.graph.node_count):
+        spread = dc.spread_mc(inst.graph, [v], 150, child(stream, 0, v))
+        for rate in inst.menu.rates:
+            assert ev.value(dc.Configuration.of((v, rate))) == inst.model.prob_at_rate(v, rate) * spread
+
+
+class PerNodeMCEvaluator:
+    """Reference: MCEvaluator's substreams, with one spread_mc run per singleton."""
+
+    def __init__(self, instance, samples, stream):
+        self.instance, self.samples, self.stream = instance, samples, stream
+
+    def value(self, config):
+        eff = config.effective_map
+        if len(eff) == 1:
+            (v, rate), = eff.items()
+            spread = dc.spread_mc(self.instance.graph, [v], self.samples, child(self.stream, 0, v))
+            return self.instance.model.prob_at_rate(v, rate) * spread
+        flat = [x for v, rate in sorted(eff.items()) for x in (v, self.instance.menu.index_of(rate))]
+        return dc.f_mc(config, self.instance, self.samples, child(self.stream, 1, *flat)) if eff else 0.0
+
+
+def test_hill_climbing_reads_singletons_from_the_batched_table(monkeypatch):
+    inst = dc.random_instance(300, 4 / 299, 3, rates=(0.5, 1.0))
+    spec = dc.BudgetSpec(budget=3.0, mode="hard")
+    ref = PerNodeMCEvaluator(inst, 100, as_stream(11))
+    want = dc.hill_climbing(inst, spec, ref)
+    calls = {"spread_mc": 0, "singleton_spreads": 0}
+
+    def counted(module, name):
+        fn = getattr(cascade, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper, raising=False)
+
+    for module in (cascade, nonadaptive):
+        counted(module, "spread_mc")
+    counted(nonadaptive, "singleton_spreads")
+    ev = dc.MCEvaluator(inst, samples=100, stream=as_stream(11))
+    got = dc.hill_climbing(inst, spec, ev)
+    assert len(want.effective_map) > 1
+    assert got.effective_map == want.effective_map
+    assert ev.value(got).hex() == ref.value(want).hex()
+    assert calls == {"spread_mc": 0, "singleton_spreads": 1}
 
 
 def test_hill_climbing_fig1(fig1, hard2):
