@@ -52,7 +52,6 @@ import numpy as np
 
 from .cascade import (
     DiffusionRealization,
-    PartialObservation,
     Realization,
     SeedingRealization,
     _live_edge_outcomes,
@@ -248,26 +247,24 @@ def _check_probe(instance: Instance, state: PolicyState, pair: SeedDiscountPair)
 def _execute(policy, instance: Instance, state: PolicyState, realization: Realization) -> TrajectoryRecord:
     """Run `policy` from `state` against `realization` and record what it did and saw."""
     graph = instance.graph
-    # The edges out of nodes influenced before the run are never read again.
-    obs = PartialObservation(influenced=set(_bits(state.belief.influenced)))
     policy.begin(state)
     probes: list[ProbeRecord] = []
     while (pair := policy.next_probe(state)) is not None:
         rate_idx = _check_probe(instance, state, pair)
         accepted = realization.seeding.accepts(pair.node, rate_idx)
         if accepted:
-            newly, revealed = reveal_cascade(graph, realization.diffusion, obs, pair.node)
+            newly, revealed = reveal_cascade(graph, realization.diffusion, state.belief.influenced, pair.node)
             state = state.after_accept(pair, sum(1 << u for u in newly))  # newly holds distinct nodes
         else:
             newly, revealed = (), ()
             state = state.after_reject(pair, rate_idx)
         probes.append(ProbeRecord(pair=pair, accepted=accepted, newly_influenced=newly, revealed=revealed))
-    ledger = state.ledger
+    ledger, belief = state.ledger, state.belief
     return TrajectoryRecord(
         probes=tuple(probes),
-        delivered_cost=(ledger.budget - state.belief.budget) / ledger.denom,
-        influenced=frozenset(obs.influenced),
-        cascade_size=len(obs.influenced),
+        delivered_cost=(ledger.budget - belief.budget) / ledger.denom,
+        influenced=frozenset(_bits(belief.influenced)),
+        cascade_size=belief.influenced.bit_count(),
     )
 
 
@@ -714,7 +711,7 @@ def evaluate_policy(policy_factory, instance: Instance, spec: BudgetSpec, trials
                              "; sample instead with an integer trial count (CLI: drop --exhaustive)")
         policy = policy_factory(child(as_stream(stream), 0))
         return _expected_influence(policy, instance, CascadeOutcomes(instance.graph), state), 0.0
-    if not isinstance(trials, int) or trials < 1:
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValidationError(f"trials must be a positive int or 'exhaustive', got {trials!r}")
     root = as_stream(stream)
     chunks = [(lo, min(lo + _EVAL_CHUNK, trials)) for lo in range(0, trials, _EVAL_CHUNK)]

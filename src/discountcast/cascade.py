@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, TooLargeError, ValidationError
-from .graph import Instance, SeedDiscountPair, SocialGraph
+from .graph import AdoptionModel, Instance, SeedDiscountPair, SocialGraph, _content_lines
 from .rng import as_stream, child, generator
 
 MAX_UNCERTAIN_EDGES = 16
@@ -50,6 +50,15 @@ class SeedingRealization:
 
     min_rate_idx: tuple[int, ...]
     thresholds: tuple[float, ...] | None = None
+
+    @classmethod
+    def of(cls, model: AdoptionModel, thresholds) -> "SeedingRealization":
+        """The seeding fixed by per-node thresholds: node v takes the cheapest
+        rate whose adoption probability reaches its threshold (ties accept)."""
+        thresholds = tuple(float(g) for g in thresholds)
+        never = len(model.menu)
+        return cls(tuple(never if (i := model.min_rate_index(v, g)) is None else i
+                         for v, g in enumerate(thresholds)), thresholds)
 
     def accepts(self, v: int, rate_idx: int) -> bool:
         return self.min_rate_idx[v] <= rate_idx
@@ -69,15 +78,8 @@ class Realization:
 
 
 def sample_seeding(instance: Instance, stream) -> SeedingRealization:
-    model = instance.model
-    gen = generator(as_stream(stream))
-    g = gen.random(instance.graph.node_count)
-    m = len(model.menu)
-    idx = tuple(
-        (lambda i: m if i is None else i)(model.min_rate_index(v, g[v]))
-        for v in range(instance.graph.node_count)
-    )
-    return SeedingRealization(min_rate_idx=idx, thresholds=tuple(float(x) for x in g))
+    g = generator(as_stream(stream)).random(instance.graph.node_count)
+    return SeedingRealization.of(instance.model, g.tolist())
 
 
 def sample_diffusion(graph: SocialGraph, stream) -> DiffusionRealization:
@@ -408,10 +410,10 @@ class PartialObservation:
 
     `influenced` is exactly the set reachable from accepted seeds via
     revealed live edges, and every out-edge of an influenced node is
-    revealed; `reveal_cascade` maintains both invariants. Replay keeps
-    one to report what each probe revealed. Policies decide from the
-    belief state it implies (`adaptive.BeliefState`), and the
-    conditional-realization functions accept either.
+    revealed. Policies and replay keep neither: they decide from, and
+    record, the belief state an observation implies
+    (`adaptive.BeliefState`). The conditional-realization functions
+    accept either, pinning an observation's revealed edge states.
     """
 
     revealed: dict[int, bool] = field(default_factory=dict)
@@ -419,31 +421,28 @@ class PartialObservation:
     probed: list[tuple[SeedDiscountPair, bool]] = field(default_factory=list)
 
 
-def reveal_cascade(graph: SocialGraph, diffusion: DiffusionRealization, obs: PartialObservation, seed: int):
-    """Absorb the cascade of a freshly accepted seed into the observation.
+def reveal_cascade(graph: SocialGraph, diffusion: DiffusionRealization, influenced: int, seed: int):
+    """The cascade of a freshly accepted seed, given the influenced-node bitmask.
 
     Influence spreads along live edges to nodes not yet influenced, and
     the state of every out-edge of every newly influenced node becomes
-    visible. Returns (newly_influenced, revealed_now) in traversal order.
+    visible. An edge is revealed only when its source first becomes
+    influenced, so nothing seen before needs keeping. Returns
+    (newly_influenced, revealed_now) in traversal order.
     """
-    if seed in obs.influenced:
+    if (influenced >> seed) & 1:
         raise ValidationError(f"node {seed} is already influenced")
+    influenced |= 1 << seed
     newly: list[int] = [seed]
     revealed_now: list[tuple[int, bool]] = []
-    obs.influenced.add(seed)
-    queue: deque[int] = deque([seed])
-    while queue:
-        u = queue.popleft()
+    for u in newly:  # `newly` doubles as the breadth-first queue
         for eidx in graph.out_edges[u]:
             state = diffusion.live[eidx]
-            if eidx not in obs.revealed:
-                obs.revealed[eidx] = state
-                revealed_now.append((eidx, state))
+            revealed_now.append((eidx, state))
             w = graph.edges[eidx].dst
-            if state and w not in obs.influenced:
-                obs.influenced.add(w)
+            if state and not (influenced >> w) & 1:
+                influenced |= 1 << w
                 newly.append(w)
-                queue.append(w)
     return tuple(newly), tuple(revealed_now)
 
 
@@ -471,13 +470,10 @@ def load_realization(path, instance: Instance) -> Realization:
     Every node needs exactly one threshold and every edge exactly one
     state; anything else is an error.
     """
-    graph, model = instance.graph, instance.model
+    graph = instance.graph
     thresholds: dict[int, float] = {}
     states: dict[int, bool] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(path):
         parts = line.split()
         if parts[0] == "threshold":
             if len(parts) != 3:
@@ -511,16 +507,7 @@ def load_realization(path, instance: Instance) -> Realization:
     if missing_e:
         e = graph.edges[missing_e[0]]
         raise ValidationError(f"{path}: missing state for edge {graph.labels[e.src]} -> {graph.labels[e.dst]}")
-    m = len(model.menu)
-    idx = []
-    g_tuple = []
-    for v in range(graph.node_count):
-        g = thresholds[v]
-        g_tuple.append(g)
-        i = model.min_rate_index(v, g)
-        idx.append(m if i is None else i)
-    live = tuple(states[i] for i in range(len(graph.edges)))
     return Realization(
-        seeding=SeedingRealization(min_rate_idx=tuple(idx), thresholds=tuple(g_tuple)),
-        diffusion=DiffusionRealization(live=live),
+        seeding=SeedingRealization.of(instance.model, (thresholds[v] for v in range(graph.node_count))),
+        diffusion=DiffusionRealization(live=tuple(states[i] for i in range(len(graph.edges)))),
     )

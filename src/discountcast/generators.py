@@ -44,13 +44,8 @@ def fig2_realization(instance: Instance) -> Realization:
     Thresholds put a and d below the cheap rate, c above it, and the
     live edges are exactly a->b and d->e.
     """
-    thresholds = (0.25, 0.60, 0.75, 0.25, 0.90)
-    idx = []
-    for v, g in enumerate(thresholds):
-        i = instance.model.min_rate_index(v, g)
-        idx.append(len(instance.menu) if i is None else i)
     return Realization(
-        seeding=SeedingRealization(min_rate_idx=tuple(idx), thresholds=thresholds),
+        seeding=SeedingRealization.of(instance.model, (0.25, 0.60, 0.75, 0.25, 0.90)),
         diffusion=DiffusionRealization(live=(True, False, False, False, True)),
     )
 

@@ -18,6 +18,7 @@ node's probabilities must be non-decreasing in the rate.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -92,6 +93,9 @@ class DiscountMenu:
     def __post_init__(self):
         if not self.rates:
             raise ValidationError("discount menu is empty")
+        for r in self.rates:
+            if not math.isfinite(r):
+                raise ValidationError(f"discount rates must be finite, got {r}")
         if self.rates[0] <= 0:
             raise ValidationError(f"discount rates must be positive, got {self.rates[0]}")
         for lo, hi in zip(self.rates, self.rates[1:]):

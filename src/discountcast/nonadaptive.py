@@ -43,8 +43,8 @@ class BudgetSpec:
     mode: str = "hard"
 
     def __post_init__(self):
-        if self.budget <= 0:
-            raise ValidationError(f"budget must be positive, got {self.budget}")
+        if not (math.isfinite(self.budget) and self.budget > 0):
+            raise ValidationError(f"budget must be positive and finite, got {self.budget}")
         if self.mode not in ("hard", "soft"):
             raise ValidationError(f"budget mode must be 'hard' or 'soft', got {self.mode!r}")
 
@@ -356,15 +356,16 @@ def _greedy_marginal(instance: Instance, ledger: BudgetLedger, evaluator,
     spent = 0
     current_val = 0.0
     version = 0
-    # Lazy queue of (negated ratio, node, rate index, version stamp, gain, value),
+    # Lazy queue of (negated ratio, node, rate index, version stamp, value),
     # seeded from the affordable single offers; from the empty configuration
-    # an offer's gain is its value. Submodularity makes stale ratios upper
+    # an offer's gain is its value. Only gains above GAIN_EPS enter, so a
+    # fresh top is taken as it is. Submodularity makes stale ratios upper
     # bounds, so recheck-on-pop suffices.
-    heap = [(-val / (inc / denom), v, ridx, version, val, val)
+    heap = [(-val / (inc / denom), v, ridx, version, val)
             for v, ridx, inc, val in singles if inc > 0 and val > GAIN_EPS]
     heapq.heapify(heap)
     while heap:
-        _, v, ridx, stamp, gain, val = heapq.heappop(heap)
+        _, v, ridx, stamp, val = heapq.heappop(heap)
         rate = menu.rates[ridx]
         current = assignment.get(v, 0.0)
         if rate <= current:
@@ -375,8 +376,6 @@ def _greedy_marginal(instance: Instance, ledger: BudgetLedger, evaluator,
         if spent + inc > budget:
             continue  # cost only grows with the configuration, so drop for good
         if stamp == version:
-            if gain <= GAIN_EPS:
-                break
             assignment[v] = rate
             spent += inc
             current_val = val
@@ -386,7 +385,7 @@ def _greedy_marginal(instance: Instance, ledger: BudgetLedger, evaluator,
         gain = val - current_val
         if gain <= GAIN_EPS:
             continue  # gains only shrink as the configuration grows
-        heapq.heappush(heap, (-gain / (inc / denom), v, ridx, version, gain, val))
+        heapq.heappush(heap, (-gain / (inc / denom), v, ridx, version, val))
     return Configuration.from_assignment(assignment), current_val
 
 

@@ -224,6 +224,8 @@ def test_evaluate_policy_validates_trials(fig1, hard2):
         dc.evaluate_policy(factory, fig1, hard2, 0)
     with pytest.raises(dc.ValidationError):
         dc.evaluate_policy(factory, fig1, hard2, "all")
+    with pytest.raises(dc.ValidationError, match="got True"):
+        dc.evaluate_policy(factory, fig1, hard2, True)  # a bool is an int, but not a count
 
 
 def test_conditional_realizations_respect_rejections(fig1, hard2):
@@ -243,7 +245,9 @@ def test_conditional_realizations_respect_rejections(fig1, hard2):
 def test_conditional_realizations_pin_revealed_edges(fig1):
     real = dc.fig2_realization(fig1)
     obs = dc.PartialObservation()
-    dc.reveal_cascade(fig1.graph, real.diffusion, obs, 0)
+    newly, revealed = dc.reveal_cascade(fig1.graph, real.diffusion, 0, 0)
+    obs.influenced.update(newly)
+    obs.revealed.update(revealed)
     for _, r in dc.enumerate_conditional_realizations(fig1, obs):
         assert r.diffusion.live[0] is True
         assert r.diffusion.live[1] is False
@@ -402,7 +406,9 @@ def test_belief_and_observation_give_one_conditional_distribution(fig1, hard2):
     belief = scripted.final.belief  # c rejects rate 1; a accepts and its cascade reaches b
     obs = dc.PartialObservation()
     obs.probed.append((dc.SeedDiscountPair(2, 1.0), False))
-    dc.reveal_cascade(fig1.graph, real.diffusion, obs, 0)
+    newly, revealed = dc.reveal_cascade(fig1.graph, real.diffusion, 0, 0)
+    obs.influenced.update(newly)
+    obs.revealed.update(revealed)
     obs.probed.append((dc.SeedDiscountPair(0, 1.0), True))
     assert (belief.influenced, belief.floors[2]) == (0b11, 0)
     assert conditional_outcome_count(fig1, belief) == conditional_outcome_count(fig1, obs) > 1
@@ -420,15 +426,24 @@ def test_belief_and_observation_give_one_conditional_distribution(fig1, hard2):
             seen(dc.sample_conditional_realization(fig1, obs, gen_o))
 
 
-def test_exhaustive_evaluation_builds_no_observation(fig1, hard2, monkeypatch):
+def test_evaluation_and_replay_build_no_observation(fig1, hard2, monkeypatch):
+    # the belief state is the whole run state of the tree walk and of replay alike
     makers = (dc.GreedyFactory, dc.EnhancedFactory, dc.IteratedFactory)
-    want = [dc.evaluate_policy(make(fig1, hard2), fig1, hard2, "exhaustive") for make in makers]
+    real = dc.fig2_realization(fig1)
+
+    def runs():
+        return [(dc.evaluate_policy(make(fig1, hard2), fig1, hard2, "exhaustive"),
+                 dc.evaluate_policy(make(fig1, hard2), fig1, hard2, 64, stream=3),
+                 dc.run_policy(make(fig1, hard2)(as_stream(0)), fig1, hard2, real))
+                for make in makers]
+
+    want = runs()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("exhaustive evaluation built a PartialObservation")
+        raise AssertionError("a policy run built a PartialObservation")
 
-    monkeypatch.setattr(dc.adaptive, "PartialObservation", refuse)
-    assert [dc.evaluate_policy(make(fig1, hard2), fig1, hard2, "exhaustive") for make in makers] == want
+    monkeypatch.setattr(dc.PartialObservation, "__init__", refuse)
+    assert runs() == want
 
 
 def test_tree_evaluation_enforces_the_probe_contract(fig1, hard2):

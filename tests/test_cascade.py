@@ -278,30 +278,31 @@ def test_sample_realization_deterministic(fig1):
 
 def test_reveal_cascade_scripted(fig1):
     real = dc.fig2_realization(fig1)
-    obs = dc.PartialObservation()
-    newly, revealed = dc.reveal_cascade(fig1.graph, real.diffusion, obs, 0)
-    assert set(newly) == {0, 1}
-    assert obs.influenced == {0, 1}
+    newly, revealed = dc.reveal_cascade(fig1.graph, real.diffusion, 0, 0)
+    assert newly == (0, 1)
     # out-edges of a and b are now known: a->b, a->c, b->d
-    assert dict(revealed) == {0: True, 1: False, 2: False}
-    newly2, revealed2 = dc.reveal_cascade(fig1.graph, real.diffusion, obs, 3)
-    assert set(newly2) == {3, 4}
+    assert revealed == ((0, True), (1, False), (2, False))
+    newly2, revealed2 = dc.reveal_cascade(fig1.graph, real.diffusion, 0b11, 3)
+    assert newly2 == (3, 4)
     # c->d stays hidden: its source never became influenced
-    assert dict(revealed2) == {4: True}
-    assert obs.influenced == {0, 1, 3, 4}
+    assert revealed2 == ((4, True),)
+    # a live edge into an influenced node carries nothing new
+    assert dc.reveal_cascade(fig1.graph, real.diffusion, 0b10, 0) == ((0,), ((0, True), (1, False)))
+    with pytest.raises(dc.ValidationError, match="^node 1 is already influenced$"):
+        dc.reveal_cascade(fig1.graph, real.diffusion, 0b11, 1)
 
 
 def test_conditional_spread_on_residual_graph(fig1):
     real = dc.fig2_realization(fig1)
-    obs = dc.PartialObservation()
-    dc.reveal_cascade(fig1.graph, real.diffusion, obs, 0)
+    newly, _ = dc.reveal_cascade(fig1.graph, real.diffusion, 0, 0)
+    influenced = set(newly)
     est = dc.SpreadEstimator(fig1.graph)
-    assert est.residual_spread(obs.influenced, 2) == pytest.approx(1.55, abs=1e-9)
-    assert est.residual_spread(obs.influenced, 3) == pytest.approx(1.1, abs=1e-9)
+    assert est.residual_spread(influenced, 2) == pytest.approx(1.55, abs=1e-9)
+    assert est.residual_spread(influenced, 3) == pytest.approx(1.1, abs=1e-9)
     with pytest.raises(dc.ValidationError):
-        est.residual_spread(obs.influenced, 0)  # already influenced
+        est.residual_spread(influenced, 0)  # already influenced
     mc = dc.SpreadEstimator(fig1.graph, mode="mc", samples=100_000, stream=as_stream(2))
-    assert mc.residual_spread(obs.influenced, 2) == pytest.approx(1.55, abs=0.02)
+    assert mc.residual_spread(influenced, 2) == pytest.approx(1.55, abs=0.02)
 
 
 def test_realization_round_trip(tmp_path, fig1):
@@ -329,6 +330,37 @@ def test_load_realization_validates(tmp_path, fig1):
     path.write_text("\n".join(bad) + "\n")
     with pytest.raises(dc.ValidationError):
         dc.load_realization(path, fig1)
+
+
+# fig2's file: thresholds for a-e on lines 1-5, then edges a->b, a->c, b->d, c->d, d->e on lines 6-10
+_REALIZATION_ERRORS = [
+    ("threshold-fields", lambda ls: ["threshold a", *ls[1:]], dc.ParseError,
+     "{path}:1: expected 'threshold <node> <g>'"),
+    ("edge-fields", lambda ls: [*ls[:5], "edge a b", *ls[6:]], dc.ParseError,
+     "{path}:6: expected 'edge <src> <dst> <live|blocked>'"),
+    ("edge-state", lambda ls: [*ls[:5], "edge a b maybe", *ls[6:]], dc.ParseError,
+     "{path}:6: expected 'edge <src> <dst> <live|blocked>'"),
+    ("threshold-not-a-number", lambda ls: ["threshold a low", *ls[1:]], dc.ParseError,
+     "{path}:1: threshold 'low' is not a number"),
+    ("duplicate-threshold", lambda ls: [*ls, "threshold a 0.5"], dc.ValidationError,
+     "{path}:11: duplicate threshold for node a"),
+    ("unknown-record", lambda ls: [*ls, "weight a 1"], dc.ParseError, "{path}:11: unknown record 'weight'"),
+    ("edge-not-in-graph", lambda ls: [*ls, "edge a e live"], dc.ValidationError,
+     "{path}:11: edge a -> e is not in the graph"),
+    ("missing-thresholds", lambda ls: [ls[0], *ls[2:4], *ls[5:]], dc.ValidationError,
+     "{path}: missing thresholds for nodes ['b', 'e']"),
+]
+
+
+@pytest.mark.parametrize("edit,error,message", [case[1:] for case in _REALIZATION_ERRORS],
+                         ids=[case[0] for case in _REALIZATION_ERRORS])
+def test_load_realization_rejects(tmp_path, fig1, edit, error, message):
+    path = tmp_path / "real.txt"
+    dc.write_realization(path, fig1, dc.fig2_realization(fig1))
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(error) as exc:
+        dc.load_realization(path, fig1)
+    assert str(exc.value) == message.format(path=path)
 
 
 def test_fig2_realization_thresholds(fig1):

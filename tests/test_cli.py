@@ -284,6 +284,61 @@ def test_malformed_menu_is_a_usage_error_naming_the_option(fig1_dir):
     )
 
 
+@pytest.mark.parametrize("discounts,budget,message", [
+    ("1,2", "inf", "budget must be positive and finite, got inf"),
+    ("1,2", "nan", "budget must be positive and finite, got nan"),
+    ("1,2", "-inf", "budget must be positive and finite, got -inf"),
+    ("1,inf", "2", "discount rates must be finite, got inf"),
+    ("nan,2", "2", "discount rates must be finite, got nan"),
+], ids=["budget-inf", "budget-nan", "budget-minus-inf", "rate-inf", "rate-nan"])
+def test_non_finite_money_is_refused_by_name(fig1_dir, discounts, budget, message):
+    res = runner.invoke(main, ["nonadaptive", *_instance_args(fig1_dir)[:4], "--discounts", discounts,
+                               "--budget", budget])
+    assert res.exit_code == 1
+    assert res.output.splitlines()[-1] == f"Error: {message}"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("[1, 2]", "config file must hold a JSON object"),
+    ('"budget"', "config file must hold a JSON object"),
+], ids=["malformed", "list", "string"])
+def test_config_must_be_a_json_object(tmp_path, text, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    res = runner.invoke(main, ["nonadaptive", "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert res.output.splitlines()[-1] == f"Error: Invalid value for '--config': {message}"
+
+
+def test_generate_random_takes_menu_and_ranges(tmp_path):
+    res = _invoke([
+        "generate", "--name", "random", "--nodes", "40", "--edge-prob", "0.2", "--seed", "2",
+        "--discounts", "0.25,0.5,1", "--prob-lo", "0.3", "--prob-hi", "0.4",
+        "--accept-lo", "0.6", "--accept-hi", "0.7", "--out", str(tmp_path),
+    ])
+    rep = _report(res.stdout)
+    assert rep["discounts"] == [0.25, 0.5, 1.0]
+    inst = dc.Instance.from_files(rep["files"]["graph"], rep["files"]["adoption"], rep["discounts"])
+    assert len(inst.graph.edges) == rep["edges"] > 0
+    assert all(0.3 <= e.prob <= 0.4 for e in inst.graph.edges)
+    assert all(len(row) == 3 and 0.6 <= min(row) and max(row) <= 0.7 for row in inst.model.probs)
+
+
+@pytest.mark.parametrize("given,missing", [
+    (["--prob-lo", "0.3"], "prob-hi"),
+    (["--prob-hi", "0.4"], "prob-lo"),
+    (["--accept-lo", "0.6"], "accept-hi"),
+    (["--accept-hi", "0.7"], "accept-lo"),
+])
+def test_generate_random_needs_both_ends_of_a_range(tmp_path, given, missing):
+    res = runner.invoke(main, ["generate", "--name", "random", "--nodes", "10", "--edge-prob", "0.2",
+                               *given, "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    key = missing.replace("-", "_")
+    assert res.output.splitlines()[-1] == f"Error: missing required option --{missing} (or config key '{key}')"
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"bogus": 1}))

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import discountcast as dc
@@ -17,6 +17,12 @@ def test_menu_rates_must_increase():
         DiscountMenu(rates=(0.0, 1.0))
     with pytest.raises(dc.ValidationError):
         DiscountMenu(rates=())
+
+
+@pytest.mark.parametrize("rates", [(1.0, math.inf), (math.nan,), (1.0, math.nan, 2.0), (-math.inf, 1.0)])
+def test_menu_rates_must_be_finite(rates):
+    with pytest.raises(dc.ValidationError, match=r"^discount rates must be finite, got (-?inf|nan)$"):
+        DiscountMenu(rates=rates)
 
 
 def test_menu_lookup():
@@ -153,6 +159,17 @@ def test_instance_round_trip_random(tmp_path):
     assert model == inst.model
 
 
+def test_random_instance_past_one_jump_chunk():
+    # 400 * 399 * 0.5 = 79,800 expected edges: more than one 65,536-draw chunk of jumps
+    n, p = 400, 0.5
+    graph = dc.random_instance(n, p, 8).graph
+    pairs = {(e.src, e.dst) for e in graph.edges}
+    assert len(pairs) == len(graph.edges)
+    assert all(src != dst for src, dst in pairs)
+    mean = n * (n - 1) * p
+    assert abs(len(pairs) - mean) < 5 * math.sqrt(mean * (1 - p))
+
+
 @given(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=5, unique=True))
 @settings(max_examples=50, deadline=None)
 def test_menu_indexes_every_rate(rates):
@@ -167,6 +184,8 @@ def test_menu_indexes_every_rate(rates):
     st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
     st.floats(0.0, 1.0),
 )
+@example(2, [0.3, 0.6, 0.9], 0.7)  # above every rate: never accepts, index len(menu)
+@example(2, [0.3, 0.6, 0.9], 0.6)  # a tie accepts
 @settings(max_examples=100, deadline=None)
 def test_min_rate_index_is_cheapest_acceptable(n_rates, raw_row, g):
     row = tuple(sorted(raw_row))[:n_rates]
@@ -178,3 +197,53 @@ def test_min_rate_index_is_cheapest_acceptable(n_rates, raw_row, g):
     else:
         assert row[idx] >= g
         assert all(p < g for p in row[:idx])
+    seeding = dc.SeedingRealization.of(model, [g])
+    assert seeding.thresholds == (g,)
+    assert seeding.min_rate_idx == (n_rates if idx is None else idx,)
+    assert [seeding.accepts(0, i) for i in range(n_rates)] == [p >= g for p in row]
+
+
+_GRAPH_ERRORS = [
+    ("header-after-edges", "a b 0.5\nnodes 3\n", "{path}:2: 'nodes' header must precede all edges"),
+    ("duplicate-header", "nodes 3\nnodes 3\n", "{path}:2: duplicate 'nodes' header"),
+    ("header-fields", "nodes 3 4\n", "{path}:1: expected 'nodes <count>'"),
+    ("bad-count", "nodes three\n", "{path}:1: node count 'three' is not an integer"),
+    ("negative-count", "# two nodes\nnodes -2\n", "{path}:2: node count must be non-negative"),
+    ("outside-range", "nodes 2\n0 1 0.5\n0 2 0.5\n", "{path}:3: node 2 outside declared range 0..1"),
+]
+
+
+@pytest.mark.parametrize("text,message", [case[1:] for case in _GRAPH_ERRORS],
+                         ids=[case[0] for case in _GRAPH_ERRORS])
+def test_load_graph_rejects(tmp_path, text, message):
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    with pytest.raises(dc.ParseError) as exc:
+        dc.load_graph(p)
+    assert str(exc.value) == message.format(path=p)
+
+
+_ADOPTION_ERRORS = [
+    ("field-count", "* 1 0.3 x\n", dc.ParseError, "{path}:1: expected '<node> <rate> <prob>', got 4 fields"),
+    ("rate-not-a-number", "* one 0.3\n", dc.ParseError, "{path}:1: rate 'one' is not a number"),
+    ("prob-not-a-number", "* 1 0.3\n* 2 high\n", dc.ParseError, "{path}:2: probability 'high' is not a number"),
+    ("duplicate-wildcard", "* 1 0.3\n* 1 0.4\n", dc.ValidationError, "{path}:2: duplicate wildcard row for rate 1.0"),
+    ("duplicate-explicit", "* 1 0.3\n* 2 0.6\na 2 0.5\na 2 0.7\n", dc.ValidationError,
+     "{path}:4: duplicate adoption row for node a at rate 2.0"),
+    ("prob-above-one", "* 1 0.3\n* 2 0.6\nb 2 1.5\n", dc.ValidationError,
+     "node 1: adoption probability 1.5 outside [0, 1]"),
+    ("prob-below-zero", "* 1 -0.1\n* 2 0.6\n", dc.ValidationError,
+     "node 0: adoption probability -0.1 outside [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("text,error,message", [case[1:] for case in _ADOPTION_ERRORS],
+                         ids=[case[0] for case in _ADOPTION_ERRORS])
+def test_load_adoption_rejects(tmp_path, text, error, message):
+    g = tmp_path / "g.txt"
+    g.write_text("a b 0.5\n")
+    ad = tmp_path / "ad.txt"
+    ad.write_text(text)
+    with pytest.raises(error) as exc:
+        dc.load_instance(g, ad, (1.0, 2.0))
+    assert str(exc.value) == message.format(path=ad)

@@ -331,6 +331,12 @@ def test_brute_force_never_below_greedy():
         assert best >= greedy - 1e-12, f"seed {seed}"
 
 
+@pytest.mark.parametrize("budget", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_budget_must_be_positive_and_finite(budget):
+    with pytest.raises(dc.ValidationError, match=f"^budget must be positive and finite, got {budget}$"):
+        dc.BudgetSpec(budget=budget)
+
+
 def test_budget_safety_hard_and_soft():
     for seed in range(10):
         inst, hard = tiny_instance(seed)
