@@ -67,7 +67,8 @@ from .nonadaptive import BudgetLedger, BudgetSpec
 from .rng import as_stream, child, generator
 
 _EVAL_CHUNK = 64
-DEFAULT_MAX_OUTCOMES = 200_000
+MAX_OUTCOMES = 200_000  # joint realizations an exhaustive pass may enumerate
+ORACLE_MAX_NODES, ORACLE_MAX_EDGES, ORACLE_MAX_RATES = 5, 6, 2
 
 
 def _bits(mask: int):
@@ -497,21 +498,22 @@ def conditional_outcome_count(instance: Instance, given) -> int:
     return math.prod(len(options) for _, options in varying) << len(undetermined)
 
 
-def _check_outcome_count(instance: Instance, given, max_outcomes: int, fix: str = "") -> None:
+def _check_outcome_count(instance: Instance, given, fix: str = "") -> None:
     count = conditional_outcome_count(instance, given)
-    if count > max_outcomes:
-        raise TooLargeError(f"exhaustive evaluation needs {count} realizations, cap is {max_outcomes}{fix}")
+    if count > MAX_OUTCOMES:
+        raise TooLargeError(f"exhaustive evaluation needs {count} realizations, cap is {MAX_OUTCOMES}{fix}")
 
 
-def enumerate_conditional_realizations(instance: Instance, given, max_outcomes: int = DEFAULT_MAX_OUTCOMES):
+def enumerate_conditional_realizations(instance: Instance, given):
     """Yield (weight, realization) consistent with `given`, weights summing to 1.
 
-    `given` is a `BeliefState` or a `PartialObservation`. Thresholds are
+    `given` is a `BeliefState` or a `PartialObservation`; more than
+    `MAX_OUTCOMES` realizations are refused up front. Thresholds are
     enumerated at menu-interval resolution, which is all a policy can
     ever distinguish. Influenced nodes get the "never accepts" sentinel;
     nothing may probe them again.
     """
-    _check_outcome_count(instance, given, max_outcomes)
+    _check_outcome_count(instance, given)
     edges = instance.graph.edges
     fixed, varying, base_live, undetermined = _conditional_support(instance, given)
     for combo in itertools.product(*(options for _, options in varying)):
@@ -559,11 +561,11 @@ def sample_conditional_realization(instance: Instance, given, gen: np.random.Gen
 
 @dataclass(frozen=True)
 class BranchConfig:
-    """How two-branch policies estimate the greedy fallback's value."""
+    """How two-branch policies estimate the greedy fallback's value;
+    exhaustive estimates are refused past `MAX_OUTCOMES` realizations."""
 
     mode: str = "exhaustive"  # or "rollouts"
     rollouts: int = 1000
-    max_outcomes: int = DEFAULT_MAX_OUTCOMES
 
     def __post_init__(self):
         if self.mode not in ("exhaustive", "rollouts"):
@@ -598,7 +600,7 @@ class BranchEstimator:
             return self._memo[key]
         base = key.influenced.bit_count()
         if self.config.mode == "exhaustive":
-            _check_outcome_count(self.instance, key, self.config.max_outcomes,
+            _check_outcome_count(self.instance, key,
                                  '; estimate the branch by sampling with BranchConfig(mode="rollouts")'
                                  " (CLI: --branch rollouts)")
             val = _expected_influence(self._greedy, self.instance, self._cascades, state) - base
@@ -690,13 +692,12 @@ def _worker_trials(bounds: tuple[int, int]) -> list[int]:
 
 
 def evaluate_policy(policy_factory, instance: Instance, spec: BudgetSpec, trials,
-                    stream=None, *, workers: int = 1,
-                    max_outcomes: int = DEFAULT_MAX_OUTCOMES) -> tuple[float, float]:
+                    stream=None, *, workers: int = 1) -> tuple[float, float]:
     """Expected cascade size of a policy, with a confidence radius.
 
     trials="exhaustive" expands the policy's decision tree over belief
     states, weighting every branch by its probability (radius 0.0); it
-    refuses up front when more than `max_outcomes` joint realizations
+    refuses up front when more than `MAX_OUTCOMES` joint realizations
     are consistent with the initial belief. An integer samples that
     many realizations and reports a Hoeffding radius at confidence
     95%. Sampled trials use per-trial substreams and integer
@@ -707,7 +708,7 @@ def evaluate_policy(policy_factory, instance: Instance, spec: BudgetSpec, trials
     """
     if trials == "exhaustive":
         state = initial_state(instance, spec)
-        _check_outcome_count(instance, state.belief, max_outcomes,
+        _check_outcome_count(instance, state.belief,
                              "; sample instead with an integer trial count (CLI: drop --exhaustive)")
         policy = policy_factory(child(as_stream(stream), 0))
         return _expected_influence(policy, instance, CascadeOutcomes(instance.graph), state), 0.0
@@ -725,8 +726,7 @@ def evaluate_policy(policy_factory, instance: Instance, spec: BudgetSpec, trials
     return mean, hoeffding_radius(instance.graph.node_count, trials)
 
 
-def optimal_policy_oracle(instance: Instance, spec: BudgetSpec, *,
-                          max_nodes: int = 5, max_edges: int = 6, max_rates: int = 2) -> float:
+def optimal_policy_oracle(instance: Instance, spec: BudgetSpec) -> float:
     """Optimal adaptive policy value by backward induction over belief states.
 
     `BeliefState`s suffice because edges out of uninfluenced nodes stay
@@ -736,12 +736,12 @@ def optimal_policy_oracle(instance: Instance, spec: BudgetSpec, *,
     """
     graph, model, menu = instance.graph, instance.model, instance.menu
     n, m = graph.node_count, len(menu)
-    if n > max_nodes:
-        raise TooLargeError(f"optimal oracle handles at most {max_nodes} nodes, got {n}")
-    if len(graph.edges) > max_edges:
-        raise TooLargeError(f"optimal oracle handles at most {max_edges} edges, got {len(graph.edges)}")
-    if m > max_rates:
-        raise TooLargeError(f"optimal oracle handles menus up to {max_rates} rates, got {m}")
+    if n > ORACLE_MAX_NODES:
+        raise TooLargeError(f"optimal oracle handles at most {ORACLE_MAX_NODES} nodes, got {n}")
+    if len(graph.edges) > ORACLE_MAX_EDGES:
+        raise TooLargeError(f"optimal oracle handles at most {ORACLE_MAX_EDGES} edges, got {len(graph.edges)}")
+    if m > ORACLE_MAX_RATES:
+        raise TooLargeError(f"optimal oracle handles menus up to {ORACLE_MAX_RATES} rates, got {m}")
     ledger = BudgetLedger(menu, spec)
     rates = [ledger.rate_units[r] for r in menu.rates]
     return _optimal_value(BeliefState.initial(n, ledger.budget), model.probs, rates,

@@ -173,12 +173,12 @@ def _live_edge_outcomes(graph: SocialGraph, seeds, allowed, *, max_uncertain_edg
             yield w, _reach(adj, seeds, mask)
 
 
-def spread_exact(graph: SocialGraph, seeds, *, restrict=None, max_uncertain_edges: int = MAX_UNCERTAIN_EDGES) -> float:
+def spread_exact(graph: SocialGraph, seeds, *, restrict=None) -> float:
     """Expected cascade size from `seeds`, by enumerating live-edge states.
 
-    Only edges with probability strictly between 0 and 1 branch; the
-    enumeration cap applies to those. Deterministic edges and edges that
-    no cascade from `seeds` can ever cross cost nothing.
+    Only edges with probability strictly between 0 and 1 branch; more
+    than `MAX_UNCERTAIN_EDGES` of them in reach raise before any
+    enumeration. Nodes outside `restrict` neither seed nor relay.
     """
     allowed = None if restrict is None else set(restrict)
     seed_list = sorted({s for s in seeds if allowed is None or s in allowed})
@@ -186,7 +186,7 @@ def spread_exact(graph: SocialGraph, seeds, *, restrict=None, max_uncertain_edge
         return 0.0
     total = 0.0
     # A plain loop: sum() compensates float sums from Python 3.12 on, which moves the last bits.
-    for w, reached in _live_edge_outcomes(graph, seed_list, allowed, max_uncertain_edges=max_uncertain_edges):
+    for w, reached in _live_edge_outcomes(graph, seed_list, allowed, max_uncertain_edges=MAX_UNCERTAIN_EDGES):
         total += w * len(reached)
     return total
 
@@ -204,26 +204,20 @@ def live_edge_snapshots(graph: SocialGraph, samples: int, stream) -> np.ndarray:
     return live
 
 
-def spread_mc(graph: SocialGraph, seeds, samples: int, stream, *, restrict=None, blocked=None,
-              snapshots=None) -> float:
+def spread_mc(graph: SocialGraph, seeds, samples: int, stream, *, blocked=None, snapshots=None) -> float:
     """Monte Carlo estimate of the expected cascade size from `seeds`.
 
     Every replicate starts from the same seeds, run through the shared
-    kernel in blocks. Nodes outside `restrict` (a node collection), or
-    set in `blocked` (a bool mask over the nodes), neither seed nor
-    receive influence. With `snapshots` (from `live_edge_snapshots`,
-    one row per sample) replicate i follows row i and `stream` goes
-    unused; otherwise each examined edge draws from `stream`.
-    Bit-deterministic either way; the mean is an integer total over the
-    sample count.
+    kernel in blocks. Nodes set in `blocked` (a bool mask over the
+    nodes) neither seed nor receive influence. With `snapshots` (from
+    `live_edge_snapshots`, one row per sample) replicate i follows row
+    i and `stream` goes unused; otherwise each examined edge draws from
+    `stream`. Bit-deterministic either way; the mean is an integer
+    total over the sample count.
     """
     if samples < 1:
         raise ValidationError("samples must be at least 1")
     n = graph.node_count
-    if restrict is not None:
-        allowed = set(restrict)
-        blocked = np.ones(n, dtype=bool)
-        blocked[np.fromiter(allowed, dtype=np.int64, count=len(allowed))] = False
     seed_nodes = np.array(sorted({s for s in seeds if blocked is None or not blocked[s]}), dtype=np.int64)
     if not seed_nodes.size:
         return 0.0
@@ -473,6 +467,13 @@ def load_realization(path, instance: Instance) -> Realization:
     graph = instance.graph
     thresholds: dict[int, float] = {}
     states: dict[int, bool] = {}
+
+    def node(label: str) -> int:
+        try:
+            return graph.index(label)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+
     for lineno, line in _content_lines(path):
         parts = line.split()
         if parts[0] == "threshold":
@@ -484,14 +485,14 @@ def load_realization(path, instance: Instance) -> Realization:
                 raise ParseError(path, lineno, f"threshold {parts[2]!r} is not a number")
             if not 0.0 <= g <= 1.0:
                 raise ValidationError(f"{path}:{lineno}: threshold {g} outside [0, 1]")
-            v = graph.index(parts[1])
+            v = node(parts[1])
             if v in thresholds:
                 raise ValidationError(f"{path}:{lineno}: duplicate threshold for node {parts[1]}")
             thresholds[v] = g
         elif parts[0] == "edge":
             if len(parts) != 4 or parts[3] not in ("live", "blocked"):
                 raise ParseError(path, lineno, "expected 'edge <src> <dst> <live|blocked>'")
-            key = (graph.index(parts[1]), graph.index(parts[2]))
+            key = (node(parts[1]), node(parts[2]))
             if key not in graph.edge_index:
                 raise ValidationError(f"{path}:{lineno}: edge {parts[1]} -> {parts[2]} is not in the graph")
             eidx = graph.edge_index[key]

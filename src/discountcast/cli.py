@@ -337,7 +337,7 @@ def adaptive(algorithm, realization, trajectory_csv, seed, out, **params):
 @main.command()
 @_add_options(_instance_options)
 @click.option("--algorithm", type=click.Choice(_ADAPTIVE_ALGOS), default="adaptive-greedy")
-@click.option("--trials", type=int, default=1000)
+@click.option("--trials", type=click.IntRange(min=1), default=1000)
 @click.option("--exhaustive", is_flag=True, help="enumerate every realization instead of sampling")
 @click.option("--workers", type=click.IntRange(min=1), default=1)
 @_add_options(_policy_options)

@@ -29,6 +29,7 @@ from .rng import as_stream, child, generator
 
 GAIN_EPS = 1e-12
 MAX_SUPPORT_NODES = 15
+MAX_ASSIGNMENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -168,25 +169,21 @@ def seedset_probability(config: Configuration, model: AdoptionModel, seed_set) -
     return product
 
 
-def f_exact(
-    config: Configuration,
-    instance: Instance,
-    *,
-    max_support: int = MAX_SUPPORT_NODES,
-    spread_cache: dict | None = None,
-) -> float:
+def f_exact(config: Configuration, instance: Instance, *, spread_cache: dict | None = None) -> float:
     """Exact objective: sum over acceptance patterns of the exact spread.
 
-    Enumerates the subsets of nodes with a positive acceptance chance;
-    the cap guards that enumeration. Pass a shared `spread_cache` dict
-    when evaluating many configurations on one instance.
+    Enumerates the subsets of nodes with a positive acceptance chance,
+    refusing more than `MAX_SUPPORT_NODES` of them up front. Pass a
+    shared `spread_cache` dict when evaluating many configurations on
+    one instance.
     """
     graph, model = instance.graph, instance.model
     eff = config.effective_map
     support = sorted(v for v, r in eff.items() if model.prob_at_rate(v, r) > 0.0)
-    if len(support) > max_support:
+    if len(support) > MAX_SUPPORT_NODES:
         raise TooLargeError(
-            f"exact objective needs {len(support)} accepting nodes enumerated, cap is {max_support}"
+            f"exact objective needs {len(support)} accepting nodes enumerated, cap is {MAX_SUPPORT_NODES}; "
+            "sample with MCEvaluator (CLI: --evaluator mc)"
         )
     probs = [model.prob_at_rate(v, eff[v]) for v in support]
     cache = spread_cache if spread_cache is not None else {}
@@ -420,19 +417,20 @@ def _greedy_total(instance: Instance, ledger: BudgetLedger, evaluator) -> tuple[
     return Configuration.from_assignment(assignment), current_val
 
 
-def brute_force_config(instance: Instance, spec: BudgetSpec, *,
-                       max_assignments: int = 1_000_000) -> tuple[Configuration, float]:
+def brute_force_config(instance: Instance, spec: BudgetSpec) -> tuple[Configuration, float]:
     """Exact optimum over every feasible configuration, by enumeration.
 
-    Ties keep the first maximizer in lexicographic assignment order
-    (node 0's offer varies slowest; no offer sorts before any rate).
+    More than `MAX_ASSIGNMENTS` assignments are refused up front. Ties
+    keep the first maximizer in lexicographic assignment order (node 0's
+    offer varies slowest; no offer sorts before any rate).
     """
     graph, model, menu = instance.graph, instance.model, instance.menu
     n, m = graph.node_count, len(menu)
     total = (m + 1) ** n
-    if total > max_assignments:
+    if total > MAX_ASSIGNMENTS:
         raise TooLargeError(
-            f"brute force would enumerate {total} configurations, cap is {max_assignments}"
+            f"brute force would enumerate {total} configurations, cap is {MAX_ASSIGNMENTS}; "
+            "search with hill_climbing (CLI: --algorithm nonadaptive-greedy)"
         )
     evaluator = ExactEvaluator(instance)
     ledger = BudgetLedger.for_spec(model, spec)

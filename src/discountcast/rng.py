@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = "int | np.random.SeedSequence | None"
-
 
 def as_stream(seed) -> np.random.SeedSequence:
     """Normalize an int seed (or None for fresh OS entropy) to a SeedSequence."""

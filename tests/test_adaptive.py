@@ -34,6 +34,15 @@ def greedy_factory(inst, spec):
     return dc.GreedyFactory(inst, spec)
 
 
+def past_outcome_cap():
+    """10 nodes with two threshold intervals each and 8 uncertain edges:
+    2**10 * 2**8 = 262,144 joint realizations, past the 200,000 cap."""
+    edges = tuple(dc.Edge(v, v + 1, 0.5) for v in range(8))
+    graph = dc.SocialGraph(10, tuple(str(v) for v in range(10)), edges)
+    model = dc.AdoptionModel(menu=dc.DiscountMenu(rates=(1.0,)), probs=((0.5,),) * 10)
+    return dc.Instance(graph=graph, model=model), dc.BudgetSpec(budget=2.0)
+
+
 def test_scripted_walkthrough_trajectory(fig1, hard2):
     real = dc.fig2_realization(fig1)
     policy = dc.GreedyPolicy(fig1, dc.SpreadEstimator(fig1.graph))
@@ -254,9 +263,12 @@ def test_conditional_realizations_pin_revealed_edges(fig1):
         assert r.diffusion.live[2] is False
 
 
-def test_enumeration_cap(fig1):
-    with pytest.raises(dc.TooLargeError):
-        list(dc.enumerate_conditional_realizations(fig1, dc.PartialObservation(), max_outcomes=10))
+def test_enumeration_cap():
+    inst, _ = past_outcome_cap()
+    assert conditional_outcome_count(inst, dc.PartialObservation()) == 262_144
+    with pytest.raises(dc.TooLargeError) as exc:
+        next(dc.enumerate_conditional_realizations(inst, dc.PartialObservation()))
+    assert str(exc.value) == "exhaustive evaluation needs 262144 realizations, cap is 200000"
 
 
 def test_branch_estimator_modes_agree(fig1, hard2):
@@ -316,20 +328,26 @@ def test_optimal_oracle_hand_computed_two_node_case():
 
 
 def test_optimal_oracle_dominates_policies(fig1, hard2):
-    opt = dc.optimal_policy_oracle(fig1, hard2, max_edges=6)
+    opt = dc.optimal_policy_oracle(fig1, hard2)
     for factory in (dc.GreedyFactory(fig1, hard2), dc.EnhancedFactory(fig1, hard2)):
         val, _ = dc.evaluate_policy(factory, fig1, hard2, "exhaustive")
         assert val <= opt + 1e-9
 
 
 def test_optimal_oracle_caps():
-    inst = dc.worstcase_instance(5)  # 12 clique edges
     spec = dc.BudgetSpec(budget=1.0)
-    with pytest.raises(dc.TooLargeError):
-        dc.optimal_policy_oracle(inst, spec)
-    big, bspec = tiny_instance(0)
-    with pytest.raises(dc.TooLargeError):
-        dc.optimal_policy_oracle(big, bspec, max_nodes=2)
+    with pytest.raises(dc.TooLargeError, match=r"^optimal oracle handles at most 6 edges, got 12$"):
+        dc.optimal_policy_oracle(dc.worstcase_instance(5), spec)  # 5 nodes, 12 clique edges
+    one_rate = dc.DiscountMenu(rates=(1.0,))
+    six = dc.Instance(graph=dc.SocialGraph(6, tuple("abcdef"), ()),
+                      model=dc.AdoptionModel(menu=one_rate, probs=((0.5,),) * 6))
+    with pytest.raises(dc.TooLargeError, match=r"^optimal oracle handles at most 5 nodes, got 6$"):
+        dc.optimal_policy_oracle(six, spec)
+    three_rates = dc.DiscountMenu(rates=(0.5, 1.0, 2.0))
+    lone = dc.Instance(graph=dc.SocialGraph(1, ("a",), ()),
+                       model=dc.AdoptionModel(menu=three_rates, probs=((0.2, 0.5, 1.0),)))
+    with pytest.raises(dc.TooLargeError, match=r"^optimal oracle handles menus up to 2 rates, got 3$"):
+        dc.optimal_policy_oracle(lone, spec)
 
 
 def test_iterated_heuristic_runs_clean_on_tiny_instances():
@@ -476,13 +494,15 @@ def test_influenced_nodes_keep_no_floor(fig1, hard2):
     assert beliefs[0] == beliefs[1]
 
 
-def test_exhaustive_caps_name_the_sampling_fix(fig1, hard2):
-    with pytest.raises(dc.TooLargeError, match="integer trial count.*drop --exhaustive"):
-        dc.evaluate_policy(dc.GreedyFactory(fig1, hard2), fig1, hard2, "exhaustive", max_outcomes=10)
-    est = dc.SpreadEstimator(fig1.graph)
-    branch = dc.BranchEstimator(fig1, est, dc.BranchConfig(max_outcomes=10))
-    with pytest.raises(dc.TooLargeError, match=r'BranchConfig\(mode="rollouts"\).*--branch rollouts'):
-        branch.greedy_value_from(dc.initial_state(fig1, hard2))
+def test_exhaustive_caps_name_the_sampling_fix():
+    inst, spec = past_outcome_cap()
+    with pytest.raises(dc.TooLargeError, match=r"^exhaustive evaluation needs 262144 realizations, cap is 200000; "
+                                               r"sample instead with an integer trial count.*drop --exhaustive"):
+        dc.evaluate_policy(dc.GreedyFactory(inst, spec), inst, spec, "exhaustive")
+    branch = dc.BranchEstimator(inst, dc.SpreadEstimator(inst.graph), dc.BranchConfig())
+    with pytest.raises(dc.TooLargeError, match=r"^exhaustive evaluation needs 262144 realizations, cap is 200000; "
+                                               r'estimate .*BranchConfig\(mode="rollouts"\).*--branch rollouts'):
+        branch.greedy_value_from(dc.initial_state(inst, spec))
 
 
 class EagerGreedy:

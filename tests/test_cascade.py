@@ -69,17 +69,23 @@ def test_spread_exact_respects_restrict(fig1):
 
 
 def test_spread_exact_counts_only_uncertain_edges():
-    # 14 certain edges do not hit the enumeration cap
-    edges = tuple(dc.Edge(0, j, 1.0) for j in range(1, 15))
-    g = dc.SocialGraph(15, tuple(str(i) for i in range(15)), edges)
-    assert dc.spread_exact(g, [0], max_uncertain_edges=2) == pytest.approx(15.0, abs=1e-12)
+    # 20 certain edges, past the 16-edge cap, enumerate nothing
+    edges = tuple(dc.Edge(0, j, 1.0) for j in range(1, 21))
+    g = dc.SocialGraph(21, tuple(str(i) for i in range(21)), edges)
+    assert cascade.MAX_UNCERTAIN_EDGES < 20
+    assert dc.spread_exact(g, [0]) == 21.0
 
 
 def test_spread_exact_cap():
-    edges = tuple(dc.Edge(0, j, 0.5) for j in range(1, 15))
-    g = dc.SocialGraph(15, tuple(str(i) for i in range(15)), edges)
-    with pytest.raises(dc.TooLargeError, match='mode="mc".*--estimator mc'):
-        dc.spread_exact(g, [0], max_uncertain_edges=10)
+    # a chain of 17 uncertain edges: the cap counts edges deep in the closure, and
+    # refuses before a single live-edge state is walked
+    edges = tuple(dc.Edge(j, j + 1, 0.5) for j in range(17))
+    g = dc.SocialGraph(18, tuple(str(i) for i in range(18)), edges)
+    with mock.patch.object(cascade, "_reach", side_effect=AssertionError("enumerated")), \
+            pytest.raises(dc.TooLargeError) as exc:
+        dc.spread_exact(g, [0])
+    assert str(exc.value) == ('exact spread needs more than 16 uncertain edges enumerated; sample instead '
+                              'with mode="mc" (CLI: --estimator mc; --evaluator mc for nonadaptive)')
 
 
 def test_spread_exact_default_cap_refuses_seventeen_uncertain_edges():
@@ -127,15 +133,16 @@ def test_spread_mc_repeats_after_other_calls_reuse_the_buffer(fig1):
     first = dc.spread_mc(g, [0, 7], 2000, as_stream(4))
     dc.spread_mc(g, [1, 2, 3], 5000, as_stream(5))
     dc.spread_mc(fig1.graph, [0], 1000, as_stream(6))
-    dc.spread_mc(g, [7, 9], 3000, as_stream(7), restrict=range(0, 300, 2))
+    dc.spread_mc(g, [7, 9], 3000, as_stream(7), blocked=np.arange(300) % 2 == 1)
     assert dc.spread_mc(g, [0, 7], 2000, as_stream(4)) == first
 
 
-def test_spread_mc_respects_restrict(fig1):
+def test_spread_mc_respects_blocked(fig1):
     g = fig1.graph
     for seeds, allowed in (([2], {2, 3, 4}), ([1, 2], {1, 2, 3, 4}), ([0, 4], {0, 2, 3})):
         exact = dc.spread_exact(g, seeds, restrict=allowed)
-        est = dc.spread_mc(g, seeds, 200_000, as_stream(13), restrict=allowed)
+        blocked = np.array([v not in allowed for v in range(g.node_count)])
+        est = dc.spread_mc(g, seeds, 200_000, as_stream(13), blocked=blocked)
         assert est == pytest.approx(exact, abs=0.02)
 
 
@@ -176,10 +183,6 @@ def test_spread_mc_on_snapshots_matches_a_plain_walk():
         assert dc.spread_mc(g, [v], 150, None, blocked=blocked, snapshots=snaps) == want
     with pytest.raises(dc.ValidationError):
         dc.spread_mc(g, [0], 100, None, snapshots=snaps)
-    # a blocked mask and the restrict= node set name the same blocking
-    allowed = [u for u in range(40) if not blocked[u]]
-    assert dc.spread_mc(small, [0, 2], 300, as_stream(4), restrict=allowed) == \
-        dc.spread_mc(small, [0, 2], 300, as_stream(4), blocked=blocked[:40])
 
 
 def test_spread_certain_edges_always_fire():
@@ -347,6 +350,10 @@ _REALIZATION_ERRORS = [
     ("unknown-record", lambda ls: [*ls, "weight a 1"], dc.ParseError, "{path}:11: unknown record 'weight'"),
     ("edge-not-in-graph", lambda ls: [*ls, "edge a e live"], dc.ValidationError,
      "{path}:11: edge a -> e is not in the graph"),
+    ("threshold-unknown-node", lambda ls: [*ls, "threshold z 0.5"], dc.ValidationError,
+     "{path}:11: unknown node label 'z'"),
+    ("edge-unknown-node", lambda ls: [*ls, "edge d q live"], dc.ValidationError,
+     "{path}:11: unknown node label 'q'"),
     ("missing-thresholds", lambda ls: [ls[0], *ls[2:4], *ls[5:]], dc.ValidationError,
      "{path}: missing thresholds for nodes ['b', 'e']"),
 ]

@@ -1,5 +1,6 @@
 import csv
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,12 @@ def test_config_values_are_typed_like_flags(fig1_dir, tmp_path):
     assert res.exit_code == 2
     last = res.output.splitlines()[-1]
     assert last.startswith("Error: Invalid value for '--samples': 'ten' is not a valid integer")
+    # a trial count below 1 is refused by click, naming the option, from a flag or a file alike
+    cfg.write_text(json.dumps({"trials": 0}))
+    for extra in (["--trials", "0"], ["--config", str(cfg)]):
+        res = runner.invoke(main, ["evaluate", *_instance_args(fig1_dir), *extra])
+        assert res.exit_code == 2
+        assert res.output.splitlines()[-1].startswith("Error: Invalid value for '--trials': 0 is not in the range x>=1")
 
 
 def test_config_null_means_unset_and_discounts_may_be_a_list(fig1_dir, tmp_path):
@@ -373,3 +380,31 @@ def test_missing_required_option_names_the_flag(fig1_dir):
 def test_version_flag():
     res = _invoke(["--version"])
     assert "discountcast" in res.output
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading: str, lang: str) -> str:
+    """The first `lang` code block under the README's `heading`."""
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_prints_what_its_comments_say(capsys):
+    code = _readme_block("Quick start", "python")
+    wanted = [line.split("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == wanted
+
+
+def test_readme_command_line_block_runs(tmp_path):
+    # in order, as a reader would type them; `evaluate --workers 8` starts at most 8 processes
+    text = _readme_block("Command line", "sh").replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in text.splitlines() if line.startswith("discountcast ")]
+    assert len(commands) == 10
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        for args in commands:
+            res = runner.invoke(main, args[1:], catch_exceptions=False)
+            assert res.exit_code == 0, (args, res.output)
+            assert isinstance(_report(res.stdout), dict)

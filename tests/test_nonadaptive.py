@@ -89,8 +89,9 @@ def test_f_exact_support_cap():
     model = dc.AdoptionModel(menu=menu, probs=((0.5,),) * n)
     inst = dc.Instance(graph=g, model=model)
     cfg = dc.Configuration.of(*((v, 1.0) for v in range(16)))
-    with pytest.raises(dc.TooLargeError):
-        dc.f_exact(cfg, inst, max_support=15)
+    with pytest.raises(dc.TooLargeError, match=r"^exact objective needs 16 accepting nodes enumerated, cap is 15; "
+                                               r"sample with MCEvaluator \(CLI: --evaluator mc\)$"):
+        dc.f_exact(cfg, inst)
 
 
 def test_zero_probability_offers_add_nothing():
@@ -317,9 +318,13 @@ def test_brute_force_fig1(fig1, hard2):
     assert val == pytest.approx(1.609, abs=1e-9)
 
 
-def test_brute_force_cap(fig1, hard2):
-    with pytest.raises(dc.TooLargeError):
-        dc.brute_force_config(fig1, hard2, max_assignments=10)
+def test_brute_force_cap(hard2):
+    # 13 nodes on a two-rate menu: 3**13 = 1,594,323 assignments, past the million cap
+    g = dc.SocialGraph(13, tuple(str(v) for v in range(13)), ())
+    model = dc.AdoptionModel(menu=dc.DiscountMenu(rates=(1.0, 2.0)), probs=((0.5, 1.0),) * 13)
+    with pytest.raises(dc.TooLargeError, match=r"^brute force would enumerate 1594323 configurations, cap is 1000000; "
+                                               r"search with hill_climbing \(CLI: --algorithm nonadaptive-greedy\)$"):
+        dc.brute_force_config(dc.Instance(graph=g, model=model), hard2)
 
 
 def test_brute_force_never_below_greedy():
