@@ -30,8 +30,8 @@ The greedy scan is lazy (the accelerated greedy of Golovin and Krause,
 ratio scored at an earlier state bounds the current one from above:
 the policy keeps its offers in a heap stamped with the influenced set
 each was scored at, and re-scores only a stale top. Monte Carlo
-residual spreads are mean reaches over R live-edge snapshots that each
-estimator draws once (R * E bytes for E positive-probability edges),
+residual spreads are mean reaches over R sampled live-edge worlds that
+each estimator draws once (`cascade.sample_worlds`, one bit an edge),
 so they shrink the same way, and lazy and eager scans pick the same
 offers in both estimator modes. Sampled evaluation builds one policy
 per process and reuses it across trials: every estimate and draw is
@@ -56,8 +56,8 @@ from .cascade import (
     SeedingRealization,
     _live_edge_outcomes,
     hoeffding_radius,
-    live_edge_snapshots,
     reveal_cascade,
+    sample_worlds,
     spread_exact,
     spread_mc,
 )
@@ -313,7 +313,7 @@ class SpreadEstimator:
     relayed. So the answer depends only on the influenced set, not on
     which edges were revealed, because every revealed edge leaves an
     influenced source behind. In "mc" mode the answer is the mean reach
-    over `samples` live-edge snapshots drawn once from `stream`, so it
+    over `samples` live-edge worlds drawn once from `stream`, so it
     never grows as the influenced set grows, exactly as in "exact" mode.
     """
 
@@ -326,7 +326,7 @@ class SpreadEstimator:
         self.mode = mode
         self.samples = samples
         self.stream = as_stream(stream) if stream is not None else None
-        self._snapshots = live_edge_snapshots(graph, samples, self.stream) if mode == "mc" else None
+        self._worlds = sample_worlds(graph, samples, self.stream) if mode == "mc" else None
         self._cache: dict[tuple[int, int], float] = {}
 
     def residual_spread(self, influenced, v: int) -> float:
@@ -343,7 +343,7 @@ class SpreadEstimator:
             else:
                 packed = np.frombuffer(influenced.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
                 blocked = np.unpackbits(packed, count=n, bitorder="little").view(bool)
-                val = spread_mc(self.graph, [v], self.samples, None, blocked=blocked, snapshots=self._snapshots)
+                val = spread_mc(self.graph, [v], self.samples, None, blocked=blocked, worlds=self._worlds)
             self._cache[key] = val
         return self._cache[key]
 

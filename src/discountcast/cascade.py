@@ -10,19 +10,13 @@ can probe incrementally.
 
 Expected cascade sizes come either from `spread_exact`, which
 enumerates the states of the uncertain edges a cascade can reach, or
-from one Monte Carlo kernel shared by `spread_mc` and
-`nonadaptive.f_mc`. The kernel runs a block of replicates as a single
-breadth-first search over the graph's CSR arrays, flipping each edge
-the cascade examines with one uniform draw, or reading its state from
-a matrix of fixed live-edge snapshots (`live_edge_snapshots`): one row
-per replicate and one bool per CSR edge, so R snapshots of a graph
-with E positive-probability edges take R * E bytes. On fixed snapshots
-a cascade's mean size can only shrink as more nodes are blocked.
-`singleton_spreads` gives every node's single-seed estimate from one
-batched pass of the same search; node v still draws from its own
-substream (v,), so each entry equals a lone `spread_mc` run bit for bit.
-Once cascades grow too large to batch cheaply within a bounded visited
-set, the remaining nodes run as just such lone runs.
+from one Monte Carlo kernel, a breadth-first search over the CSR arrays
+that runs a block of replicates at once. Each edge the cascade examines
+fires by one uniform draw, or as in a fixed sampled world
+(`sample_worlds`): one bit per edge and, for the non-adaptive
+evaluator, every node's menu-interval index. On fixed worlds a cascade
+can only shrink as more nodes are blocked, and `offer_totals` gives
+every single offer's reach from searches batched over many sources.
 """
 from __future__ import annotations
 
@@ -39,9 +33,10 @@ from .rng import as_stream, child, generator
 
 MAX_UNCERTAIN_EDGES = 16
 _VISITED_CELLS = 1 << 22  # replicates * nodes in one Monte Carlo block
-_GROUP_EDGES = 1 << 15  # first-level edge draws per node group in `singleton_spreads`
-_GROUP_KEYS = 1 << 17  # visited keys per block of a node group: 1 MB, and a bound on its level arrays
-_SLOT_KEYS = 1 << 12  # visited keys per slot past which a group's per-level merges cost more than it saves
+_WORLD_CELLS = 1 << 18  # the same on sampled worlds: a smaller visited buffer beside the worlds
+_TABLE_CELLS = 1 << 14  # worlds * nodes (or edges) in one block of `offer_totals` (or a draw)
+_TABLE_PAIRS = 1 << 18  # reached (source, key) pairs one batched search may keep: 2 MB
+MAX_WORLD_BYTES = 1 << 28  # a world set's acceptance indices and live-edge bits
 
 
 @dataclass(frozen=True)
@@ -191,29 +186,63 @@ def spread_exact(graph: SocialGraph, seeds, *, restrict=None) -> float:
     return total
 
 
-def live_edge_snapshots(graph: SocialGraph, samples: int, stream) -> np.ndarray:
-    """`samples` independent live-edge draws, one bool row each over the CSR edges.
+@dataclass(frozen=True, eq=False)
+class Worlds:
+    """Sampled worlds (`sample_worlds`): `live[w, byte[p]] & bit[p]` is set when CSR
+    edge p is live in world w; `accept[w, v]`, if drawn, is node v's menu-interval index."""
 
-    Drawn one row at a time, so memory stays at the matrix itself.
-    """
-    prob = graph.csr.prob
+    samples: int
+    edges: int
+    live: np.ndarray
+    accept: np.ndarray | None
+    byte: np.ndarray  # p // 8 and 1 << p % 8 per CSR edge p: two gathers beat a shift and a mask
+    bit: np.ndarray
+
+    def is_live(self, world: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        return (self.live[world, self.byte[pos]] & self.bit[pos]).astype(bool)
+
+
+def accept_index(probs: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """`AdoptionModel.min_rate_index` of every node (len(menu) for none) per row of
+    thresholds, given probs[i, v] at rate i: ties accept, so it counts the rates below."""
+    return (probs < thresholds[..., None, :]).sum(axis=-2, dtype=np.min_scalar_type(len(probs)))
+
+
+def sample_worlds(graph: SocialGraph, samples: int, stream, model: AdoptionModel | None = None) -> Worlds:
+    """`samples` worlds, drawn in blocks of rows: a uniform per CSR edge each, kept
+    as one bit, then with `model` a threshold row each, kept as one byte a node.
+    A set with thresholds past `MAX_WORLD_BYTES` is refused before any draw."""
+    n, prob, edges = graph.node_count, graph.csr.prob, graph.csr.prob.size
+    size = samples * ((edges + 7) // 8 + n)
+    if model is not None and size > MAX_WORLD_BYTES:
+        raise TooLargeError(f"{samples} sampled worlds would take about {size / 2**20:.0f} MB, cap is "
+                            f"{MAX_WORLD_BYTES / 2**20:.0f} MB; draw fewer (CLI: --samples)")
     gen = generator(as_stream(stream))
-    live = np.empty((samples, prob.size), dtype=bool)
-    for row in live:
-        np.less(gen.random(prob.size), prob, out=row)
-    return live
+    step = max(1, _TABLE_CELLS // max(edges, 1))  # worlds per draw
+    live = np.empty((samples, (edges + 7) // 8), dtype=np.uint8)
+    for w in range(0, samples, step):
+        rows = gen.random((len(live[w:w + step]), edges)) < prob
+        live[w:w + step] = np.packbits(rows, axis=1, bitorder="little")
+    accept = None
+    if model is not None:
+        probs = np.ascontiguousarray(np.array(model.probs, dtype=np.float64).reshape(n, -1).T)
+        accept = np.empty((samples, n), dtype=np.min_scalar_type(len(probs)))
+        step = max(1, _TABLE_CELLS // n)
+        for w in range(0, samples, step):
+            accept[w:w + step] = accept_index(probs, gen.random((len(accept[w:w + step]), n)))
+    return Worlds(samples, edges, live, accept, np.arange(edges) >> 3, (1 << np.arange(edges) % 8).astype(np.uint8))
 
 
-def spread_mc(graph: SocialGraph, seeds, samples: int, stream, *, blocked=None, snapshots=None) -> float:
+def spread_mc(graph: SocialGraph, seeds, samples: int, stream, *, blocked=None, worlds=None) -> float:
     """Monte Carlo estimate of the expected cascade size from `seeds`.
 
     Every replicate starts from the same seeds, run through the shared
     kernel in blocks. Nodes set in `blocked` (a bool mask over the
-    nodes) neither seed nor receive influence. With `snapshots` (from
-    `live_edge_snapshots`, one row per sample) replicate i follows row
-    i and `stream` goes unused; otherwise each examined edge draws from
-    `stream`. Bit-deterministic either way; the mean is an integer
-    total over the sample count.
+    nodes) neither seed nor receive influence. With `worlds` (from
+    `sample_worlds`, `samples` of them) replicate w follows world w's
+    live edges and `stream` goes unused; otherwise each examined edge
+    draws from `stream`. Bit-deterministic either way; the mean is an
+    integer total over the sample count.
     """
     if samples < 1:
         raise ValidationError("samples must be at least 1")
@@ -221,37 +250,42 @@ def spread_mc(graph: SocialGraph, seeds, samples: int, stream, *, blocked=None, 
     seed_nodes = np.array(sorted({s for s in seeds if blocked is None or not blocked[s]}), dtype=np.int64)
     if not seed_nodes.size:
         return 0.0
-    if snapshots is not None and snapshots.shape != (samples, graph.csr.prob.size):
-        raise ValidationError(f"snapshots must be {samples} rows of {graph.csr.prob.size} edges")
-    gen = None if snapshots is not None else generator(as_stream(stream))
+    if worlds is not None and (worlds.samples, worlds.edges) != (samples, graph.csr.prob.size):
+        raise ValidationError(f"worlds must be {samples} worlds over {graph.csr.prob.size} edges")
+    gen = None if worlds is not None else generator(as_stream(stream))
 
-    def block_seeds(r: int) -> np.ndarray:
+    def block_seeds(done: int, r: int) -> np.ndarray:
         return (np.arange(0, r * n, n, dtype=np.int64)[:, None] + seed_nodes).ravel()
 
-    return _mc_total(graph, samples, gen, block_seeds, blocked, snapshots) / samples
+    return _mc_total(graph, samples, gen, block_seeds, blocked, worlds) / samples
 
 
 def _mc_total(graph: SocialGraph, samples: int, gen: np.random.Generator | None, block_seeds, blocked=None,
-              snapshots=None) -> int:
-    """Cascade sizes summed over `samples` independent replicates.
-
-    Replicates run in blocks of r, each as one `_bfs` over keys
-    replicate*n + node, marking reached keys in the graph's dense
-    visited buffer. `block_seeds(r)` returns the next block's seed keys,
-    sorted and distinct; it may draw from `gen` first. Each examined
-    out-edge is then live by one uniform draw from `gen`, or, with
-    `snapshots`, by its cell in the replicate's row.
-    """
-    n = graph.node_count
-    csr = graph.csr
-    prob = csr.prob
-    per_block = max(1, _VISITED_CELLS // n)
+              worlds: Worlds | None = None) -> int:
+    """Cascade sizes summed over `samples` independent replicates, run in blocks
+    of r as one `_dense_reach` over keys replicate*n + node each. `block_seeds(done,
+    r)` returns the sorted, distinct seed keys of replicates done..done+r-1; it may
+    draw from `gen` first. Each examined out-edge is then live by one uniform
+    draw from `gen`, or, with `worlds`, by its state in the replicate's world."""
+    n, csr = graph.node_count, graph.csr
+    per_block = max(1, (_VISITED_CELLS if worlds is None else _WORLD_CELLS) // n)
     visited = csr.visited(min(samples, per_block) * n)
 
     def live(pos, base):
-        if snapshots is None:
-            return gen.random(pos.size) < prob[pos]
-        return snapshots[base // n + done, pos]
+        if worlds is None:
+            return gen.random(pos.size) < csr.prob[pos]
+        return worlds.is_live(base // n + done, pos)
+
+    total = 0
+    for done in range(0, samples, per_block):
+        r = min(samples - done, per_block)
+        total += _dense_reach(csr.indptr, csr.dst, n, block_seeds(done, r), live, visited, blocked).size
+    return total
+
+
+def _dense_reach(indptr, dst, n: int, seeds: np.ndarray, live, visited: np.ndarray, blocked=None) -> np.ndarray:
+    """Every key a `_bfs` from `seeds` reaches, the seeds first, marked in the
+    all-False dense buffer `visited` and unmarked once the search is done."""
 
     def fresh(keys, keep):
         keep &= ~visited[keys]
@@ -260,74 +294,54 @@ def _mc_total(graph: SocialGraph, samples: int, gen: np.random.Generator | None,
     def mark(keys):
         visited[keys] = True
 
-    total = 0
-    for done in range(0, samples, per_block):
-        r = min(samples - done, per_block)
-        for keys in _bfs(csr, n, block_seeds(r), live, fresh, mark, blocked):
-            total += keys.size
-            visited[keys] = False
-    return total
+    keys = np.concatenate(list(_bfs(indptr, dst, n, seeds, live, fresh, mark, blocked)))
+    visited[keys] = False
+    return keys
 
 
-class _GroupOverflow(Exception):
-    """A node group's visited keys would pass its limit."""
+def offer_totals(graph: SocialGraph, worlds: Worlds, rates: int) -> np.ndarray:
+    """Entry [v, i] sums v's reach over the worlds where it accepts rate index i.
 
-
-def singleton_spreads(graph: SocialGraph, samples: int, stream) -> list[float]:
-    """Every node's single-seed Monte Carlo spread, from one batched kernel run.
-
-    Entry v equals `spread_mc(graph, [v], samples, child(stream, v))`
-    bit for bit: node v still draws from its own substream (v,), in the
-    order its lone run would. Nodes run in groups of about
-    `_GROUP_EDGES` first-level edge draws (see `_group_totals`). The
-    first group whose cascades outgrow its visited-key limit ends the
-    batching: it and every later node run as lone `spread_mc` calls.
-    Cascades that large dwarf the per-call overhead that batching
-    saves, and one dropped group is all the work lost.
+    A block of worlds (keys world*n + node, `_TABLE_CELLS` at most) becomes one
+    graph of its live edges, searched from every key with a live out-edge, each
+    in its own slot (keys slot*cells + key): all in one `_source_reach`, until one
+    passes `_TABLE_PAIRS` keys; from that block on, in chunks of about that many
+    reached keys, each one `_dense_reach` within the `_VISITED_CELLS` buffer.
     """
-    if samples < 1:
-        raise ValidationError("samples must be at least 1")
-    n = graph.node_count
-    root = as_stream(stream)
-    load = np.cumsum(min(samples, max(1, _VISITED_CELLS // n)) * np.maximum(np.diff(graph.csr.indptr), 1))
-    table: list[float] = []
-    while len(table) < n:
-        start = len(table)
-        floor = int(load[start - 1]) if start else 0
-        stop = max(start + 1, int(np.searchsorted(load, floor + _GROUP_EDGES, side="right")))
-        try:
-            table += (_group_totals(graph, samples, root, start, stop) / samples).tolist()
-        except _GroupOverflow:
-            break
-    return table + [spread_mc(graph, [v], samples, child(root, v)) for v in range(len(table), n)]
+    n, csr = graph.node_count, graph.csr
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))  # CSR position -> source node
+    counts = np.zeros(n * (rates + 1), dtype=np.int64)  # reach by node * (rates + 1) + menu-interval index
+    per_block = max(1, _TABLE_CELLS // n)
+    sorted_merges, per_chunk = True, max(1, _TABLE_PAIRS // n)  # a source reaches n keys at most
+    for done in range(0, worlds.samples, per_block):
+        r = min(worlds.samples - done, per_block)
+        cells = r * n
+        code = (worlds.accept[done:done + r] + np.arange(0, counts.size, rates + 1)).ravel()
+        counts += np.bincount(code, minlength=counts.size)  # every key reaches itself
+        world, pos = np.nonzero(np.unpackbits(worlds.live[done:done + r], axis=1, count=worlds.edges,
+                                              bitorder="little"))  # (world - done, CSR position) if live
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(world * n + src[pos], minlength=cells))))
+        dst = world * n + csr.dst[pos]
+        sources = np.flatnonzero(indptr[1:] != indptr[:-1])
+        reached = _source_reach(indptr, dst, cells, sources) if sorted_merges else None
+        if reached is not None:
+            counts += np.bincount(code[sources[reached]], minlength=counts.size)
+            continue
+        sorted_merges = False
+        slots = max(1, _VISITED_CELLS // cells)
+        visited = csr.visited(min(sources.size, slots) * cells)
+        while sources.size:
+            chunk, sources = sources[:min(per_chunk, slots)], sources[min(per_chunk, slots):]
+            keys = _dense_reach(indptr, dst, cells, np.arange(0, chunk.size * cells, cells) + chunk, None, visited)
+            counts += np.bincount(code[chunk[keys[chunk.size:] // cells]], minlength=counts.size)
+            per_chunk = max(1, _TABLE_PAIRS * chunk.size // keys.size)  # about _TABLE_PAIRS keys at this mean reach
+    return np.cumsum(counts.reshape(n, rates + 1), axis=1)[:, :rates]
 
 
-def _group_totals(graph: SocialGraph, samples: int, root, start: int, stop: int) -> np.ndarray:
-    """Summed single-seed cascade sizes of nodes start..stop-1, batched.
-
-    A block of r replicates of the group is one `_bfs` over keys
-    (slot*r + replicate)*n + node, so each slot's keys, and so its
-    examined edges, stay contiguous and in the lone run's order, and at
-    each level every slot draws its share of uniforms from its own
-    generator. Blocks split replicates as `_mc_total` does. The keys
-    span slots*r*n cells, too many for the dense visited buffer, so a
-    block keeps its visited keys as a sorted array, merged anew at each
-    level. It raises `_GroupOverflow` before that array would pass
-    `_SLOT_KEYS` keys per slot, where the merges start to cost more
-    than the per-call overhead the batch saves, or `_GROUP_KEYS` keys,
-    which bounds its memory.
-    """
-    n = graph.node_count
-    csr = graph.csr
-    prob = csr.prob
-    slots = stop - start
-    per_block = max(1, _VISITED_CELLS // n)
-    limit = min(slots * _SLOT_KEYS, _GROUP_KEYS)
-    gens = [generator(root, v) for v in range(start, stop)]
-
-    def live(pos, base):
-        share = np.bincount(base // cells, minlength=slots).tolist()  # this level's draws per slot
-        return np.concatenate([gen.random(m) for gen, m in zip(gens, share) if m]) < prob[pos]
+def _source_reach(indptr: np.ndarray, dst: np.ndarray, cells: int, sources: np.ndarray) -> np.ndarray | None:
+    """The index in `sources` of every key each source reaches besides itself, from one
+    `_bfs` over keys slot*cells + key kept in one sorted array; None past `_TABLE_PAIRS` keys."""
+    seen = np.array([np.iinfo(np.int64).max])  # the sentinel caps every search
 
     def fresh(keys, keep):
         keys = keys[keep]
@@ -335,40 +349,35 @@ def _group_totals(graph: SocialGraph, samples: int, root, start: int, stop: int)
 
     def mark(keys):
         nonlocal seen
-        if seen.size - 1 + keys.size > limit:  # the sentinel is no key
-            raise _GroupOverflow
         seen = np.concatenate((seen, keys))
         seen.sort(kind="stable")  # a merge of two sorted runs
 
-    totals = np.zeros(slots, dtype=np.int64)
-    for done in range(0, samples, per_block):
-        r = min(samples - done, per_block)
-        cells = r * n  # keys per slot
-        seen = np.array([np.iinfo(np.int64).max])  # the sentinel caps every search
-        seeds = np.arange(slots * r, dtype=np.int64) * n + np.repeat(np.arange(start, stop), r)
-        for keys in _bfs(csr, n, seeds, live, fresh, mark):
-            totals += np.bincount(keys // cells, minlength=slots)
-    return totals
+    levels = []
+    for keys in _bfs(indptr, dst, cells, np.arange(sources.size, dtype=np.int64) * cells + sources, None, fresh, mark):
+        if seen.size > _TABLE_PAIRS:
+            return None
+        levels.append(keys)
+    return np.concatenate(levels)[sources.size:] // cells
 
 
-def _bfs(csr, n: int, frontier: np.ndarray, live, fresh, mark, blocked=None) -> list[np.ndarray]:
+def _bfs(indptr: np.ndarray, dst: np.ndarray, n: int, frontier: np.ndarray, live, fresh, mark, blocked=None):
     """Level-synchronous breadth-first search from the sorted, distinct keys
-    `frontier`; returns each level's newly reached keys, the seeds first.
+    `frontier`; yields each level's newly reached keys once marked, the seeds first.
 
     A key is base + node, where base is a multiple of n naming the
-    replicate. Level by level, the frontier's out-edges are gathered in
-    key order and `live(pos, base)` says which of them fire, given their
-    CSR positions and their keys' bases. A fired edge's target key joins
-    the next frontier unless it is `blocked` (a bool mask over nodes) or
-    already reached. The caller keeps the reached keys: `fresh(keys,
-    keep)` returns the keys where the bool mask `keep` holds, less those
-    already reached, and `mark(keys)` records a level's sorted, distinct
-    new keys, the seeds first. Since a key is expanded at most once, so
-    is each edge.
+    replicate. Level by level, the frontier's out-edges (CSR `indptr`,
+    `dst`) are gathered in key order and `live(pos, base)` says which
+    fire (all if `live` is None), given their CSR positions and their
+    keys' bases. A fired edge's target key joins the next frontier
+    unless it is `blocked` (a bool mask over nodes) or already reached.
+    The caller keeps the reached keys: `fresh(keys, keep)` returns the
+    keys where the bool mask `keep` holds, less those already reached,
+    and `mark(keys)` records a level's sorted, distinct new keys, which
+    must stay marked until the generator is exhausted. Since a key is
+    expanded at most once, so is each edge.
     """
-    indptr, dst = csr.indptr, csr.dst
     mark(frontier)
-    levels = [frontier]
+    yield frontier
     while frontier.size:
         node = frontier % n
         starts = indptr[node]
@@ -380,7 +389,7 @@ def _bfs(csr, n: int, frontier: np.ndarray, live, fresh, mark, blocked=None) -> 
         pos = np.repeat(starts - ends + counts, counts) + np.arange(m)
         targets = dst[pos]
         base = np.repeat(frontier - node, counts)
-        keep = live(pos, base)
+        keep = np.ones(m, dtype=bool) if live is None else live(pos, base)
         if blocked is not None:
             keep &= ~blocked[targets]
         keys = fresh(base + targets, keep)
@@ -388,9 +397,8 @@ def _bfs(csr, n: int, frontier: np.ndarray, live, fresh, mark, blocked=None) -> 
         if keys.size > 1:
             keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         mark(keys)
-        levels.append(keys)
+        yield keys
         frontier = keys
-    return levels
 
 
 def hoeffding_radius(node_count: int, samples: int, delta: float = 0.05) -> float:

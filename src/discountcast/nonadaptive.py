@@ -4,7 +4,8 @@ A configuration fixes one discount offer per node up front. Nodes
 accept independently, so the objective is an expectation of cascade
 sizes over every acceptance pattern. Includes exact and Monte Carlo
 evaluators, the two-candidate hill climbing heuristic, and a brute
-force oracle for small instances.
+force oracle for small instances. The Monte Carlo evaluator scores on
+one set of sampled worlds, where lazy greedy is exact; `f_mc` draws anew.
 """
 from __future__ import annotations
 
@@ -20,14 +21,16 @@ import numpy as np
 from .cascade import (
     _mc_total,
     hoeffding_radius,
-    singleton_spreads,
+    offer_totals,
+    sample_worlds,
     spread_exact,
 )
 from .errors import TooLargeError, ValidationError
 from .graph import AdoptionModel, DiscountMenu, Instance, SeedDiscountPair
-from .rng import as_stream, child, generator
+from .rng import as_stream, generator
 
 GAIN_EPS = 1e-12
+TIE_REL = 1e-9  # relative gap between two greedy ratios that may still be one exact tie
 MAX_SUPPORT_NODES = 15
 MAX_ASSIGNMENTS = 1_000_000
 
@@ -224,7 +227,7 @@ def f_mc(config: Configuration, instance: Instance, samples: int, stream) -> flo
     n = graph.node_count
     gen = generator(as_stream(stream))
 
-    def block_seeds(r: int) -> np.ndarray:
+    def block_seeds(done: int, r: int) -> np.ndarray:
         rows, cols = np.nonzero(gen.random((r, nodes.size)) < probs)
         return rows * n + nodes[cols]
 
@@ -250,18 +253,12 @@ class ExactEvaluator:
 
 
 class MCEvaluator:
-    """Monte Carlo objective provider with order-independent substreams.
-
-    Draws for a configuration depend only on its contents (and on the
-    root stream), never on when the evaluation happens, so lazy greedy
-    search gives the same answers as an eager scan. Single-offer
-    configurations read one spread per node, since there the objective
-    factors into acceptance times spread: the first of them builds every
-    node's spread in one batched `singleton_spreads` pass, node v still
-    drawing from substream (0, v), so each entry equals
-    `spread_mc(graph, [v], samples, child(stream, 0, v))`. Larger
-    configurations go to `f_mc` on a substream keyed by their
-    (node, rate index) pairs. Both run the same cascade kernel.
+    """Monte Carlo objective: a configuration's mean cascade over R =
+    `samples` worlds that the first `value` call draws from `stream`
+    (`cascade.sample_worlds`), seeding in each world the offers it
+    accepts. That is a sum of coverage functions of the offers. Single
+    offers read the table `cascade.offer_totals` builds on the first of
+    them; larger configurations run through the shared cascade kernel.
     """
 
     def __init__(self, instance: Instance, samples: int, stream):
@@ -270,30 +267,32 @@ class MCEvaluator:
         self.instance = instance
         self.samples = samples
         self.stream = as_stream(stream)
-        self._node_spread: list[float] | None = None  # built on the first singleton query
+        self._worlds = self._offers = None  # drawn and built on first use
         self._values: dict[tuple, float] = {}
-
-    def _spread(self, v: int) -> float:
-        if self._node_spread is None:
-            self._node_spread = singleton_spreads(self.instance.graph, self.samples, child(self.stream, 0))
-        return self._node_spread[v]
 
     def value(self, config: Configuration) -> float:
         eff = config.effective_map
-        key = tuple(sorted(eff.items()))
-        if key in self._values:
-            return self._values[key]
         if not eff:
-            val = 0.0
-        elif len(eff) == 1:
+            return 0.0
+        graph, menu = self.instance.graph, self.instance.menu
+        if self._worlds is None:
+            self._worlds = sample_worlds(graph, self.samples, self.stream, self.instance.model)
+        if len(eff) == 1:  # a table read, not worth a cache entry
+            if self._offers is None:
+                self._offers = offer_totals(graph, self._worlds, len(menu))
             (v, rate), = eff.items()
-            val = self.instance.model.prob_at_rate(v, rate) * self._spread(v)
-        else:
-            menu = self.instance.menu
-            flat = [x for v, rate in key for x in (v, menu.index_of(rate))]
-            val = f_mc(config, self.instance, self.samples, child(self.stream, 1, *flat))
-        self._values[key] = val
-        return val
+            return int(self._offers[v, menu.index_of(rate)]) / self.samples
+        key = tuple(sorted(eff.items()))
+        if key not in self._values:
+            nodes, ridx = np.array([(v, menu.index_of(rate)) for v, rate in key], dtype=np.int64).T
+            accept, n = self._worlds.accept, graph.node_count
+
+            def block_seeds(done: int, r: int) -> np.ndarray:
+                rows, cols = np.nonzero(accept[done:done + r, nodes] <= ridx)
+                return rows * n + nodes[cols]
+
+            self._values[key] = _mc_total(graph, self.samples, None, block_seeds, worlds=self._worlds) / self.samples
+        return self._values[key]
 
     def radius(self) -> float:
         return hoeffding_radius(self.instance.graph.node_count, self.samples)
@@ -320,8 +319,8 @@ def hill_climbing(
     graph, menu = instance.graph, instance.menu
     ledger = BudgetLedger.for_spec(instance.model, spec)
 
-    # Every affordable single offer, scored once: (node, rate index, cost, value).
-    singles: list[tuple[int, int, int, float]] = []
+    # Every affordable single offer, scored once; with a cost and a gain, one seeds the lazy queue.
+    singles: list[tuple[float, int, int, int, float]] = []
     best_single: Configuration | None = None
     best_single_val = 0.0
     for v in range(graph.node_count):
@@ -331,7 +330,8 @@ def hill_climbing(
                 continue
             candidate = Configuration.of(SeedDiscountPair(v, rate))
             val = evaluator.value(candidate)
-            singles.append((v, ridx, inc, val))
+            if inc > 0 and val > GAIN_EPS:
+                singles.append((-val / (inc / ledger.denom), v, ridx, 0, val))
             if best_single is None or val > best_single_val:
                 best_single, best_single_val = candidate, val
 
@@ -346,23 +346,23 @@ def hill_climbing(
 
 
 def _greedy_marginal(instance: Instance, ledger: BudgetLedger, evaluator,
-                     singles: list[tuple[int, int, int, float]]) -> tuple[Configuration, float]:
+                     heap: list[tuple[float, int, int, int, float]]) -> tuple[Configuration, float]:
     menu = instance.menu
     budget, denom = ledger.budget, ledger.denom
     assignment: dict[int, float] = {}
     spent = 0
     current_val = 0.0
     version = 0
-    # Lazy queue of (negated ratio, node, rate index, version stamp, value),
-    # seeded from the affordable single offers; from the empty configuration
-    # an offer's gain is its value. Only gains above GAIN_EPS enter, so a
-    # fresh top is taken as it is. Submodularity makes stale ratios upper
-    # bounds, so recheck-on-pop suffices.
-    heap = [(-val / (inc / denom), v, ridx, version, val)
-            for v, ridx, inc, val in singles if inc > 0 and val > GAIN_EPS]
+    # Lazy queue of (negated ratio, node, rate index, version stamp, value), seeded with
+    # the single offers at version 0. Only gains above GAIN_EPS enter, so a fresh top is
+    # taken as it is. Submodularity makes stale ratios upper bounds, so recheck-on-pop
+    # suffices; a stale entry within TIE_REL of a fresh top, maybe a tie rounded low, goes first.
     heapq.heapify(heap)
     while heap:
-        _, v, ridx, stamp, val = heapq.heappop(heap)
+        entry = heapq.heappop(heap)
+        if entry[3] == version and heap and heap[0][3] != version and heap[0][0] <= entry[0] * (1.0 - TIE_REL):
+            entry = heapq.heapreplace(heap, entry)
+        _, v, ridx, stamp, val = entry
         rate = menu.rates[ridx]
         current = assignment.get(v, 0.0)
         if rate <= current:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 
 import discountcast as dc
 import discountcast.cascade as cascade
-from discountcast.cascade import live_edge_snapshots, singleton_spreads
+from discountcast.cascade import accept_index, offer_totals, sample_worlds
 from discountcast.rng import as_stream, child
 
 from conftest import tiny_instance
@@ -155,34 +156,88 @@ def test_spread_mc_across_many_blocks(fig1):
     assert est == pytest.approx(dc.spread_exact(g, [0]), abs=0.03)
 
 
-def test_spread_mc_on_snapshots_matches_a_plain_walk():
-    # 2**16 nodes hold a block of only 64 replicates, so 150 snapshots run
-    # in three blocks and each block must read its own rows
+@functools.lru_cache(maxsize=4)
+def live_rows(worlds) -> np.ndarray:
+    return np.unpackbits(worlds.live, axis=1, count=worlds.edges, bitorder="little").astype(bool)
+
+
+def world_reach(graph, worlds, w, seeds, blocked=()):
+    """Independent oracle: nodes reached from `seeds` along world w's live edges, by a plain walk."""
+    live = live_rows(worlds)[w]
+    indptr, dst = graph.csr.indptr, graph.csr.dst
+    seen = {s for s in seeds if s not in blocked}
+    stack = list(seen)
+    while stack:
+        u = stack.pop()
+        for pos in range(indptr[u], indptr[u + 1]):
+            x = int(dst[pos])
+            if live[pos] and x not in seen and x not in blocked:
+                seen.add(x)
+                stack.append(x)
+    return len(seen)
+
+
+def test_spread_mc_on_worlds_matches_a_plain_walk():
+    # 2**16 nodes hold a block of only 4 worlds, so 150 worlds run in 38
+    # blocks and each block must read its own worlds
     small = dc.random_instance(40, 3 / 39, 12, prob_range=(0.2, 0.8)).graph
     n = 1 << 16
     g = dc.SocialGraph(n, tuple(str(i) for i in range(n)), small.edges)
-    snaps = live_edge_snapshots(g, 150, as_stream(3))
-    assert snaps.shape == (150, len(small.edges)) and snaps.dtype == bool
-    indptr, dst = g.csr.indptr, g.csr.dst
+    worlds = sample_worlds(g, 150, as_stream(3))
+    assert cascade._WORLD_CELLS // n == 4
+    assert worlds.accept is None and worlds.live.shape == (150, (g.csr.prob.size + 7) // 8)
     blocked = np.zeros(n, dtype=bool)
     blocked[[1, 5, 9, 30]] = True
-
-    def reach(row, v):
-        seen, stack = {v}, [v]
-        while stack:
-            u = stack.pop()
-            for pos in range(indptr[u], indptr[u + 1]):
-                w = int(dst[pos])
-                if row[pos] and w not in seen and not blocked[w]:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen)
-
     for v in (0, 2, 7, 11):
-        want = sum(reach(row, v) for row in snaps) / 150
-        assert dc.spread_mc(g, [v], 150, None, blocked=blocked, snapshots=snaps) == want
+        want = sum(world_reach(g, worlds, w, [v], {1, 5, 9, 30}) for w in range(150)) / 150
+        assert dc.spread_mc(g, [v], 150, None, blocked=blocked, worlds=worlds) == want
     with pytest.raises(dc.ValidationError):
-        dc.spread_mc(g, [0], 100, None, snapshots=snaps)
+        dc.spread_mc(g, [0], 100, None, worlds=worlds)
+
+
+def test_worlds_draw_live_edge_rows_in_stream_order(fig1):
+    # one uniform per CSR edge, row by row, then one threshold row per world: so a
+    # world set without a model holds exactly the rows an older draw order gave
+    g = fig1.graph
+    prob = g.csr.prob
+    gen = np.random.default_rng(as_stream(4))
+    rows = [gen.random(prob.size) < prob for _ in range(30)]
+    thresholds = [gen.random(g.node_count) for _ in range(30)]
+    worlds = sample_worlds(g, 30, as_stream(4), fig1.model)
+    world, pos = np.indices((30, prob.size)).reshape(2, -1)
+    assert worlds.is_live(world, pos).reshape(30, -1).tolist() == np.array(rows).tolist()
+    assert worlds.accept.dtype == np.uint8
+    assert worlds.accept.tolist() == [list(dc.SeedingRealization.of(fig1.model, t).min_rate_idx) for t in thresholds]
+    assert sample_worlds(g, 30, as_stream(4)).live.tolist() == worlds.live.tolist()
+
+
+def test_accept_index_matches_the_scalar_rule():
+    # thresholds exactly at a probability accept (ties accept); 0 always accepts the
+    # cheapest rate and a threshold above every probability accepts none
+    rng = np.random.default_rng(6)
+    for m in (1, 2, 3):
+        probs = np.sort(rng.choice([0.0, 0.25, 0.5, 1.0, *rng.random(4)], size=(200, m)), axis=1)
+        model = dc.AdoptionModel(dc.DiscountMenu(rates=tuple(range(1, m + 1))), tuple(map(tuple, probs.tolist())))
+        for g in (rng.random(200), probs[np.arange(200), rng.integers(0, m, 200)], np.zeros(200), np.ones(200)):
+            want = dc.SeedingRealization.of(model, g.tolist()).min_rate_idx
+            assert accept_index(np.ascontiguousarray(probs.T), g).tolist() == list(want)
+            assert [model.min_rate_index(v, x) for v, x in enumerate(g.tolist())] == [
+                None if i == m else i for i in want]
+
+
+def test_world_sets_past_the_cap_are_refused_before_drawing():
+    # an edgeless 10k-node graph: 26,844 worlds hold 268,440,000 acceptance bytes, past the
+    # 2**28 cap, and the refusal comes before anything that size is allocated
+    g = dc.SocialGraph(10_000, tuple(str(v) for v in range(10_000)), ())
+    model = dc.AdoptionModel(dc.DiscountMenu(rates=(1.0,)), ((0.5,),) * 10_000)
+    assert 26_844 * 10_000 > cascade.MAX_WORLD_BYTES >= 26_843 * 10_000
+    with pytest.raises(dc.TooLargeError, match=r"^26844 sampled worlds would take about 256 MB, cap is 256 MB; "
+                                               r"draw fewer \(CLI: --samples\)$"):
+        sample_worlds(g, 26_844, as_stream(0), model)
+    # criterion 11's scale at the CLI's default 1,000 samples stays far below the cap
+    assert 1000 * (10_000 + 50_000 // 8) < cascade.MAX_WORLD_BYTES
+    # a spread estimator's live-edge rows alone are not capped: here they take no bytes
+    assert sample_worlds(g, 26_844, as_stream(0)).live.shape == (26_844, 0)
 
 
 def test_spread_certain_edges_always_fire():
@@ -191,79 +246,96 @@ def test_spread_certain_edges_always_fire():
     assert dc.spread_mc(g, [0], 100, as_stream(0)) == pytest.approx(2.0, abs=1e-12)
 
 
-def assert_table_matches_lone_runs(g, samples, stream):
-    """singleton_spreads, batched throughout, agrees with one spread_mc run per node, on
-    substream (v,), bit for bit."""
-    with mock.patch.object(cascade, "_mc_total", wraps=cascade._mc_total) as lone:
-        table = singleton_spreads(g, samples, stream)
-    assert not lone.called  # no group fell back to lone runs
-    runs = [dc.spread_mc(g, [v], samples, child(stream, v)) for v in range(g.node_count)]
-    assert [x.hex() for x in table] == [x.hex() for x in runs]
+def assert_table_matches_plain_walks(inst, samples, stream):
+    """Every single offer's table entry equals, by float.hex, the mean over the same
+    worlds of a plain walk from the node wherever it accepts the rate."""
+    g, m = inst.graph, len(inst.menu)
+    worlds = sample_worlds(g, samples, stream, inst.model)
+    table = offer_totals(g, worlds, m)
+    reach = [[world_reach(g, worlds, w, [v]) for w in range(samples)] for v in range(g.node_count)]
+    ev = dc.MCEvaluator(inst, samples, stream)
+    for v in range(g.node_count):
+        for i, rate in enumerate(inst.menu.rates):
+            want = sum(r for w, r in enumerate(reach[v]) if worlds.accept[w, v] <= i)
+            assert table[v, i] == want, (v, i)
+            assert ev.value(dc.Configuration.of((v, rate))).hex() == (want / samples).hex()
     return table
 
 
-def test_singleton_spreads_match_lone_runs_on_fig1(fig1):
-    table = assert_table_matches_lone_runs(fig1.graph, 2000, as_stream(8))
-    assert table[4] == 1.0  # e has no out-edges
-    assert table[0] == pytest.approx(1.609, abs=0.05)
+def with_model(graph, rates=(1.0, 2.0), seed=0):
+    rows = np.sort(np.random.default_rng(seed).uniform(0.1, 0.9, size=(graph.node_count, len(rates))), axis=1)
+    return dc.Instance(graph, dc.AdoptionModel(dc.DiscountMenu(rates=rates), tuple(map(tuple, rows.tolist()))))
 
 
-def test_singleton_spreads_match_lone_runs_with_certain_and_dead_edges():
-    # p = 1 edges fire in every replicate and p = 0 edges never; nodes 4 and 6 have no
+def test_offer_table_matches_plain_walks_on_fig1(fig1):
+    table = assert_table_matches_plain_walks(fig1, 400, as_stream(8))
+    assert table[4].tolist() == [np.sum(sample_worlds(fig1.graph, 400, as_stream(8), fig1.model).accept[:, 4] <= i)
+                                 for i in range(2)]  # e has no out-edges
+
+
+def test_offer_table_matches_plain_walks_with_certain_and_dead_edges():
+    # p = 1 edges fire in every world and p = 0 edges never; nodes 4 and 6 have no
     # out-edges. The cycle 0-1-2 dies out, so a lost visited test shows here as a wrong
     # table rather than as a cascade that never ends.
     edges = (dc.Edge(0, 1, 1.0), dc.Edge(1, 2, 1.0), dc.Edge(2, 0, 0.5), dc.Edge(2, 3, 0.0),
              dc.Edge(3, 4, 0.0), dc.Edge(5, 3, 0.7), dc.Edge(5, 6, 1.0), dc.Edge(3, 5, 0.4))
-    g = dc.SocialGraph(7, tuple(str(i) for i in range(7)), edges)
-    table = assert_table_matches_lone_runs(g, 500, as_stream(2))
-    assert table[0] == 3.0
-    assert table[4] == table[6] == 1.0
+    inst = with_model(dc.SocialGraph(7, tuple(str(i) for i in range(7)), edges), rates=(0.5, 1.0, 2.0))
+    table = assert_table_matches_plain_walks(inst, 300, as_stream(2))
+    worlds = sample_worlds(inst.graph, 300, as_stream(2), inst.model)
+    assert table[0, 2] == 3 * np.sum(worlds.accept[:, 0] <= 2)
 
 
-def test_singleton_spreads_match_lone_runs_where_cascades_revisit():
+def test_offer_table_matches_plain_walks_where_cascades_revisit():
     # the dense cyclic graph of test_spread_mc_loop_path_matches_exact
     rng = np.random.default_rng(0)
     edges = [dc.Edge(i, j, round(float(rng.uniform(0.2, 0.8)), 3)) for i in range(4) for j in range(4) if i != j]
-    g = dc.SocialGraph(5, tuple(str(i) for i in range(5)), tuple(edges) + (dc.Edge(3, 4, 0.5),))
-    table = assert_table_matches_lone_runs(g, 1000, as_stream(21))
-    assert table[0] == pytest.approx(dc.spread_exact(g, [0]), abs=0.1)
+    inst = with_model(dc.SocialGraph(5, tuple(str(i) for i in range(5)), tuple(edges) + (dc.Edge(3, 4, 0.5),)))
+    assert_table_matches_plain_walks(inst, 300, as_stream(21))
 
 
-def test_singleton_spreads_match_lone_runs_across_blocks(monkeypatch):
-    # 3 replicates per block, so 20 samples run in 7 blocks, the last one partial
-    g = dc.random_instance(40, 3 / 39, 12, prob_range=(0.2, 0.8)).graph
-    monkeypatch.setattr(cascade, "_VISITED_CELLS", 3 * 40)
-    assert_table_matches_lone_runs(g, 20, as_stream(6))
+def test_offer_table_matches_plain_walks_across_blocks(monkeypatch):
+    # 3 worlds per block, so 119 worlds run in 40 blocks, the last one partial
+    inst = dc.random_instance(40, 3 / 39, 12, prob_range=(0.3, 0.9), rates=(0.5, 1.0, 1.5))
+    monkeypatch.setattr(cascade, "_TABLE_CELLS", 3 * 40)
+    assert_table_matches_plain_walks(inst, 119, as_stream(6))
 
 
-def test_singleton_spreads_match_lone_runs_across_node_groups(monkeypatch):
-    g = dc.random_instance(300, 4 / 299, 5).graph
-    # 300 samples at a mean out-degree of 4 put about 27 nodes in each default group
-    assert np.sum(300 * np.maximum(np.diff(g.csr.indptr), 1)) > 10 * cascade._GROUP_EDGES
-    assert_table_matches_lone_runs(g, 300, as_stream(4))
-    # groups of a node or two, across blocks
-    monkeypatch.setattr(cascade, "_GROUP_EDGES", 64)
-    monkeypatch.setattr(cascade, "_VISITED_CELLS", 25 * 300)
-    assert_table_matches_lone_runs(g, 60, as_stream(4))
+def test_offer_table_matches_plain_walks_across_many_sources():
+    # 300 nodes at a mean out-degree of 4: a default block of 54 worlds batches
+    # thousands of sources into one search
+    inst = dc.random_instance(300, 4 / 299, 5, prob_range=(0.05, 0.3), rates=(0.5, 1.0))
+    assert cascade._TABLE_CELLS // 300 == 54
+    assert_table_matches_plain_walks(inst, 60, as_stream(4))
 
 
-@pytest.mark.parametrize("limit", [("_GROUP_KEYS", 4000), ("_SLOT_KEYS", 2000)])
-def test_singleton_spreads_match_lone_runs_after_a_group_overflows(monkeypatch, limit):
-    # 20 isolated nodes, then a core of 60 with near-certain edges: a core cascade reaches
-    # about 55 nodes, so a core slot holds about 2,750 keys at 50 samples and a group of
-    # core nodes passes either limit, while groups of isolated nodes (50 keys a slot) fit
+@pytest.mark.parametrize("block", [0, 2])
+def test_offer_table_matches_plain_walks_after_a_search_gives_up(monkeypatch, block):
+    # 20 isolated nodes, then a core of 60 with near-certain edges: a core cascade
+    # reaches about 55 nodes. The sorted search of a block of 10 worlds gives up, at
+    # the pair limit in the first block or forced in the third after two were
+    # counted, and from that block on sources search in chunks of 7 dense slots.
+    # Counts are kept per node and menu interval, 80 * 4 of them: past a uint8.
     core = dc.random_instance(60, 3 / 59, 9, prob_range=(0.9, 1.0)).graph
     edges = tuple(dc.Edge(e.src + 20, e.dst + 20, e.prob) for e in core.edges)
-    g = dc.SocialGraph(80, tuple(str(i) for i in range(80)), edges)
-    monkeypatch.setattr(cascade, "_GROUP_EDGES", 400)
-    monkeypatch.setattr(cascade, *limit)
-    with mock.patch.object(cascade, "_mc_total", wraps=cascade._mc_total) as lone:
-        table = singleton_spreads(g, 50, as_stream(3))
-    # the isolated nodes, and any core node sharing their group, stay batched; from the
-    # first group that passes its limit on, every node runs lone
-    assert 0 < lone.call_count <= 60
-    assert [x.hex() for x in table] == [dc.spread_mc(g, [v], 50, child(as_stream(3), v)).hex() for v in range(80)]
-    assert table[:20] == [1.0] * 20 and max(table) > 50
+    inst = with_model(dc.SocialGraph(80, tuple(str(i) for i in range(80)), edges), rates=(0.5, 1.0, 2.0))
+    monkeypatch.setattr(cascade, "_TABLE_CELLS", 10 * 80)
+    monkeypatch.setattr(cascade, "_VISITED_CELLS", 7 * 10 * 80)
+    calls = itertools.count()
+    if block == 0:
+        monkeypatch.setattr(cascade, "_TABLE_PAIRS", 400)
+        batch = cascade._source_reach
+    else:
+        def batch(*args):  # offer_totals runs twice below, each in 3 blocks
+            return None if next(calls) % 3 == block else cascade._source_reach(*args)
+    with mock.patch.object(cascade, "_source_reach", side_effect=batch) as batched, \
+            mock.patch.object(cascade, "_dense_reach", wraps=cascade._dense_reach) as dense:
+        table = assert_table_matches_plain_walks(inst, 30, as_stream(3))
+    assert batched.call_count == 2 * (block + 1)
+    seeds = [c.args[3] for c in dense.call_args_list]
+    assert max(map(len, seeds)) == 7 and len(seeds) >= 2 * (3 - block) * 500 // 7  # 500+ sources a block
+    assert table[:20, 1].tolist() == np.sum(sample_worlds(inst.graph, 30, as_stream(3), inst.model).accept[:, :20] <= 1,
+                                             axis=0).tolist()
+    assert table.max() > 50 * 10
 
 
 def test_hoeffding_radius_shrinks():

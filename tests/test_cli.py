@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import shlex
 from pathlib import Path
@@ -11,7 +12,9 @@ from discountcast.cascade import load_realization
 from discountcast.cli import main
 
 
-runner = CliRunner()
+# click 8.1 mixes stderr into stdout unless told not to; click 8.2 dropped the
+# option and always keeps them apart
+runner = CliRunner(**({"mix_stderr": False} if "mix_stderr" in inspect.signature(CliRunner).parameters else {}))
 
 
 def _report(stdout: str) -> dict:
