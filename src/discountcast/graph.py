@@ -18,6 +18,7 @@ node's probabilities must be non-decreasing in the rate.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +50,7 @@ class CSRView:
     __slots__ = ("indptr", "dst", "prob", "_visited")
 
     def __init__(self, node_count: int, edges: tuple[Edge, ...]):
-        table = np.array(edges, dtype=np.float64).reshape(-1, 3)
+        table = np.fromiter(itertools.chain.from_iterable(edges), np.float64, 3 * len(edges)).reshape(-1, 3)
         table = table[table[:, 2] > 0.0]
         order = np.argsort(table[:, 0], kind="stable")
         src = table[order, 0].astype(np.int64)

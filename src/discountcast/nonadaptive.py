@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .cascade import (
+    Worlds,
     _mc_total,
     hoeffding_radius,
     offer_totals,
@@ -248,13 +249,19 @@ class ExactEvaluator:
             self._values[key] = f_exact(config, self.instance, spread_cache=self._spreads)
         return self._values[key]
 
+    def single_values(self, offers: np.ndarray) -> np.ndarray:
+        """Values of the single offers set in the (node, rate index) mask `offers`, node-major."""
+        rates = self.instance.menu.rates
+        return np.array([self.value(Configuration.of((v, rates[i]))) for v, i in np.argwhere(offers).tolist()],
+                        dtype=np.float64)
+
     def radius(self) -> float:
         return 0.0
 
 
 class MCEvaluator:
     """Monte Carlo objective: a configuration's mean cascade over R =
-    `samples` worlds that the first `value` call draws from `stream`
+    `samples` worlds that the first query draws from `stream`
     (`cascade.sample_worlds`), seeding in each world the offers it
     accepts. That is a sum of coverage functions of the offers. Single
     offers read the table `cascade.offer_totals` builds on the first of
@@ -267,19 +274,26 @@ class MCEvaluator:
         self.instance = instance
         self.samples = samples
         self.stream = as_stream(stream)
-        self._worlds = self._offers = None  # drawn and built on first use
         self._values: dict[tuple, float] = {}
+
+    @cached_property
+    def _worlds(self) -> Worlds:
+        return sample_worlds(self.instance.graph, self.samples, self.stream, self.instance.model)
+
+    @cached_property
+    def _offers(self) -> np.ndarray:
+        return offer_totals(self.instance.graph, self._worlds, len(self.instance.menu))
+
+    def single_values(self, offers: np.ndarray) -> np.ndarray:
+        """Values of the single offers set in the (node, rate index) mask `offers`, node-major."""
+        return self._offers[offers] / self.samples
 
     def value(self, config: Configuration) -> float:
         eff = config.effective_map
         if not eff:
             return 0.0
         graph, menu = self.instance.graph, self.instance.menu
-        if self._worlds is None:
-            self._worlds = sample_worlds(graph, self.samples, self.stream, self.instance.model)
         if len(eff) == 1:  # a table read, not worth a cache entry
-            if self._offers is None:
-                self._offers = offer_totals(graph, self._worlds, len(menu))
             (v, rate), = eff.items()
             return int(self._offers[v, menu.index_of(rate)]) / self.samples
         key = tuple(sorted(eff.items()))
@@ -307,36 +321,42 @@ def hill_climbing(
 ) -> Configuration:
     """Better of (a) the best affordable single offer and (b) a greedy build-up.
 
-    The greedy candidate grows by the offer maximizing marginal gain per
-    unit of incremental cost, skipping offers the budget cannot absorb,
-    and stops once the best remaining gain drops to numerical zero.
-    gain_rule="total" instead ranks offers by total value over their raw
-    rate, which is only useful for comparison runs; it re-scans every
-    step because total value grows as the configuration does.
+    The single offers are scored in one `evaluator.single_values` call,
+    which is one table read under `MCEvaluator`. The greedy candidate
+    grows by the offer maximizing marginal gain per unit of incremental
+    cost, skipping offers the budget cannot absorb, and stops once the
+    best remaining gain drops to numerical zero or the budget left is
+    below the smallest raise any offer costs. gain_rule="total" instead
+    ranks offers by total value over their raw rate, which is only
+    useful for comparison runs; it re-scans every step because total
+    value grows as the configuration does.
     """
     if gain_rule not in ("marginal", "total"):
         raise ValidationError(f"gain_rule must be 'marginal' or 'total', got {gain_rule!r}")
     graph, menu = instance.graph, instance.menu
     ledger = BudgetLedger.for_spec(instance.model, spec)
+    # Python ints: soft-mode units can pass 2**63.
+    costs = [[ledger.offer(v, rate) for rate in menu.rates] for v in range(graph.node_count)]
+    affordable = np.array([c <= ledger.budget for row in costs for c in row], dtype=bool).reshape(-1, len(menu))
+    nodes, ridxs = np.nonzero(affordable)
+    values = evaluator.single_values(affordable)
 
-    # Every affordable single offer, scored once; with a cost and a gain, one seeds the lazy queue.
-    singles: list[tuple[float, int, int, int, float]] = []
-    best_single: Configuration | None = None
-    best_single_val = 0.0
-    for v in range(graph.node_count):
-        for ridx, rate in enumerate(menu.rates):
-            inc = ledger.offer(v, rate)
-            if inc > ledger.budget:
-                continue
-            candidate = Configuration.of(SeedDiscountPair(v, rate))
-            val = evaluator.value(candidate)
-            if inc > 0 and val > GAIN_EPS:
-                singles.append((-val / (inc / ledger.denom), v, ridx, 0, val))
-            if best_single is None or val > best_single_val:
-                best_single, best_single_val = candidate, val
+    best_single, best_single_val = None, 0.0
+    if values.size:
+        top = int(np.argmax(values))  # the first maximum, in (node, rate) order
+        best_single = Configuration.of((int(nodes[top]), menu.rates[ridxs[top]]))
+        best_single_val = float(values[top])
 
     if gain_rule == "marginal":
-        greedy, greedy_val = _greedy_marginal(instance, ledger, evaluator, singles)
+        # Each affordable offer with a cost and a gain seeds the lazy queue.
+        keep = np.flatnonzero(values > GAIN_EPS)
+        singles = [(-val / (costs[v][i] / ledger.denom), v, i, 0, val)
+                   for v, i, val in zip(nodes[keep].tolist(), ridxs[keep].tolist(), values[keep].tolist())
+                   if costs[v][i] > 0]
+        # Costs never fall as the rate rises, so a raise that costs anything costs at least the smallest step.
+        rows = {tuple(row) for row in costs}
+        steps = (c for row in rows for c in (row[0], *(b - a for a, b in zip(row, row[1:]))) if c > 0)
+        greedy, greedy_val = _greedy_marginal(instance, ledger, evaluator, singles, min(steps, default=0))
     else:
         greedy, greedy_val = _greedy_total(instance, ledger, evaluator)
 
@@ -346,7 +366,7 @@ def hill_climbing(
 
 
 def _greedy_marginal(instance: Instance, ledger: BudgetLedger, evaluator,
-                     heap: list[tuple[float, int, int, int, float]]) -> tuple[Configuration, float]:
+                     heap: list[tuple[float, int, int, int, float]], min_raise: int) -> tuple[Configuration, float]:
     menu = instance.menu
     budget, denom = ledger.budget, ledger.denom
     assignment: dict[int, float] = {}
@@ -357,8 +377,9 @@ def _greedy_marginal(instance: Instance, ledger: BudgetLedger, evaluator,
     # the single offers at version 0. Only gains above GAIN_EPS enter, so a fresh top is
     # taken as it is. Submodularity makes stale ratios upper bounds, so recheck-on-pop
     # suffices; a stale entry within TIE_REL of a fresh top, maybe a tie rounded low, goes first.
+    # Once the budget left is below `min_raise`, no entry left can fit.
     heapq.heapify(heap)
-    while heap:
+    while heap and budget - spent >= min_raise:
         entry = heapq.heappop(heap)
         if entry[3] == version and heap and heap[0][3] != version and heap[0][0] <= entry[0] * (1.0 - TIE_REL):
             entry = heapq.heapreplace(heap, entry)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -157,6 +158,33 @@ def test_instance_round_trip_random(tmp_path):
     graph, model = dc.load_instance(files["graph"], files["adoption"], files["discounts"])
     assert graph == inst.graph
     assert model == inst.model
+
+
+def csr_reference(node_count, edges):
+    """Out-edges grouped by source in edge-list order, zero-probability edges dropped."""
+    rows = [[e for e in edges if e.src == u and e.prob > 0.0] for u in range(node_count)]
+    indptr = [0]
+    for row in rows:
+        indptr.append(indptr[-1] + len(row))
+    return indptr, [e.dst for row in rows for e in row], [e.prob for row in rows for e in row]
+
+
+@pytest.mark.parametrize("case", ["edgeless", "zero_probability", "shuffled_random"])
+def test_csr_view_matches_a_loop_reference(case):
+    if case == "edgeless":
+        graph = dc.SocialGraph(4, ("a", "b", "c", "d"), ())
+    elif case == "zero_probability":
+        edges = (dc.Edge(2, 0, 0.0), dc.Edge(0, 1, 0.5), dc.Edge(2, 1, 0.25), dc.Edge(0, 2, 0.0), dc.Edge(1, 0, 1.0))
+        graph = dc.SocialGraph(3, ("a", "b", "c"), edges)
+    else:
+        graph = dc.random_instance(40, 0.1, 6, prob_range=(0.0, 0.5)).graph
+        edges = list(graph.edges)
+        np.random.default_rng(6).shuffle(edges)
+        graph = dc.SocialGraph(graph.node_count, graph.labels, tuple(edges))
+    csr = graph.csr
+    indptr, dst, prob = csr_reference(graph.node_count, graph.edges)
+    assert (csr.indptr.tolist(), csr.dst.tolist(), csr.prob.tolist()) == (indptr, dst, prob)
+    assert (csr.indptr.dtype, csr.dst.dtype, csr.prob.dtype) == (np.int64, np.int64, np.float64)
 
 
 def test_random_instance_past_one_jump_chunk():

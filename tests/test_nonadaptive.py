@@ -327,6 +327,59 @@ def test_lazy_greedy_matches_full_rescan():
         assert ev.value(fast) == pytest.approx(ev.value(slow), abs=0)
 
 
+def test_single_values_read_the_masked_offers_node_major():
+    for seed in range(5):
+        inst, _ = tiny_instance(seed)
+        mask = np.random.default_rng(seed).random((inst.graph.node_count, len(inst.menu))) < 0.5
+        offers = [dc.Configuration.of((v, inst.menu.rates[i])) for v, i in np.argwhere(mask).tolist()]
+        for ev in (dc.ExactEvaluator(inst), dc.MCEvaluator(inst, samples=40, stream=as_stream(seed))):
+            values = ev.single_values(mask)
+            assert values.dtype == np.float64
+            assert [x.hex() for x in values.tolist()] == [ev.value(c).hex() for c in offers]
+
+
+def test_exact_hill_climbing_scores_no_unaffordable_single_offer():
+    # Node 0's only offer costs 2.0 in expectation against a budget of 1.5, and its
+    # reach holds more uncertain edges than an exact spread enumerates: scoring it raises.
+    leaves = cascade.MAX_UNCERTAIN_EDGES + 1
+    n = leaves + 1
+    g = dc.SocialGraph(n, tuple(map(str, range(n))), tuple(dc.Edge(0, v, 0.5) for v in range(1, n)))
+    model = dc.AdoptionModel(menu=dc.DiscountMenu(rates=(2.0,)), probs=((1.0,),) + ((0.5,),) * leaves)
+    inst = dc.Instance(graph=g, model=model)
+    with pytest.raises(dc.TooLargeError):
+        dc.ExactEvaluator(inst).value(dc.Configuration.of((0, 2.0)))
+    cfg = dc.hill_climbing(inst, dc.BudgetSpec(budget=1.5, mode="soft"), dc.ExactEvaluator(inst))
+    assert cfg.effective_map == {1: 2.0}
+
+
+def test_greedy_stops_on_the_smallest_raise_not_the_smallest_offer():
+    # After offers of 1.0 to both nodes, 0.5 is left: too little for any offer,
+    # enough to raise node 0 from 1.0 to 1.5.
+    g = dc.SocialGraph(2, ("0", "1"), ())
+    model = dc.AdoptionModel(menu=dc.DiscountMenu(rates=(1.0, 1.5)), probs=((0.9, 1.0), (0.8, 0.8)))
+    inst = dc.Instance(graph=g, model=model)
+    spec = dc.BudgetSpec(budget=2.5, mode="hard")
+    ev = dc.ExactEvaluator(inst)
+    cfg = dc.hill_climbing(inst, spec, ev)
+    assert cfg.effective_map == {0: 1.5, 1: 1.0}
+    assert cfg.effective_map == eager_hill_climbing(inst, spec, ev).effective_map
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_hill_climbing_matches_an_eager_scan_past_int64_units(mode):
+    # Rates 0.1 and 0.3 times adoption chances with long binary expansions: soft-mode
+    # ledger units pass 2**63, so the cost arithmetic must stay in Python ints.
+    for seed in range(10):
+        inst = dc.random_instance(12, 3 / 11, seed, prob_range=(0.1, 0.6), rates=(0.1, 0.3))
+        spec = dc.BudgetSpec(budget=0.6 if mode == "hard" else 0.25, mode=mode)
+        if mode == "soft":
+            assert max(BudgetLedger.for_spec(inst.model, spec).offer(v, 0.3) for v in range(12)) > 2**63
+        ev = dc.MCEvaluator(inst, samples=40, stream=as_stream(seed))
+        cfg = dc.hill_climbing(inst, spec, ev)
+        assert cfg.effective_map == eager_hill_climbing(inst, spec, ev).effective_map, f"seed {seed}"
+        assert len(cfg.effective_map) > 1, f"seed {seed}"
+
+
 def test_brute_force_fig1(fig1, hard2):
     cfg, val = dc.brute_force_config(fig1, hard2)
     assert cfg.effective_map == {0: 2.0}
