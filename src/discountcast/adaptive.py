@@ -31,11 +31,12 @@ ratio scored at an earlier state bounds the current one from above:
 the policy keeps its offers in a heap stamped with the influenced set
 each was scored at, and re-scores only a stale top. Monte Carlo
 residual spreads are mean reaches over R sampled live-edge worlds that
-each estimator draws once (`cascade.sample_worlds`, one bit an edge),
-so they shrink the same way, and lazy and eager scans pick the same
-offers in both estimator modes. Sampled evaluation builds one policy
-per process and reuses it across trials: every estimate and draw is
-keyed by state, so reuse changes no value.
+each estimator draws once (`cascade.sample_worlds`) and keeps as one
+R-bit mask per edge (`cascade.WorldMasks`), searched in all worlds at
+once (`cascade.masked_reach`). So they shrink the same way, and lazy
+and eager scans pick the same offers in both estimator modes. Sampled
+evaluation builds one policy per process and reuses it across trials:
+every estimate and draw is keyed by state, so reuse changes no value.
 """
 from __future__ import annotations
 
@@ -54,12 +55,14 @@ from .cascade import (
     DiffusionRealization,
     Realization,
     SeedingRealization,
+    WorldMasks,
     _live_edge_outcomes,
+    check_samples,
     hoeffding_radius,
+    masked_reach,
     reveal_cascade,
     sample_worlds,
     spread_exact,
-    spread_mc,
 )
 from .errors import PolicyContractError, TooLargeError, ValidationError
 from .graph import Instance, SeedDiscountPair, SocialGraph
@@ -322,11 +325,12 @@ class SpreadEstimator:
             raise ValidationError(f"spread mode must be 'exact' or 'mc', got {mode!r}")
         if mode == "mc" and stream is None:
             raise ValidationError("mc spread estimation needs a seed stream")
+        check_samples(samples)
         self.graph = graph
         self.mode = mode
         self.samples = samples
         self.stream = as_stream(stream) if stream is not None else None
-        self._worlds = sample_worlds(graph, samples, self.stream) if mode == "mc" else None
+        self._masks = WorldMasks(graph, sample_worlds(graph, samples, self.stream)) if mode == "mc" else None
         self._cache: dict[tuple[int, int], float] = {}
 
     def residual_spread(self, influenced, v: int) -> float:
@@ -337,13 +341,11 @@ class SpreadEstimator:
         if key not in self._cache:
             if (influenced >> v) & 1:
                 raise ValidationError(f"node {v} is already influenced")
-            n = self.graph.node_count
             if self.mode == "exact":
+                n = self.graph.node_count
                 val = spread_exact(self.graph, [v], restrict=set(range(n)).difference(_bits(influenced)))
             else:
-                packed = np.frombuffer(influenced.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-                blocked = np.unpackbits(packed, count=n, bitorder="little").view(bool)
-                val = spread_mc(self.graph, [v], self.samples, None, blocked=blocked, worlds=self._worlds)
+                val = masked_reach(self._masks, v, influenced) / self.samples
             self._cache[key] = val
         return self._cache[key]
 

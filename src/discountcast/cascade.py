@@ -17,10 +17,15 @@ fires by one uniform draw, or as in a fixed sampled world
 evaluator, every node's menu-interval index. On fixed worlds a cascade
 can only shrink as more nodes are blocked, and `offer_totals` gives
 every single offer's reach from searches batched over many sources.
+Adaptive residual spreads search from one node in all worlds at once
+(`masked_reach`): the worlds are transposed into one Python int per
+edge (`WorldMasks`), whose bit w says the edge is live in world w.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -202,6 +207,89 @@ class Worlds:
         return (self.live[world, self.byte[pos]] & self.bit[pos]).astype(bool)
 
 
+class WorldMasks:
+    """Sampled worlds (`sample_worlds`) kept edge by edge, for `masked_reach`.
+
+    `out[u]` lists u's out-edges that are live in some world as (target,
+    mask) pairs, in CSR order: bit w of the Python int mask is set when
+    the edge is live in world w. `live_out[u]` is the union of u's masks.
+    The live-edge rows are transposed in blocks of edges, so no R x E
+    bool matrix is ever held. `reach` and `done` are the search's scratch
+    rows, all zero between calls.
+    """
+
+    __slots__ = ("samples", "out", "live_out", "reach", "done")
+
+    def __init__(self, graph: SocialGraph, worlds: Worlds):
+        samples = worlds.samples
+        width = (samples + 7) // 8  # bytes per mask
+        step = max(8, _WORLD_CELLS // samples // 8 * 8)  # edges per block: whole bytes of `live`
+        masks: list[int] = []
+        for p in range(0, worlds.edges, step):
+            rows = np.unpackbits(worlds.live[:, p // 8:(p + step) // 8], axis=1, bitorder="little")
+            flat = np.packbits(rows.T, axis=1, bitorder="little").tobytes()  # past the last edge: zero padding
+            masks += [int.from_bytes(flat[i:i + width], "little") for i in range(0, len(flat), width)]
+        indptr, dst = graph.csr.indptr.tolist(), graph.csr.dst.tolist()
+        self.samples = samples
+        self.out = [[(dst[p], masks[p]) for p in range(indptr[u], indptr[u + 1]) if masks[p]]
+                    for u in range(graph.node_count)]
+        self.live_out = [functools.reduce(operator.or_, (d for _, d in row), 0) for row in self.out]
+        self.reach = [0] * graph.node_count
+        self.done = [0] * graph.node_count
+
+
+def masked_reach(masks: WorldMasks, source: int, blocked: int) -> int:
+    """Reach of `source` summed over the sampled worlds, the total `_mc_total`
+    gives on the same worlds; nodes set in the bitmask `blocked` neither seed
+    nor receive influence.
+
+    The worlds are searched together. Bit w of `reach[u]` is set once u is
+    reached in world w, and `done[u]` holds the bits u has passed on. A node
+    whose row gains bits joins a FIFO queue unless it is waiting there
+    already; when taken, it passes on its new bits m, giving the target of
+    an edge of mask d the bits d & m. So each (node, world) pair is reached
+    and passed on once, as in one breadth-first search per world, and the
+    bits a node gains while it waits go on together. Bits in worlds where a
+    node has no live out-edge have nowhere to go: when a node gains only
+    those, they count as passed on and it does not join the queue. A
+    blocked node's row is filled instead, so nothing enters it.
+    """
+    if (blocked >> source) & 1:
+        return 0
+    full, out, live_out, reach, done = (1 << masks.samples) - 1, masks.out, masks.live_out, masks.reach, masks.done
+    reach[source] = full
+    queue, seen, walls = [source], [source], []
+    try:
+        for u in queue:  # the list grows as it is read: a FIFO queue
+            r = reach[u]
+            m = r ^ done[u]
+            done[u] = r
+            for w, d in out[u]:
+                hit = d & m
+                if hit:
+                    r = reach[w]
+                    x = r | hit
+                    if x != r:
+                        if not r:
+                            if (blocked >> w) & 1:
+                                reach[w] = full
+                                walls.append(w)
+                                continue
+                            seen.append(w)
+                        reach[w] = x
+                        if r == done[w]:  # not waiting yet
+                            if live_out[w] & hit:
+                                queue.append(w)
+                            else:
+                                done[w] = x
+        return sum(reach[u].bit_count() for u in seen)
+    finally:
+        for u in seen:
+            reach[u] = done[u] = 0
+        for u in walls:
+            reach[u] = 0
+
+
 def accept_index(probs: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """`AdoptionModel.min_rate_index` of every node (len(menu) for none) per row of
     thresholds, given probs[i, v] at rate i: ties accept, so it counts the rates below."""
@@ -233,31 +321,32 @@ def sample_worlds(graph: SocialGraph, samples: int, stream, model: AdoptionModel
     return Worlds(samples, edges, live, accept, np.arange(edges) >> 3, (1 << np.arange(edges) % 8).astype(np.uint8))
 
 
-def spread_mc(graph: SocialGraph, seeds, samples: int, stream, *, blocked=None, worlds=None) -> float:
+def check_samples(samples) -> None:
+    """Refuse a sample count that is not a positive int, before anything is drawn."""
+    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+        raise ValidationError(f"samples must be a positive int, got {samples!r} (CLI: --samples)")
+
+
+def spread_mc(graph: SocialGraph, seeds, samples: int, stream, *, blocked=None) -> float:
     """Monte Carlo estimate of the expected cascade size from `seeds`.
 
     Every replicate starts from the same seeds, run through the shared
-    kernel in blocks. Nodes set in `blocked` (a bool mask over the
-    nodes) neither seed nor receive influence. With `worlds` (from
-    `sample_worlds`, `samples` of them) replicate w follows world w's
-    live edges and `stream` goes unused; otherwise each examined edge
-    draws from `stream`. Bit-deterministic either way; the mean is an
-    integer total over the sample count.
+    kernel in blocks, and each examined edge draws from `stream`. Nodes
+    set in `blocked` (a bool mask over the nodes) neither seed nor
+    receive influence. Bit-deterministic; the mean is an integer total
+    over the sample count.
     """
-    if samples < 1:
-        raise ValidationError("samples must be at least 1")
+    check_samples(samples)
     n = graph.node_count
     seed_nodes = np.array(sorted({s for s in seeds if blocked is None or not blocked[s]}), dtype=np.int64)
     if not seed_nodes.size:
         return 0.0
-    if worlds is not None and (worlds.samples, worlds.edges) != (samples, graph.csr.prob.size):
-        raise ValidationError(f"worlds must be {samples} worlds over {graph.csr.prob.size} edges")
-    gen = None if worlds is not None else generator(as_stream(stream))
+    gen = generator(as_stream(stream))
 
     def block_seeds(done: int, r: int) -> np.ndarray:
         return (np.arange(0, r * n, n, dtype=np.int64)[:, None] + seed_nodes).ravel()
 
-    return _mc_total(graph, samples, gen, block_seeds, blocked, worlds) / samples
+    return _mc_total(graph, samples, gen, block_seeds, blocked) / samples
 
 
 def _mc_total(graph: SocialGraph, samples: int, gen: np.random.Generator | None, block_seeds, blocked=None,

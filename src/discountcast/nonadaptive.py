@@ -21,6 +21,7 @@ import numpy as np
 from .cascade import (
     Worlds,
     _mc_total,
+    check_samples,
     hoeffding_radius,
     offer_totals,
     sample_worlds,
@@ -214,8 +215,7 @@ def f_mc(config: Configuration, instance: Instance, samples: int, stream) -> flo
     `spread_mc`. Bit-deterministic for a fixed stream; the mean is an
     integer total divided by the sample count.
     """
-    if samples < 1:
-        raise ValidationError("samples must be at least 1")
+    check_samples(samples)
     graph, model = instance.graph, instance.model
     eff = config.effective_map
     support = sorted(
@@ -269,8 +269,7 @@ class MCEvaluator:
     """
 
     def __init__(self, instance: Instance, samples: int, stream):
-        if samples < 1:
-            raise ValidationError("samples must be at least 1")
+        check_samples(samples)
         self.instance = instance
         self.samples = samples
         self.stream = as_stream(stream)

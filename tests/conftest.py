@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import discountcast as dc
+
+# CI draws the same examples on every run, so a failure there reproduces; the
+# blob it prints replays the failing example with @reproduce_failure.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

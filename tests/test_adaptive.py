@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -299,6 +300,22 @@ def test_estimator_guards():
         dc.BranchConfig(mode="rollouts", rollouts=0)
 
 
+@pytest.mark.parametrize("samples", [0, -2, True, False, 2.0, "10", None])
+@pytest.mark.parametrize("build", [
+    lambda inst, s: dc.SpreadEstimator(inst.graph, mode="mc", samples=s, stream=as_stream(0)),
+    lambda inst, s: dc.SpreadEstimator(inst.graph, mode="exact", samples=s),
+    lambda inst, s: dc.MCEvaluator(inst, samples=s, stream=as_stream(0)),
+    lambda inst, s: dc.spread_mc(inst.graph, [0], s, as_stream(0)),
+    lambda inst, s: dc.f_mc(dc.Configuration.of((0, 1.0)), inst, s, as_stream(0)),
+], ids=["mc_estimator", "exact_estimator", "mc_evaluator", "spread_mc", "f_mc"])
+def test_sample_counts_are_refused_up_front(fig1, build, samples):
+    # at construction, with one message: a zero count would otherwise fail at the first
+    # query, and a bool inside numpy
+    with pytest.raises(dc.ValidationError, match=rf"^samples must be a positive int, got {re.escape(repr(samples))} "
+                                                 r"\(CLI: --samples\)$"):
+        build(fig1, samples)
+
+
 def test_mc_spread_estimator_is_state_keyed(fig1, monkeypatch):
     est = dc.SpreadEstimator(fig1.graph, mode="mc", samples=2000, stream=as_stream(31))
     val_empty = est.residual_spread(set(), 2)
@@ -309,8 +326,8 @@ def test_mc_spread_estimator_is_state_keyed(fig1, monkeypatch):
     assert est2.residual_spread(set(), 2) == val_empty
     # a node set and its bitmask name one cache entry
     calls = []
-    kernel = dc.adaptive.spread_mc
-    monkeypatch.setattr(dc.adaptive, "spread_mc", lambda *a, **k: calls.append(a) or kernel(*a, **k))
+    kernel = dc.adaptive.masked_reach
+    monkeypatch.setattr(dc.adaptive, "masked_reach", lambda *a, **k: calls.append(a) or kernel(*a, **k))
     est3 = dc.SpreadEstimator(fig1.graph, mode="mc", samples=2000, stream=as_stream(31))
     assert est3.residual_spread(0b11, 2) == val_after
     assert est3.residual_spread({0, 1}, 2) == val_after

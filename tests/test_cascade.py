@@ -177,22 +177,75 @@ def world_reach(graph, worlds, w, seeds, blocked=()):
     return len(seen)
 
 
-def test_spread_mc_on_worlds_matches_a_plain_walk():
-    # 2**16 nodes hold a block of only 4 worlds, so 150 worlds run in 38
-    # blocks and each block must read its own worlds
+def world_total(graph, worlds, seeds, blocked) -> int:
+    """The world kernel's total over every world: `_mc_total` with a `worlds` set."""
+    n, seeds = graph.node_count, np.array(sorted(seeds), dtype=np.int64)
+
+    def block_seeds(done, r):
+        return (np.arange(0, r * n, n, dtype=np.int64)[:, None] + seeds).ravel()
+
+    return cascade._mc_total(graph, worlds.samples, None, block_seeds, blocked, worlds)
+
+
+def test_masked_reach_on_worlds_matches_a_plain_walk():
+    # 2**16 nodes hold a block of only 4 worlds in the world kernel, so 150 worlds run
+    # there in 38 blocks and each block must read its own worlds; the masks search
+    # all 150 at once
     small = dc.random_instance(40, 3 / 39, 12, prob_range=(0.2, 0.8)).graph
     n = 1 << 16
     g = dc.SocialGraph(n, tuple(str(i) for i in range(n)), small.edges)
     worlds = sample_worlds(g, 150, as_stream(3))
     assert cascade._WORLD_CELLS // n == 4
     assert worlds.accept is None and worlds.live.shape == (150, (g.csr.prob.size + 7) // 8)
+    masks = cascade.WorldMasks(g, worlds)
     blocked = np.zeros(n, dtype=bool)
     blocked[[1, 5, 9, 30]] = True
     for v in (0, 2, 7, 11):
-        want = sum(world_reach(g, worlds, w, [v], {1, 5, 9, 30}) for w in range(150)) / 150
-        assert dc.spread_mc(g, [v], 150, None, blocked=blocked, worlds=worlds) == want
-    with pytest.raises(dc.ValidationError):
-        dc.spread_mc(g, [0], 100, None, worlds=worlds)
+        want = sum(world_reach(g, worlds, w, [v], {1, 5, 9, 30}) for w in range(150))
+        assert cascade.masked_reach(masks, v, 1 << 1 | 1 << 5 | 1 << 9 | 1 << 30) == want
+        assert world_total(g, worlds, [v], blocked) == want
+
+
+def masks_cases():
+    certain_and_dead = (dc.Edge(0, 1, 1.0), dc.Edge(1, 2, 1.0), dc.Edge(2, 0, 0.5), dc.Edge(2, 3, 0.0),
+                        dc.Edge(3, 4, 0.0), dc.Edge(5, 3, 0.7), dc.Edge(5, 6, 1.0), dc.Edge(3, 5, 0.4))
+    rng = np.random.default_rng(0)
+    dense = tuple(dc.Edge(i, j, round(float(rng.uniform(0.2, 0.8)), 3)) for i in range(4) for j in range(4) if i != j)
+    return {
+        # p = 1 edges are live in every world and p = 0 edges in none; 4 and 6 have no out-edges
+        "certain_and_dead": dc.SocialGraph(7, tuple(map(str, range(7))), certain_and_dead),
+        # every node reaches every other, so rows keep gaining bits along cycles
+        "dense_cyclic": dc.SocialGraph(5, tuple(map(str, range(5))), dense + (dc.Edge(3, 4, 0.5),)),
+        "random": dc.random_instance(40, 3 / 39, 12, prob_range=(0.2, 0.8)).graph,
+    }
+
+
+@pytest.mark.parametrize("cells", [None, 1], ids=["one_block", "blocks_of_8_edges"])
+@pytest.mark.parametrize("samples", [1, 7, 8, 9, 200])
+@pytest.mark.parametrize("case", sorted(masks_cases()))
+def test_masked_reach_equals_the_world_kernel(case, samples, cells, monkeypatch):
+    # mask widths that are and are not whole bytes, so the packed rows' padding bits show
+    # if they leak; with cells=1 the transpose runs 8 edges at a time
+    g = masks_cases()[case]
+    n = g.node_count
+    worlds = sample_worlds(g, samples, as_stream(samples))
+    with monkeypatch.context() as m:
+        if cells is not None:
+            m.setattr(cascade, "_WORLD_CELLS", cells)
+        masks = cascade.WorldMasks(g, worlds)
+    assert [d for row in masks.out for _, d in row] == [
+        int("".join("1" if x else "0" for x in col[::-1]), 2) for col in live_rows(worlds).T if col.any()]
+    rng = np.random.default_rng(samples)
+    for v in range(n):
+        for trial in range(4):
+            blocked = rng.random(n) < (0.0, 0.2, 0.4, 0.7)[trial]
+            blocked[v] = False
+            bits = sum(1 << int(u) for u in np.flatnonzero(blocked))
+            got = cascade.masked_reach(masks, v, bits)
+            want = world_total(g, worlds, [v], blocked)
+            assert (got / samples).hex() == (want / samples).hex(), (v, trial)
+            assert not any(masks.reach) and not any(masks.done)  # the scratch rows are clean for the next call
+        assert cascade.masked_reach(masks, v, 1 << v) == 0  # a blocked source reaches nothing
 
 
 def test_worlds_draw_live_edge_rows_in_stream_order(fig1):
