@@ -740,8 +740,8 @@ def optimal_policy_oracle(instance: Instance, spec: BudgetSpec) -> float:
     n, m = graph.node_count, len(menu)
     if n > ORACLE_MAX_NODES:
         raise TooLargeError(f"optimal oracle handles at most {ORACLE_MAX_NODES} nodes, got {n}")
-    if len(graph.edges) > ORACLE_MAX_EDGES:
-        raise TooLargeError(f"optimal oracle handles at most {ORACLE_MAX_EDGES} edges, got {len(graph.edges)}")
+    if len(graph.src) > ORACLE_MAX_EDGES:
+        raise TooLargeError(f"optimal oracle handles at most {ORACLE_MAX_EDGES} edges, got {len(graph.src)}")
     if m > ORACLE_MAX_RATES:
         raise TooLargeError(f"optimal oracle handles menus up to {ORACLE_MAX_RATES} rates, got {m}")
     ledger = BudgetLedger(menu, spec)

@@ -84,8 +84,7 @@ def sample_seeding(instance: Instance, stream) -> SeedingRealization:
 
 def sample_diffusion(graph: SocialGraph, stream) -> DiffusionRealization:
     gen = generator(as_stream(stream))
-    u = gen.random(len(graph.edges))
-    live = tuple(bool(u[i] < e.prob) for i, e in enumerate(graph.edges))
+    live = tuple((gen.random(len(graph.prob)) < graph.prob).tolist())
     return DiffusionRealization(live=live)
 
 
@@ -571,7 +570,7 @@ def load_realization(path, instance: Instance) -> Realization:
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
 
-    for lineno, line in _content_lines(path):
+    for lineno, line in _content_lines(Path(path).read_text()):
         parts = line.split()
         if parts[0] == "threshold":
             if len(parts) != 3:

@@ -225,7 +225,7 @@ def generate(name, seed, out, **params):
         "command": "generate",
         "name": name,
         "nodes": instance.graph.node_count,
-        "edges": len(instance.graph.edges),
+        "edges": len(instance.graph.src),
         "files": files,
         "discounts": discounts,
         "master_seed": seed,

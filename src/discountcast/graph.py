@@ -14,21 +14,30 @@ where ``<node>`` may be ``*`` to set a default for every node at that
 rate. Explicit rows override wildcard rows. Every (node, rate) cell
 must be covered, rates must be members of the discount menu, and each
 node's probabilities must be non-decreasing in the rate.
+
+Files of at least `BULK_MIN_ROWS` lines in the common shape (a graph
+file with a first-line header, an adoption file with one row per cell)
+are split whole and converted column by column; anything else, and any
+file that fails a check, goes to the line-by-line parsers, which word
+every load error.
 """
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
+
+# Graph and adoption files of at least this many lines are first tried on
+# the bulk path (split whole, converted and checked with numpy); below it,
+# the line-by-line parsers are faster.
+BULK_MIN_ROWS = 32
 
 
 class Edge(NamedTuple):
@@ -49,15 +58,14 @@ class CSRView:
 
     __slots__ = ("indptr", "dst", "prob", "_visited")
 
-    def __init__(self, node_count: int, edges: tuple[Edge, ...]):
-        table = np.fromiter(itertools.chain.from_iterable(edges), np.float64, 3 * len(edges)).reshape(-1, 3)
-        table = table[table[:, 2] > 0.0]
-        order = np.argsort(table[:, 0], kind="stable")
-        src = table[order, 0].astype(np.int64)
+    def __init__(self, node_count: int, src: np.ndarray, dst: np.ndarray, prob: np.ndarray):
+        fires = prob > 0.0
+        src = src[fires]
+        order = np.argsort(src, kind="stable")
         self.indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=node_count), out=self.indptr[1:])
-        self.dst = table[order, 1].astype(np.int64)
-        self.prob = table[order, 2]
+        self.dst = dst[fires][order]
+        self.prob = prob[fires][order]
         self._visited = np.zeros(0, dtype=bool)
 
     def visited(self, size: int) -> np.ndarray:
@@ -126,48 +134,80 @@ class DiscountMenu:
             raise ValidationError(f"rate {rate!r} is not on the discount menu {list(self.rates)}") from None
 
 
-@dataclass(frozen=True)
 class SocialGraph:
     """Directed graph with per-edge propagation probabilities.
 
     Nodes are dense integers 0..node_count-1; `labels` keeps the
-    original file labels for reporting.
+    original file labels for reporting. The edge list is stored as three
+    read-only numpy arrays, `src` and `dst` (int64) and `prob` (float64).
+    `edges` lists the same edges as `Edge` tuples: the tuple a graph was
+    built from, or for a bulk-loaded file one derived on first read (as
+    are that file's numbered `labels`). Graphs are equal when their node
+    counts, labels and edge lists are; they are not hashable.
     """
 
-    node_count: int
-    labels: tuple[str, ...]
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        if self.node_count < 0:
+    def __init__(self, node_count: int, labels: Iterable[str], edges: Iterable[Edge]):
+        labels, edges = tuple(labels), tuple(edges)
+        if node_count < 0:
             raise ValidationError("node_count must be non-negative")
-        if len(self.labels) != self.node_count:
+        if len(labels) != node_count:
             raise ValidationError("labels must cover every node")
-        seen: set[tuple[int, int]] = set()
-        for e in self.edges:
-            if not (0 <= e.src < self.node_count and 0 <= e.dst < self.node_count):
-                raise ValidationError(f"edge {e} references an unknown node")
-            if e.src == e.dst:
-                raise ValidationError(f"self-loop on node {self.labels[e.src]}")
-            if not 0.0 <= e.prob <= 1.0:
-                raise ValidationError(f"edge probability {e.prob} outside [0, 1]")
-            key = (e.src, e.dst)
-            if key in seen:
-                raise ValidationError(f"duplicate edge {self.labels[e.src]} -> {self.labels[e.dst]}")
-            seen.add(key)
+        fault = _edge_fault(node_count, labels, edges)
+        if fault is not None:
+            raise ValidationError(fault[1])
+        self.__setstate__(dict(node_count=node_count, labels=labels, edges=edges, **_edge_arrays(edges)))
+
+    @classmethod
+    def _unchecked(cls, **state) -> "SocialGraph":
+        """A graph from fields the caller has checked: `node_count`, `src`, `dst`
+        and `prob`, and `labels` and `edges` unless derived on first read."""
+        graph = cls.__new__(cls)
+        graph.__setstate__(state)
+        return graph
+
+    def __setstate__(self, state):
+        """Store fields and cached values, the edge arrays made read-only
+        (an unpickled array comes back writable)."""
+        self.__dict__.update(state)
+        for array in (self.src, self.dst, self.prob):
+            array.setflags(write=False)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SocialGraph is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, SocialGraph):
+            return NotImplemented
+        return (self.node_count == other.node_count and self.labels == other.labels
+                and np.array_equal(self.src, other.src) and np.array_equal(self.dst, other.dst)
+                and np.array_equal(self.prob, other.prob))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"SocialGraph(node_count={self.node_count}, edges={len(self.src)})"
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Node labels; a graph loaded with a `nodes` header numbers its nodes."""
+        return tuple(map(str, range(self.node_count)))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(map(Edge, self.src.tolist(), self.dst.tolist(), self.prob.tolist()))
 
     @cached_property
     def out_edges(self) -> tuple[tuple[int, ...], ...]:
         """Edge indices grouped by source, in edge-list order."""
         out: list[list[int]] = [[] for _ in range(self.node_count)]
-        for i, e in enumerate(self.edges):
-            out[e.src].append(i)
+        for i, u in enumerate(self.src.tolist()):
+            out[u].append(i)
         return tuple(tuple(ix) for ix in out)
 
     @cached_property
     def csr(self) -> CSRView:
         """The out-edges as numpy CSR arrays, built on first use."""
-        return CSRView(self.node_count, self.edges)
+        return CSRView(self.node_count, self.src, self.dst, self.prob)
 
     @cached_property
     def _label_index(self) -> dict[str, int]:
@@ -181,7 +221,41 @@ class SocialGraph:
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
-        return {(e.src, e.dst): i for i, e in enumerate(self.edges)}
+        return {key: i for i, key in enumerate(zip(self.src.tolist(), self.dst.tolist()))}
+
+
+def _edge_fault(n: int, labels: tuple[str, ...], edges: tuple[Edge, ...]) -> tuple[int, str] | None:
+    """The index of the first bad edge among `edges` on nodes 0..n-1, with what is wrong
+    with it, or None."""
+    seen: set[tuple[int, int]] = set()
+    for i, e in enumerate(edges):
+        if not (0 <= e.src < n and 0 <= e.dst < n):
+            return i, f"edge {e} references an unknown node"
+        if e.src == e.dst:
+            return i, f"self-loop on node {labels[e.src]}"
+        if not 0.0 <= e.prob <= 1.0:
+            return i, f"edge probability {e.prob} outside [0, 1]"
+        key = (e.src, e.dst)
+        if key in seen:
+            return i, f"duplicate edge {labels[e.src]} -> {labels[e.dst]}"
+        seen.add(key)
+    return None
+
+
+def _edges_valid(n: int, src: np.ndarray, dst: np.ndarray, prob: np.ndarray) -> bool:
+    """Whether `_edge_fault` would find no bad edge, checked with whole-array
+    operations; duplicates are found on keys src * n + dst (n < 2**31, so they fit)."""
+    bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n) | (src == dst) | ~((prob >= 0.0) & (prob <= 1.0))
+    if bad.any():
+        return False
+    keys = np.sort(src * n + dst)  # not np.unique, whose first call costs 1.7 MB of peak RSS
+    return not (keys[1:] == keys[:-1]).any()
+
+
+def _edge_arrays(edges: tuple[Edge, ...]) -> dict[str, np.ndarray]:
+    """The `src`, `dst` and `prob` columns of `edges`, by name."""
+    src, dst, prob = zip(*edges) if edges else ((), (), ())
+    return {"src": np.array(src, np.int64), "dst": np.array(dst, np.int64), "prob": np.array(prob, np.float64)}
 
 
 @dataclass(frozen=True)
@@ -257,16 +331,61 @@ class Instance:
         return cls(graph, model)
 
 
-def _content_lines(path) -> Iterable[tuple[int, str]]:
-    text = Path(path).read_text()
+def _content_lines(text: str) -> Iterable[tuple[int, str]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
 
 
+def _bulk_fields(text: str, head_fields: int) -> list[str] | None:
+    """Every field of a file in the shape the bulk parsers read, else None.
+
+    That shape: no `#`, `head_fields` fields on the first line and three
+    on every other non-blank line, as `_content_lines` and `str.split`
+    see them.
+    """
+    if "#" in text:
+        return None
+    counts = list(map(len, map(str.split, text.splitlines())))
+    if counts[:1] != [head_fields] or set(counts[1:]) - {0, 3}:
+        return None
+    return text.split()
+
+
 def load_graph(path) -> SocialGraph:
     """Parse a graph file; see the module docstring for the format."""
+    with open(path) as f:
+        text = f.read()
+    graph = _bulk_graph(text) if text.count("\n") >= BULK_MIN_ROWS else None
+    return graph if graph is not None else _parse_graph(path, text)
+
+
+def _bulk_graph(text: str) -> SocialGraph | None:
+    """The graph of a file with a first-line `nodes` header and three fields on every other
+    non-blank line, its columns converted by numpy, which reads each token
+    with the `int` and `float` that `_parse_graph` calls.
+
+    Returns None for any other file and for any input `_parse_graph`
+    would refuse, so that parser words every error.
+    """
+    fields = _bulk_fields(text, 2)
+    if fields is None or fields[0] != "nodes":
+        return None
+    try:
+        n = int(fields[1])
+        src = np.array(fields[2::3], dtype=np.int64)
+        dst = np.array(fields[3::3], dtype=np.int64)
+        prob = np.array(fields[4::3], dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    if not (0 <= n < 2**31 and _edges_valid(n, src, dst, prob)):
+        return None
+    return SocialGraph._unchecked(node_count=n, src=src, dst=dst, prob=prob)
+
+
+def _parse_graph(path, text: str) -> SocialGraph:
+    """Parse a graph file line by line; every load error is worded here."""
     declared: int | None = None
     label_order: list[str] = []
     label_ix: dict[str, int] = {}
@@ -286,7 +405,7 @@ def load_graph(path) -> SocialGraph:
             label_order.append(label)
         return label_ix[label]
 
-    for lineno, line in _content_lines(path):
+    for lineno, line in _content_lines(text):
         parts = line.split()
         if parts[0] == "nodes":
             if raw_edges:
@@ -317,22 +436,63 @@ def load_graph(path) -> SocialGraph:
         edges.append(Edge(src, dst, prob))
 
     if declared is not None:
-        n = declared
-        labels = tuple(str(i) for i in range(n))
+        labels = tuple(map(str, range(declared)))
     else:
-        n = len(label_order)
         labels = tuple(label_order)
-    return SocialGraph(node_count=n, labels=labels, edges=tuple(edges))
+    edges = tuple(edges)
+    fault = _edge_fault(len(labels), labels, edges)
+    if fault is not None:
+        raise ValidationError(f"{path}:{raw_edges[fault[0]][0]}: {fault[1]}")
+    return SocialGraph._unchecked(node_count=len(labels), labels=labels, edges=edges, **_edge_arrays(edges))
 
 
 def load_adoption(path, graph: SocialGraph, menu: DiscountMenu) -> AdoptionModel:
     """Parse an adoption file against a loaded graph and menu."""
+    with open(path) as f:
+        text = f.read()
+    model = _bulk_adoption(text, graph, menu) if text.count("\n") >= BULK_MIN_ROWS else None
+    return model if model is not None else _parse_adoption(path, text, graph, menu)
+
+
+def _bulk_adoption(text: str, graph: SocialGraph, menu: DiscountMenu) -> AdoptionModel | None:
+    """The model of a file with exactly one explicit row per (node, rate) cell and no
+    wildcard, with tokens resolved as `_parse_adoption` resolves them.
+
+    Returns None for any other file and for any row `_parse_adoption`
+    would refuse, so that parser words every load error; `AdoptionModel`
+    words its own on both paths.
+    """
+    fields = _bulk_fields(text, 3)
+    n, m = graph.node_count, len(menu)
+    if fields is None or len(fields) != 3 * n * m:
+        return None
+    nodes, rates = fields[0::3], fields[1::3]
+    if "*" in nodes:
+        return None
+    rate_ix = {}
+    try:
+        for token in set(rates):
+            rate_ix[token] = menu._index[float(token)]
+        cells = m * np.fromiter(map(graph._label_index.__getitem__, nodes), np.int64, n * m)
+        cells += np.fromiter(map(rate_ix.__getitem__, rates), np.int64, n * m)
+        values = np.array(fields[2::3], dtype=np.float64)
+    except (ValueError, KeyError):
+        return None
+    if (np.bincount(cells, minlength=n * m) != 1).any():
+        return None
+    table = np.empty(n * m)
+    table[cells] = values
+    return AdoptionModel(menu=menu, probs=tuple(map(tuple, table.reshape(n, m).tolist())))
+
+
+def _parse_adoption(path, text: str, graph: SocialGraph, menu: DiscountMenu) -> AdoptionModel:
+    """Parse an adoption file line by line; every load error is worded here."""
     n, m = graph.node_count, len(menu)
     table: list[list[float | None]] = [[None] * m for _ in range(n)]
     defaults: list[float | None] = [None] * m
     explicit: set[tuple[int, int]] = set()
 
-    for lineno, line in _content_lines(path):
+    for lineno, line in _content_lines(text):
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(path, lineno, f"expected '<node> <rate> <prob>', got {len(parts)} fields")

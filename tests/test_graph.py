@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import discountcast as dc
+import discountcast.graph as graph_module
 from discountcast.graph import DiscountMenu
+from discountcast.rng import as_stream
 
 
 def test_menu_rates_must_increase():
@@ -249,6 +252,258 @@ def test_load_graph_rejects(tmp_path, text, message):
     with pytest.raises(dc.ParseError) as exc:
         dc.load_graph(p)
     assert str(exc.value) == message.format(path=p)
+
+
+_GRAPH_EDGE_ERRORS = [
+    ("self-loop", "nodes 3\n0 1 0.5\n2 2 0.5\n", "{path}:3: self-loop on node 2"),
+    ("duplicate", "# edges\na b 0.5\n\nb c 0.1\na b 0.4\n", "{path}:5: duplicate edge a -> b"),
+    ("prob-above-one", "nodes 2\n0 1 1.5\n", "{path}:2: edge probability 1.5 outside [0, 1]"),
+    ("prob-below-zero", "x y -0.25\n", "{path}:1: edge probability -0.25 outside [0, 1]"),
+    ("prob-nan", "x y 0.5\ny x nan\n", "{path}:2: edge probability nan outside [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("text,message", [case[1:] for case in _GRAPH_EDGE_ERRORS],
+                         ids=[case[0] for case in _GRAPH_EDGE_ERRORS])
+def test_load_graph_rejects_bad_edges_at_their_line(tmp_path, text, message):
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    with pytest.raises(dc.ValidationError) as exc:
+        dc.load_graph(p)
+    assert str(exc.value) == message.format(path=p)
+
+
+def outcomes_of_both_paths(monkeypatch, load):
+    """What `load()` returns or raises with bulk parsing tried on a file of any
+    size, then with the line-by-line parsers alone."""
+    outcomes = []
+    for min_rows in (0, 10**9):
+        monkeypatch.setattr(graph_module, "BULK_MIN_ROWS", min_rows)
+        try:
+            outcomes.append(load())
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+# (id, file text, whether the bulk parser takes it)
+_GRAPH_FILES = [
+    ("plain", "nodes 3\n0 1 0.5\n1 2 0.25\n", True),
+    ("leading-zero", "nodes 8\n07 1 0.5\n", True),
+    ("plus-sign", "nodes 4\n+3 1 0.5\n", True),
+    ("underscore", "nodes 11\n1_0 1 0.5\n", True),
+    ("unicode-digit", "nodes 4\n\u0663 1 0.5\n", True),
+    ("exponent", "nodes 2\n0 1 1e-3\n1 0 5E-1\n", True),
+    ("crlf", "nodes 3\r\n0 1 0.5\r\n1 2 0.25\r\n", True),
+    ("no-final-newline", "nodes 3\n0 1 0.5\n1 2 0.25", True),
+    ("blank-lines", "nodes 3\n\n0 1 0.5\n   \n\n1 2 0.25\n\n", True),
+    ("tabs", "nodes 3\n0\t1\t0.5\n 1 \t2  0.25\t\n", True),
+    ("vertical-tab-ends-a-line", "nodes 3\n0 1 0.5\x0b1 2 0.25\n", True),
+    ("no-edges", "nodes 2\n", True),
+    ("inf", "nodes 2\n0 1 inf\n", False),
+    ("nan", "nodes 2\n0 1 0.5\n1 0 nan\n", False),
+    ("self-loop", "nodes 3\n0 1 0.5\n2 2 0.5\n", False),
+    ("duplicate", "nodes 3\n0 1 0.5\n1 2 0.5\n0 1 0.4\n", False),
+    ("outside-range", "nodes 2\n0 2 0.5\n", False),
+    ("negative-label", "nodes 2\n-1 0 0.5\n", False),
+    ("huge-label", "nodes 2\n99999999999999999999 1 0.5\n", False),
+    ("float-label", "nodes 2\n0.0 1 0.5\n", False),
+    ("bad-prob", "nodes 2\n0 1 x\n", False),
+    ("two-then-four-fields", "nodes 5\n0 1\n0.5 2 3 0.5\n", False),
+    ("second-header", "nodes 2\nnodes 2\n", False),
+    ("negative-count", "nodes -1\n", False),
+    ("header-as-edge", "nodes 3\nnodes 1 0.5\n", False),
+    ("comment", "nodes 3\n0 1 0.5  # note\n", False),
+    ("header-after-blank", "\nnodes 3\n0 1 0.5\n", False),
+    ("headerless", "a b 0.5\nb c 0.25\n", False),
+    ("empty", "", False),
+]
+
+
+@pytest.mark.parametrize("text,bulk", [case[1:] for case in _GRAPH_FILES], ids=[case[0] for case in _GRAPH_FILES])
+def test_graph_bulk_and_line_parsers_agree(tmp_path, monkeypatch, text, bulk):
+    p = tmp_path / "g.txt"
+    p.write_bytes(text.encode())
+    fast, slow = outcomes_of_both_paths(monkeypatch, lambda: dc.load_graph(p))
+    assert fast == slow
+    if isinstance(fast, dc.SocialGraph):
+        assert (fast.labels, fast.edges) == (slow.labels, slow.edges)
+    assert (graph_module._bulk_graph(p.read_text()) is not None) == bulk
+
+
+# (id, file text, whether the bulk parser takes it), against the graph
+# "nodes 3" with menu (1, 2); every cell is listed once unless said otherwise
+_ADOPTION_FILES = [
+    ("plain", "0 1 0.1\n0 2 0.2\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6\n", True),
+    ("any-row-order", "2 2 0.6\n0 1 0.1\n1 2 0.4\n2 1 0.5\n0 2 0.2\n1 1 0.3\n", True),
+    ("rate-spellings", "0 1e0 0.1\n0 2.00 0.2\n1 +1 0.3\n1 2_0e-1 0.4\n2 1. 0.5\n2 2 1e-3\n", True),
+    ("crlf-tabs-blanks", "0\t1 0.1\r\n0 2 0.2\r\n\r\n1 1 0.3\r\n1 2\t0.4\r\n2 1 0.5\r\n2 2 0.6", True),
+    ("leading-zero-node", "00 1 0.1\n0 2 0.2\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6\n", False),
+    ("plus-sign-node", "0 1 0.1\n0 2 0.2\n+1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6\n", False),
+    ("underscore-node", "0 1 0.1\n0 2 0.2\n1 1 0.3\n1 2 0.4\n2_0 1 0.5\n2 2 0.6\n", False),
+    ("duplicate-cell", "0 1 0.1\n0 2 0.2\n1 1 0.3\n1 1 0.4\n2 1 0.5\n2 2 0.6\n", False),
+    ("missing-cell", "0 1 0.1\n0 2 0.2\n1 1 0.3\n2 1 0.5\n2 2 0.6\n", False),
+    ("unknown-rate", "0 1 0.1\n0 3 0.2\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6\n", False),
+    ("nan-rate", "0 1 0.1\n0 nan 0.2\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6\n", False),
+    ("bad-prob", "0 1 0.1\n0 2 high\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6\n", False),
+    ("nan-prob", "0 1 0.1\n0 2 nan\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6\n", True),
+    ("prob-above-one", "0 1 0.1\n0 2 0.2\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 inf\n", True),
+    ("not-monotone", "0 1 0.1\n0 2 0.2\n1 1 0.4\n1 2 0.3\n2 1 0.5\n2 2 0.6\n", True),
+    ("wildcard", "* 1 0.1\n* 2 0.2\n1 1 0.3\n1 2 0.4\n", False),
+    ("field-count", "0 1 0.1\n0 2 0.2 x\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6\n", False),
+    ("comment", "0 1 0.1\n0 2 0.2\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6  # last\n", False),
+]
+
+
+@pytest.mark.parametrize("text,bulk", [case[1:] for case in _ADOPTION_FILES],
+                         ids=[case[0] for case in _ADOPTION_FILES])
+def test_adoption_bulk_and_line_parsers_agree(tmp_path, monkeypatch, text, bulk):
+    g = tmp_path / "g.txt"
+    g.write_text("nodes 3\n0 1 0.5\n1 2 0.5\n")
+    ad = tmp_path / "ad.txt"
+    ad.write_bytes(text.encode())
+    fast, slow = outcomes_of_both_paths(monkeypatch, lambda: dc.load_instance(g, ad, (1.0, 2.0)))
+    assert fast == slow
+    graph, menu = dc.load_graph(g), DiscountMenu(rates=(1.0, 2.0))
+    try:
+        taken = graph_module._bulk_adoption(ad.read_text(), graph, menu) is not None
+    except dc.ValidationError:  # AdoptionModel's own checks, the same on both paths
+        taken = True
+    assert taken == bulk
+
+
+def test_numpy_reads_number_tokens_as_int_and_float_do():
+    ints = ["0", "07", "+3", "-2", "1_0", "\u0663", "12345678901234"]
+    floats = ["0.1", "1e-3", "+.5", "5.", "-0", "1_0.5", "inf", "-Infinity", "nan", "1e400", "-1e-400",
+              "0.30000000000000004", "\u0663.\u0665"]
+    assert np.array(ints, dtype=np.int64).tolist() == [int(t) for t in ints]
+    assert [x.hex() for x in np.array(floats, dtype=np.float64).tolist()] == [float(t).hex() for t in floats]
+    for bad in ("1.0", "1e3", "0x1", "_1", "x"):
+        with pytest.raises(ValueError):
+            np.array([bad], dtype=np.int64)
+    for bad in ("0x1p3", "1e", ".", "1__0"):
+        with pytest.raises(ValueError):
+            np.array([bad], dtype=np.float64)
+    with pytest.raises(OverflowError):
+        np.array(["99999999999999999999"], dtype=np.int64)
+
+
+def relabeled(inst: dc.Instance, seed: int) -> dc.Instance:
+    """The same instance under a seeded node permutation and edge order."""
+    rng = np.random.default_rng(seed)
+    graph, model = inst.graph, inst.model
+    perm = rng.permutation(graph.node_count).tolist()
+    edges = [dc.Edge(perm[e.src], perm[e.dst], e.prob) for e in graph.edges]
+    edges = [edges[i] for i in rng.permutation(len(edges)).tolist()]
+    probs = [None] * graph.node_count
+    for v, row in enumerate(model.probs):
+        probs[perm[v]] = row
+    return dc.Instance(dc.SocialGraph(graph.node_count, graph.labels, edges),
+                       dc.AdoptionModel(model.menu, tuple(probs)))
+
+
+def test_generated_instance_loads_the_same_on_both_paths(tmp_path, monkeypatch):
+    inst = relabeled(dc.random_instance(2000, 5 / 1999, 31, rates=(0.5, 1.0)), 4)
+    files = dc.write_instance(inst, tmp_path)
+    bulk = dc.load_instance(files["graph"], files["adoption"], files["discounts"])
+    assert "edges" not in vars(bulk[0])  # the bulk path built arrays only
+    monkeypatch.setattr(graph_module, "BULK_MIN_ROWS", 10**9)
+    line = dc.load_instance(files["graph"], files["adoption"], files["discounts"])
+    assert bulk == line == (inst.graph, inst.model)
+    assert bulk[0].edges == line[0].edges == inst.graph.edges
+    for name in ("indptr", "dst", "prob"):
+        a, b = getattr(bulk[0].csr, name), getattr(line[0].csr, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+_EDGE_PROBS = st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.5, 1.5, math.nan, math.inf])
+
+
+@given(st.integers(0, 5), st.lists(st.tuples(st.integers(-1, 5), st.integers(-1, 5), _EDGE_PROBS), max_size=40))
+@example(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 1, 0.25)])  # a duplicate after another edge
+@example(2, [(0, 1, 0.5), (1, 0, 0.5)] * 20)  # long runs of one key, past numpy's small-sort size
+@example(3, [(0, 1, 0.5), (0, 1, 0.25), (2, 2, 0.5)])  # a duplicate and a self-loop
+@settings(max_examples=300, deadline=None)
+def test_numpy_and_loop_edge_checks_agree(n, raw):
+    labels = tuple(f"v{i}" for i in range(n))
+    edges = tuple(dc.Edge(*e) for e in raw)
+    fault = graph_module._edge_fault(n, labels, edges)
+    assert graph_module._edges_valid(n, **graph_module._edge_arrays(edges)) == (fault is None)
+    try:
+        dc.SocialGraph(n, labels, edges)
+    except dc.ValidationError as exc:
+        assert fault is not None and str(exc) == fault[1]
+    else:
+        assert fault is None
+
+
+def test_graph_checks_edges_before_building_arrays():
+    ring = [dc.Edge(v, (v + 1) % 40, 0.5) for v in range(40)]
+    for bad in (dc.Edge(2**64, 1, 0.5), dc.Edge(1, -2**70, 0.5)):
+        with pytest.raises(dc.ValidationError) as exc:
+            dc.SocialGraph(40, tuple(map(str, range(40))), ring + [bad])
+        assert str(exc.value) == f"edge {bad} references an unknown node"
+
+
+def test_graph_edge_arrays_are_read_only(tmp_path):
+    inst = dc.random_instance(60, 3 / 59, 7)
+    files = dc.write_instance(inst, tmp_path)
+    loaded = dc.load_graph(files["graph"])
+    for graph in (inst.graph, loaded, pickle.loads(pickle.dumps(loaded))):
+        for name in ("src", "dst", "prob"):
+            with pytest.raises(ValueError):
+                getattr(graph, name)[0] = 0
+    assert loaded == inst.graph
+
+
+def test_graph_equality_is_by_value_and_graphs_are_unhashable(tmp_path):
+    inst = dc.random_instance(60, 3 / 59, 7)
+    files = dc.write_instance(inst, tmp_path)
+    loaded = dc.load_graph(files["graph"])
+    assert "edges" not in vars(loaded) and "src" in vars(inst.graph) and loaded == inst.graph
+    edges = list(inst.graph.edges)
+    for changed in (
+        dc.SocialGraph(61, inst.graph.labels + ("60",), edges),
+        dc.SocialGraph(60, tuple(f"n{v}" for v in range(60)), edges),
+        dc.SocialGraph(60, inst.graph.labels, edges[:-1]),
+        dc.SocialGraph(60, inst.graph.labels, edges[:-1] + [edges[-1]._replace(prob=edges[-1].prob / 2)]),
+        dc.SocialGraph(60, inst.graph.labels, edges[1:] + edges[:1]),
+    ):
+        assert changed != loaded and loaded != changed
+    assert loaded != "graph"
+    with pytest.raises(TypeError):
+        hash(loaded)
+    with pytest.raises(AttributeError):
+        loaded.node_count = 3
+    copy = pickle.loads(pickle.dumps(loaded))
+    assert copy == loaded and copy.edges == inst.graph.edges
+
+
+def test_bulk_loaded_graph_serves_mc_work_from_its_arrays(tmp_path):
+    inst = dc.random_instance(400, 4 / 399, 12, rates=(0.5, 1.0))
+    files = dc.write_instance(inst, tmp_path)
+    loaded = dc.Instance.from_files(files["graph"], files["adoption"], files["discounts"])
+    spec = dc.BudgetSpec(budget=3.0, mode="hard")
+    evaluator = dc.MCEvaluator(loaded, samples=50, stream=as_stream(3))
+    config = dc.hill_climbing(loaded, spec, evaluator)
+    value = evaluator.value(config)
+    assert not {"edges", "out_edges", "edge_index"} & set(vars(loaded.graph))
+    reference = dc.MCEvaluator(inst, samples=50, stream=as_stream(3))
+    assert dc.hill_climbing(inst, spec, reference) == config
+    assert reference.value(config).hex() == value.hex()
+
+
+def test_bulk_loaded_instance_reports_do_not_depend_on_worker_count(tmp_path):
+    inst = dc.random_instance(60, 3 / 59, 7, rates=(0.1, 0.5))
+    files = dc.write_instance(inst, tmp_path)
+    loaded = dc.Instance.from_files(files["graph"], files["adoption"], files["discounts"])
+    assert "edges" not in vars(loaded.graph)
+    spec = dc.BudgetSpec(budget=0.6, mode="hard")
+    factory = dc.GreedyFactory(loaded, spec, dc.EstimatorConfig(mode="mc", samples=30))
+    reports = [dc.evaluate_policy(factory, loaded, spec, 192, stream=2, workers=w) for w in (1, 2)]
+    assert reports[0] == reports[1]
+    assert reports[0] == dc.evaluate_policy(dc.GreedyFactory(inst, spec, dc.EstimatorConfig(mode="mc", samples=30)),
+                                            inst, spec, 192, stream=2)
 
 
 _ADOPTION_ERRORS = [
