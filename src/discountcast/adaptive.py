@@ -37,6 +37,9 @@ once (`cascade.masked_reach`). So they shrink the same way, and lazy
 and eager scans pick the same offers in both estimator modes. Sampled
 evaluation builds one policy per process and reuses it across trials:
 every estimate and draw is keyed by state, so reuse changes no value.
+All trials start from one prior, so they share its conditional support
+and the policy's first steps: `GreedyPolicy` memoizes its first
+`MEMO_DEPTH` probes by belief for the one root it last began from.
 """
 from __future__ import annotations
 
@@ -70,6 +73,7 @@ from .nonadaptive import BudgetLedger, BudgetSpec
 from .rng import as_stream, child, generator
 
 _EVAL_CHUNK = 64
+MEMO_DEPTH = 3  # probes per run that `GreedyPolicy` memoizes by belief
 MAX_OUTCOMES = 200_000  # joint realizations an exhaustive pass may enumerate
 ORACLE_MAX_NODES, ORACLE_MAX_EDGES, ORACLE_MAX_RATES = 5, 6, 2
 
@@ -288,6 +292,7 @@ def _expected_influence(policy, instance: Instance, cascades: CascadeOutcomes, s
     branch while estimator caches are shared.
     """
     probs = instance.model.probs
+    dup = getattr(type(policy), "__copy__", copy.copy)  # skips `copy.copy`'s dispatch
     policy.begin(state)
     total = 0.0
     stack = [(1.0, policy, state)]
@@ -302,7 +307,7 @@ def _expected_influence(policy, instance: Instance, cascades: CascadeOutcomes, s
         q = belief.accept_chance(probs, pair.node, rate_idx)
         if q > 0.0:
             for addmask, w in cascades.of(belief.influenced, pair.node):
-                stack.append((weight * q * w, copy.copy(pol), st.after_accept(pair, addmask)))
+                stack.append((weight * q * w, dup(pol), st.after_accept(pair, addmask)))
         if q < 1.0:
             stack.append((weight * (1.0 - q), pol, st.after_reject(pair, rate_idx)))
     return total
@@ -361,13 +366,24 @@ class GreedyPolicy:
     ends the run, accepted or rejected; with it (the iterated heuristic)
     the comparison repeats on the residual graph.
 
-    Both scans are lazy. The per-run heaps hold `(-spread / rate, pair,
-    stamp)` and `(-spread, node, stamp)`, `stamp` being the influenced
-    set the key was scored at (None before any scoring). A stale top is
-    re-scored and pushed back; a fresh top is the best offer, ties going
-    to the lowest node, then the lowest rate, as an eager scan would
-    pick. A copy of the policy, one per branch of an exhaustive
-    evaluation, copies the heaps.
+    Both scans are lazy. The per-run heaps hold `(-spread / rate, node,
+    rate index, stamp)` and `(-spread, node, stamp)`, `stamp` being the
+    influenced set the key was scored at (None before any scoring). A
+    stale top is re-scored and pushed back; a fresh top is the best
+    offer, ties going to the lowest node, then the lowest rate, as an
+    eager scan would pick. A copy of the policy, one per branch of an
+    exhaustive evaluation, copies the heaps.
+
+    Runs that begin from one root, `(belief, ledger.denom)`, share work.
+    `begin` reuses the root heaps it built for that root, and the first
+    `MEMO_DEPTH` probes of each run are memoized by (phase, belief):
+    the pair, the phase after the step and the heaps after it. A lazy
+    pick depends on the belief alone, since every stale key bounds its
+    current value, so any run reaching that belief may resume from the
+    stored heaps; a probed pair is closed afterwards, so a lazy pop
+    drops it. The memo thus holds at most the beliefs within
+    `MEMO_DEPTH` probes of one root, and a `begin` from another root
+    empties it. Copies share the memo but keep their own depth.
     """
 
     def __init__(self, instance: Instance, estimator: SpreadEstimator,
@@ -376,6 +392,7 @@ class GreedyPolicy:
         self.estimator = estimator
         self.branch = branch
         self.iterate = iterate
+        self._root = None  # set, with the memo, by `begin`
 
     def __copy__(self) -> "GreedyPolicy":
         twin = object.__new__(type(self))
@@ -384,33 +401,56 @@ class GreedyPolicy:
         return twin
 
     def begin(self, state: PolicyState) -> None:
+        root = (state.belief, state.ledger.denom)
+        if root != self._root:
+            belief, m = state.belief, len(self.instance.menu)
+            # The open offers and nodes in sorted order: with equal first keys, heaps already.
+            nodes = [v for v in range(len(belief.floors)) if belief.is_open(v, m - 1)]
+            self._root, self._memo = root, {}
+            self._root_heaps = (tuple((-math.inf, v, i, None) for v in nodes for i in range(m)
+                                      if belief.is_open(v, i)),
+                                tuple((-math.inf, v, None) for v in nodes) if self.branch is not None else ())
         self._phase = "greedy" if self.branch is None else "shot"
-        # Sorted lists with equal first keys are heaps already.
-        open_pairs = sorted(state.available)
-        self._ratios = [(-math.inf, pair, None) for pair in open_pairs]
-        nodes = sorted({p.node for p in open_pairs}) if self.branch is not None else ()
-        self._spreads = [(-math.inf, v, None) for v in nodes]
+        self._depth = 0
+        self._ratios, self._spreads = map(list, self._root_heaps)
 
     def next_probe(self, state: PolicyState) -> SeedDiscountPair | None:
         if self._phase == "done":
             return None
+        if self._depth >= MEMO_DEPTH:
+            return self._step(state)
+        self._depth += 1
+        key = (self._phase, state.belief)
+        hit = self._memo.get(key)
+        if hit is None:
+            pair = self._step(state)
+            self._memo[key] = (pair, self._phase, tuple(self._ratios), tuple(self._spreads))
+            return pair
+        pair, self._phase, ratios, spreads = hit
+        self._ratios, self._spreads = list(ratios), list(spreads)
+        return pair
+
+    def _step(self, state: PolicyState) -> SeedDiscountPair | None:
+        """One probe of the lazy scans, advancing the phase."""
         if self._phase == "shot":
             shot = self._top_rate_shot(state)
             if shot is not None:
                 self._phase = "shot" if self.iterate else "done"
                 return shot
             self._phase = "greedy"
-        heap, belief, index_of = self._ratios, state.belief, self.instance.menu.index_of
-        influenced, units, left = belief.influenced, state.ledger.rate_units, belief.budget
+        heap, belief, rates = self._ratios, state.belief, self.instance.menu.rates
+        influenced, floors, units, left = belief.influenced, belief.floors, state.ledger.rate_units, belief.budget
         while heap:
-            _, pair, stamp = heap[0]
-            if not belief.is_open(pair.node, index_of(pair.rate)) or units[pair.rate] > left:
-                heapq.heappop(heap)  # closed, or out of reach for good: the budget only falls
+            _, v, i, stamp = heap[0]
+            # Closed (`BeliefState.is_open`, inlined), or out of reach for good: the budget only falls.
+            if (influenced >> v) & 1 or i <= floors[v] or units[rates[i]] > left:
+                heapq.heappop(heap)
             elif stamp != influenced:
-                ratio = self.estimator.residual_spread(influenced, pair.node) / pair.rate
-                heapq.heapreplace(heap, (-ratio, pair, influenced))
+                ratio = self.estimator.residual_spread(influenced, v) / rates[i]
+                heapq.heapreplace(heap, (-ratio, v, i, influenced))
             else:
-                return heapq.heappop(heap)[1]
+                heapq.heappop(heap)
+                return SeedDiscountPair(v, rates[i])
         return None
 
     def _top_rate_shot(self, state: PolicyState) -> SeedDiscountPair | None:
@@ -541,24 +581,45 @@ def enumerate_conditional_realizations(instance: Instance, given):
             )
 
 
+class _ConditionalSampler:
+    """Draws realizations consistent with one `given` from its support.
+
+    Each draw takes one `gen.random(k)` call: a uniform per open node,
+    which walks that node's threshold options, then one per undetermined
+    edge, live below the edge's probability. One call gives the numbers
+    k scalar calls would, so the support can be built once and shared.
+    """
+
+    def __init__(self, instance: Instance, given):
+        fixed, self._varying, live, undetermined = _conditional_support(instance, given)
+        self._fixed = tuple(fixed)
+        self._live = np.array(live, dtype=bool)
+        self._undetermined = np.array(undetermined, dtype=np.intp)
+        self._edge_probs = instance.graph.prob[self._undetermined]
+
+    def draw(self, gen: np.random.Generator) -> Realization:
+        varying = self._varying
+        us = gen.random(len(varying) + len(self._undetermined))
+        idx = list(self._fixed)
+        for (v, options), u in zip(varying, us[:len(varying)].tolist()):
+            idx[v] = options[-1][0]
+            for i, p in options:
+                u -= p
+                if u < 0:
+                    idx[v] = i
+                    break
+        live = self._live.copy()
+        live[self._undetermined] = us[len(varying):] < self._edge_probs
+        return Realization(
+            seeding=SeedingRealization(min_rate_idx=tuple(idx)),
+            diffusion=DiffusionRealization(live=tuple(live.tolist())),
+        )
+
+
 def sample_conditional_realization(instance: Instance, given, gen: np.random.Generator) -> Realization:
     """Draw a realization consistent with `given`, a `BeliefState` or a
     `PartialObservation` (nodes first, then edges)."""
-    idx, varying, live, undetermined = _conditional_support(instance, given)
-    for v, options in varying:
-        u = gen.random()
-        idx[v] = options[-1][0]
-        for i, p in options:
-            u -= p
-            if u < 0:
-                idx[v] = i
-                break
-    for eidx in undetermined:
-        live[eidx] = bool(gen.random() < instance.graph.edges[eidx].prob)
-    return Realization(
-        seeding=SeedingRealization(min_rate_idx=tuple(idx)),
-        diffusion=DiffusionRealization(live=tuple(live)),
-    )
+    return _ConditionalSampler(instance, given).draw(gen)
 
 
 @dataclass(frozen=True)
@@ -579,11 +640,13 @@ class BranchConfig:
 class BranchEstimator:
     """Expected additional influence of running greedy from a given state.
 
-    Estimates are memoized by belief state, the whole of what the greedy
-    continuation can depend on. Exhaustive estimates expand greedy's
-    decision tree from that state; rollouts replay greedy from it against
-    realizations drawn given its belief, with draws keyed by the belief,
-    so estimates never depend on when or how often they are requested.
+    Estimates are memoized by belief state and ledger denominator, the
+    whole of what the greedy continuation can depend on (equal budget
+    units in another denominator are another amount). Exhaustive
+    estimates expand greedy's decision tree from that state; rollouts
+    replay greedy from it against realizations drawn given its belief,
+    with draws keyed by the belief, so estimates never depend on when or
+    how often they are requested.
     """
 
     def __init__(self, instance: Instance, estimator: SpreadEstimator, config: BranchConfig, stream=None):
@@ -594,27 +657,27 @@ class BranchEstimator:
         self.stream = as_stream(stream) if stream is not None else None
         self._greedy = GreedyPolicy(instance, estimator)
         self._cascades = CascadeOutcomes(instance.graph)
-        self._memo: dict[BeliefState, float] = {}
+        self._memo: dict[tuple[BeliefState, int], float] = {}
 
     def greedy_value_from(self, state: PolicyState) -> float:
-        key = state.belief
+        belief, key = state.belief, (state.belief, state.ledger.denom)
         if key in self._memo:
             return self._memo[key]
-        base = key.influenced.bit_count()
+        base = belief.influenced.bit_count()
         if self.config.mode == "exhaustive":
-            _check_outcome_count(self.instance, key,
+            _check_outcome_count(self.instance, belief,
                                  '; estimate the branch by sampling with BranchConfig(mode="rollouts")'
                                  " (CLI: --branch rollouts)")
             val = _expected_influence(self._greedy, self.instance, self._cascades, state) - base
         else:
             m = len(self.instance.menu)
-            floors_code = sum((fl + 1) * (m + 1) ** v for v, fl in enumerate(key.floors))
+            floors_code = sum((fl + 1) * (m + 1) ** v for v, fl in enumerate(belief.floors))
             # The budget left enters reduced, so the key names the amount, not the ledger's units.
-            g = math.gcd(key.budget, state.ledger.denom)
-            root = child(self.stream, key.influenced, floors_code, key.budget // g, state.ledger.denom // g)
+            g = math.gcd(belief.budget, state.ledger.denom)
+            root = child(self.stream, belief.influenced, floors_code, belief.budget // g, state.ledger.denom // g)
             total = 0
             for r in range(self.config.rollouts):
-                realization = sample_conditional_realization(self.instance, key, generator(root, r))
+                realization = sample_conditional_realization(self.instance, belief, generator(root, r))
                 record = _execute(self._greedy, self.instance, state, realization)
                 total += record.cascade_size - base
             val = total / self.config.rollouts
@@ -672,12 +735,8 @@ class IteratedFactory:
 
 def _run_trials(policy, instance: Instance, spec: BudgetSpec, root, lo: int, hi: int) -> list[int]:
     """Cascade sizes of `policy` over trials lo..hi-1, each against its own keyed draw."""
-    prior = BeliefState.initial(instance.graph.node_count, 0)
-    return [
-        run_policy(policy, instance, spec, sample_conditional_realization(instance, prior, generator(root, 2, t)))
-        .cascade_size
-        for t in range(lo, hi)
-    ]
+    prior = _ConditionalSampler(instance, BeliefState.initial(instance.graph.node_count, 0))
+    return [run_policy(policy, instance, spec, prior.draw(generator(root, 2, t))).cascade_size for t in range(lo, hi)]
 
 
 # A pool worker's policy and inputs, set once per process by `_start_worker`.

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import discountcast as dc
-from discountcast.adaptive import _execute, conditional_outcome_count
-from discountcast.rng import as_stream, child
+from discountcast.adaptive import MEMO_DEPTH, _conditional_support, _execute, _run_trials, conditional_outcome_count
+from discountcast.rng import as_stream, child, generator
 
 from conftest import tiny_instance
 
@@ -656,3 +656,168 @@ def test_sampled_evaluation_builds_one_policy_per_process():
     assert len(builds) == 1
     for workers in (2, 8):
         assert dc.evaluate_policy(factory, inst, spec, 256, stream=9, workers=workers)[0] == serial
+
+
+def _memo_kinds(inst, mode):
+    """Policy builders by kind, each a function of a stream (a factory reads
+    no budget); "shots" is iterated with a branch estimate every shot beats."""
+    est = dc.EstimatorConfig(mode=mode, samples=40)
+    branch = dc.BranchConfig(mode="rollouts", rollouts=3)
+    return {
+        "greedy": dc.GreedyFactory(inst, None, est),
+        "enhanced": dc.EnhancedFactory(inst, None, est, branch),
+        "iterated": dc.IteratedFactory(inst, None, est, branch),
+        "shots": lambda stream: dc.GreedyPolicy(inst, est.build(inst.graph, stream), _AlwaysShoot(), iterate=True),
+    }
+
+
+def _reused_and_fresh(make, inst, specs, trials):
+    """Trajectories of one policy run over every trial, next to those of a fresh
+    policy per trial; trial t runs under specs[t % len(specs)]."""
+    reused = make(as_stream(3))
+    got, want = [], []
+    for t in range(trials):
+        spec, real = specs[t % len(specs)], dc.sample_realization(inst, child(as_stream(7), t))
+        got.append(dc.run_policy(reused, inst, spec, real))
+        want.append(dc.run_policy(make(as_stream(3)), inst, spec, real))
+    return reused, got, want
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("kind", ["greedy", "enhanced", "iterated", "shots"])
+def test_memoized_steps_give_the_trajectories_of_fresh_policies(mode, kind):
+    # Runs deeper than the memo on the first instance; enhanced and
+    # iterated take a top-rate shot on the other two, and on the last a
+    # rejected shot leaves budget that only iterated goes on to spend.
+    cases = [(dc.random_instance(16, 0.8 / 15, 40, rates=(0.5, 1.0), prob_range=(0.3, 0.9)),
+              dc.BudgetSpec(budget=3.2, mode="hard")),
+             (dc.worstcase_instance(10), dc.BudgetSpec(budget=1.0, mode="hard")),
+             (dc.random_instance(4, 0.5, 9, rates=(0.5, 1.0), prob_range=(0.3, 0.9), accept_range=(0.2, 1.0)),
+              dc.BudgetSpec(budget=1.2, mode="hard"))]
+    deepest = 0
+    for inst, spec in cases:
+        policy, got, want = _reused_and_fresh(_memo_kinds(inst, mode)[kind], inst, [spec], 64)
+        assert got == want
+        assert policy._memo
+        deepest = max(deepest, *(len(rec.probes) for rec in want))
+    assert deepest > MEMO_DEPTH
+
+
+@pytest.mark.parametrize("kind", ["greedy", "enhanced", "iterated", "shots"])
+def test_memo_root_tells_ledgers_apart(kind):
+    # Each pair of budgets leaves equal units at the root, counted in
+    # different ledger denominators, so it affords different offers. On
+    # the star (menu 0.5, 1.0), 3 halves buy the hub's top rate after it
+    # rejects the cheap one, and 3 quarters do not. On the worst case's
+    # (1/8, 1), 17 eighths buy every node, so enhanced declines the shot,
+    # and 17 sixteenths buy one clique node, so enhanced takes it.
+    star = dc.Instance(
+        graph=dc.SocialGraph(6, tuple(str(v) for v in range(6)), tuple(dc.Edge(0, v, 1.0) for v in range(1, 6))),
+        model=dc.AdoptionModel(menu=dc.DiscountMenu(rates=(0.5, 1.0)), probs=((0.0, 1.0),) + ((0.5, 0.8),) * 5))
+    cases = [(star, (1.5, 0.75)), (dc.worstcase_instance(8), (2.125, 1.0625))]
+    for inst, budgets in cases:
+        specs = [dc.BudgetSpec(budget=b, mode="hard") for b in budgets]
+        roots = [dc.initial_state(inst, spec) for spec in specs]
+        assert roots[0].belief == roots[1].belief and roots[0].ledger.denom != roots[1].ledger.denom
+        _policy, got, want = _reused_and_fresh(_memo_kinds(inst, "mc")[kind], inst, specs, 64)
+        assert got == want
+        assert {rec.cascade_size for rec in want[0::2]} != {rec.cascade_size for rec in want[1::2]}
+
+
+def _scalar_draw(instance, given, gen):
+    """The reference draw: one scalar uniform per open node, then one per undetermined edge."""
+    idx, varying, live, undetermined = _conditional_support(instance, given)
+    for v, options in varying:
+        u = gen.random()
+        idx[v] = options[-1][0]
+        for i, p in options:
+            u -= p
+            if u < 0:
+                idx[v] = i
+                break
+    for eidx in undetermined:
+        live[eidx] = bool(gen.random() < instance.graph.edges[eidx].prob)
+    return dc.Realization(seeding=dc.SeedingRealization(min_rate_idx=tuple(idx)),
+                          diffusion=dc.DiffusionRealization(live=tuple(live)))
+
+
+def test_conditional_draws_equal_scalar_draws():
+    inst = dc.random_instance(30, 3 / 29, 4, rates=(0.1, 0.3, 0.5), prob_range=(0.2, 0.8))
+    floors = [-1] * 30
+    floors[1], floors[2], floors[3] = 0, 1, 2  # node 3 has rejected every rate
+    belief = dc.BeliefState(influenced=0b1100001, floors=tuple(floors), budget=0)
+    obs = dc.PartialObservation()
+    for v, rate in ((1, 0.3), (2, 0.1)):
+        obs.probed.append((dc.SeedDiscountPair(v, rate), False))
+    real = dc.sample_realization(inst, as_stream(1))
+    newly, revealed = dc.reveal_cascade(inst.graph, real.diffusion, 0, 4)
+    obs.influenced.update(newly)
+    obs.revealed.update(revealed)
+    obs.probed.append((dc.SeedDiscountPair(4, 0.5), True))
+    assert revealed
+    for given in (belief, obs, dc.BeliefState.initial(30, 0)):
+        for seed in range(20):
+            got = dc.sample_conditional_realization(inst, given, np.random.default_rng(seed))
+            want = _scalar_draw(inst, given, np.random.default_rng(seed))
+            assert got.seeding == want.seeding and got.diffusion == want.diffusion, seed
+            assert all(type(live) is bool for live in got.diffusion.live)
+
+
+def test_sampled_trials_draw_what_per_trial_draws_give():
+    inst = dc.random_instance(20, 2.5 / 19, 3, rates=(0.1, 0.5))
+    spec = dc.BudgetSpec(budget=0.6, mode="hard")
+    factory = dc.IteratedFactory(inst, spec, dc.EstimatorConfig(mode="mc", samples=40),
+                                 dc.BranchConfig(mode="rollouts", rollouts=3))
+    root = as_stream(6)
+    prior = dc.BeliefState.initial(inst.graph.node_count, 0)
+    want = [dc.run_policy(factory(child(root, 1)), inst, spec,
+                          dc.sample_conditional_realization(inst, prior, generator(root, 2, t))).cascade_size
+            for t in range(64)]
+    assert _run_trials(factory(child(root, 1)), inst, spec, root, 0, 64) == want
+
+
+def _keeping(factory, built):
+    """`factory`, keeping each policy it builds in `built`."""
+    def build(stream):
+        built.append(factory(stream))
+        return built[-1]
+    return build
+
+
+def test_policy_memo_holds_only_the_first_steps_from_one_root(fig1, hard2, monkeypatch):
+    inst = dc.random_instance(60, 3 / 59, 7, rates=(0.1, 0.5))
+    spec = dc.BudgetSpec(budget=0.6, mode="hard")
+    factory = dc.IteratedFactory(inst, spec, dc.EstimatorConfig(mode="mc", samples=200),
+                                 dc.BranchConfig(mode="rollouts", rollouts=10))
+    built = []
+    dc.evaluate_policy(_keeping(factory, built), inst, spec, 256, stream=0)
+    policy, root_state = built[0], dc.initial_state(inst, spec)
+    assert policy._root == (root_state.belief, root_state.ledger.denom)
+    # The beliefs each run's first MEMO_DEPTH steps start from; a run that
+    # stops sooner ends with a step that returns None.
+    root, prior = as_stream(0), dc.BeliefState.initial(inst.graph.node_count, 0)
+    replay, seen = factory(child(root, 1)), set()
+    for t in range(256):
+        real = dc.sample_conditional_realization(inst, prior, generator(root, 2, t))
+        states = [root_state]
+        for rec in dc.run_policy(replay, inst, spec, real).probes[:MEMO_DEPTH - 1]:
+            states.append(states[-1].after_accept(rec.pair, sum(1 << u for u in rec.newly_influenced)) if rec.accepted
+                          else states[-1].after_reject(rec.pair, inst.menu.index_of(rec.pair.rate)))
+        seen.update(state.belief for state in states)
+    assert {belief for _phase, belief in policy._memo} == seen
+    assert len(policy._memo) <= 2 * len(seen) < 256  # one entry per phase, "shot" or "greedy"
+    other = root_state.after_reject(dc.SeedDiscountPair(0, 0.1), 0)
+    policy.begin(other)
+    assert policy._memo == {}
+
+    twins = []
+    copy_policy = dc.GreedyPolicy.__copy__
+
+    def spy(self):
+        twins.append(copy_policy(self))
+        return twins[-1]
+
+    monkeypatch.setattr(dc.GreedyPolicy, "__copy__", spy)
+    walked = []
+    dc.evaluate_policy(_keeping(dc.GreedyFactory(fig1, hard2), walked), fig1, hard2, "exhaustive")
+    assert twins and walked[0]._memo and all(twin._memo is walked[0]._memo for twin in twins)
