@@ -39,8 +39,9 @@ from .rng import as_stream, child, generator
 MAX_UNCERTAIN_EDGES = 16
 _VISITED_CELLS = 1 << 22  # replicates * nodes in one Monte Carlo block
 _WORLD_CELLS = 1 << 18  # the same on sampled worlds: a smaller visited buffer beside the worlds
-_TABLE_CELLS = 1 << 14  # worlds * nodes (or edges) in one block of `offer_totals` (or a draw)
-_TABLE_PAIRS = 1 << 18  # reached (source, key) pairs one batched search may keep: 2 MB
+_TABLE_CELLS = 1 << 14  # worlds * edges in one draw of `sample_worlds`, worlds * nodes in a first table block
+_TABLE_GROWN = 1 << 15  # worlds * nodes a block of `offer_totals` may grow to while its searches stay small
+_TABLE_PAIRS = 1 << 18  # (deep source, key) pairs one batched search may keep: 2 MB
 MAX_WORLD_BYTES = 1 << 28  # a world set's acceptance indices and live-edge bits
 
 
@@ -390,30 +391,44 @@ def _dense_reach(indptr, dst, n: int, seeds: np.ndarray, live, visited: np.ndarr
 def offer_totals(graph: SocialGraph, worlds: Worlds, rates: int) -> np.ndarray:
     """Entry [v, i] sums v's reach over the worlds where it accepts rate index i.
 
-    A block of worlds (keys world*n + node, `_TABLE_CELLS` at most) becomes one
-    graph of its live edges, searched from every key with a live out-edge, each
-    in its own slot (keys slot*cells + key): all in one `_source_reach`, until one
-    passes `_TABLE_PAIRS` keys; from that block on, in chunks of about that many
-    reached keys, each one `_dense_reach` within the `_VISITED_CELLS` buffer.
+    A block of worlds (keys world*n + node) becomes one graph of its live
+    edges. A shallow source, one whose live targets all lack a live
+    out-edge, reaches itself and its targets only (graphs have no
+    self-loops or duplicate edges), so its count comes off the live edges
+    directly. The deep sources, the rest, are searched each in its own
+    slot (keys slot*cells + key): all in one `_source_reach`, until one
+    passes `_TABLE_PAIRS` keys; from that block on, in chunks of about that
+    many reached keys, each one `_dense_reach` within the `_VISITED_CELLS`
+    buffer. Blocks start at `_TABLE_CELLS` keys and double, up to
+    `_TABLE_GROWN`, after each sorted search that kept under an eighth of
+    `_TABLE_PAIRS`, so small cascades pay for fewer, larger blocks.
     """
     n, csr = graph.node_count, graph.csr
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))  # CSR position -> source node
     counts = np.zeros(n * (rates + 1), dtype=np.int64)  # reach by node * (rates + 1) + menu-interval index
-    per_block = max(1, _TABLE_CELLS // n)
+    per_block, largest = max(1, _TABLE_CELLS // n), max(1, _TABLE_GROWN // n)
     sorted_merges, per_chunk = True, max(1, _TABLE_PAIRS // n)  # a source reaches n keys at most
-    for done in range(0, worlds.samples, per_block):
+    done = 0
+    while done < worlds.samples:
         r = min(worlds.samples - done, per_block)
         cells = r * n
         code = (worlds.accept[done:done + r] + np.arange(0, counts.size, rates + 1)).ravel()
         counts += np.bincount(code, minlength=counts.size)  # every key reaches itself
-        world, pos = np.nonzero(np.unpackbits(worlds.live[done:done + r], axis=1, count=worlds.edges,
-                                              bitorder="little"))  # (world - done, CSR position) if live
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(world * n + src[pos], minlength=cells))))
-        dst = world * n + csr.dst[pos]
-        sources = np.flatnonzero(indptr[1:] != indptr[:-1])
+        bits = np.unpackbits(worlds.live[done:done + r], axis=1, count=worlds.edges, bitorder="little")
+        world, pos = np.divmod(np.flatnonzero(bits.view(bool)), worlds.edges)  # (world - done, CSR position) if live
+        done += r
+        tail, dst = world * n + src[pos], world * n + csr.dst[pos]  # each live edge's keys, in key order
+        indptr = np.zeros(cells + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tail, minlength=cells), out=indptr[1:])
+        deep = np.zeros(cells, dtype=bool)
+        deep[tail[indptr[dst + 1] > indptr[dst]]] = True  # the live target relays
+        counts += np.bincount(code[tail[~deep[tail]]], minlength=counts.size)  # shallow sources' targets
+        sources = np.flatnonzero(deep)
         reached = _source_reach(indptr, dst, cells, sources) if sorted_merges else None
         if reached is not None:
             counts += np.bincount(code[sources[reached]], minlength=counts.size)
+            if sources.size + reached.size < _TABLE_PAIRS // 8:
+                per_block = min(2 * per_block, largest)
             continue
         sorted_merges = False
         slots = max(1, _VISITED_CELLS // cells)

@@ -102,6 +102,15 @@ class BudgetLedger:
             return self.rate_units[rate]
         return self._node_units[v][rate]
 
+    def offer_rows(self, node_count: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """Every node's offer costs in menu order, as the distinct rows of
+        costs and each node's index into them: one row under hard accounting."""
+        if self._node_units is None:
+            return [tuple(self.rate_units.values())], np.zeros(node_count, dtype=np.intp)
+        rows: dict[tuple[int, ...], int] = {}
+        index = [rows.setdefault(tuple(units.values()), len(rows)) for units in self._node_units]
+        return list(rows), np.array(index, dtype=np.intp)
+
     def raise_cost(self, v: int, rate: float, current: float) -> int:
         """Extra cost of raising v's offer from `current` (0.0 = none) to `rate`."""
         return self.offer(v, rate) - (self.offer(v, current) if current else 0)
@@ -335,8 +344,8 @@ def hill_climbing(
     graph, menu = instance.graph, instance.menu
     ledger = BudgetLedger.for_spec(instance.model, spec)
     # Python ints: soft-mode units can pass 2**63.
-    costs = [[ledger.offer(v, rate) for rate in menu.rates] for v in range(graph.node_count)]
-    affordable = np.array([c <= ledger.budget for row in costs for c in row], dtype=bool).reshape(-1, len(menu))
+    rows, row_of = ledger.offer_rows(graph.node_count)
+    affordable = np.array([c <= ledger.budget for row in rows for c in row], dtype=bool).reshape(-1, len(menu))[row_of]
     nodes, ridxs = np.nonzero(affordable)
     values = evaluator.single_values(affordable)
 
@@ -349,11 +358,11 @@ def hill_climbing(
     if gain_rule == "marginal":
         # Each affordable offer with a cost and a gain seeds the lazy queue.
         keep = np.flatnonzero(values > GAIN_EPS)
-        singles = [(-val / (costs[v][i] / ledger.denom), v, i, 0, val)
-                   for v, i, val in zip(nodes[keep].tolist(), ridxs[keep].tolist(), values[keep].tolist())
-                   if costs[v][i] > 0]
+        singles = [(-val / (rows[k][i] / ledger.denom), v, i, 0, val)
+                   for v, i, k, val in zip(nodes[keep].tolist(), ridxs[keep].tolist(), row_of[nodes[keep]].tolist(),
+                                           values[keep].tolist())
+                   if rows[k][i] > 0]
         # Costs never fall as the rate rises, so a raise that costs anything costs at least the smallest step.
-        rows = {tuple(row) for row in costs}
         steps = (c for row in rows for c in (row[0], *(b - a for a, b in zip(row, row[1:]))) if c > 0)
         greedy, greedy_val = _greedy_marginal(instance, ledger, evaluator, singles, min(steps, default=0))
     else:

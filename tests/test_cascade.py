@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import discountcast as dc
 import discountcast.cascade as cascade
@@ -353,41 +355,120 @@ def test_offer_table_matches_plain_walks_across_blocks(monkeypatch):
     assert_table_matches_plain_walks(inst, 119, as_stream(6))
 
 
+def deep_sources(graph, worlds, w) -> list[int]:
+    """Independent oracle: the nodes with a live edge in world w to a node that has a live out-edge."""
+    live, indptr, dst = live_rows(worlds)[w], graph.csr.indptr, graph.csr.dst
+    relays = {u for u in range(graph.node_count) if live[indptr[u]:indptr[u + 1]].any()}
+    return [u for u in range(graph.node_count)
+            if any(live[p] and int(dst[p]) in relays for p in range(indptr[u], indptr[u + 1]))]
+
+
 def test_offer_table_matches_plain_walks_across_many_sources():
-    # 300 nodes at a mean out-degree of 4: a default block of 54 worlds batches
-    # thousands of sources into one search
+    # 300 nodes at a mean out-degree of 4: the first block of 54 worlds at the default
+    # constants batches thousands of sources, hundreds of them deep, into one search
     inst = dc.random_instance(300, 4 / 299, 5, prob_range=(0.05, 0.3), rates=(0.5, 1.0))
     assert cascade._TABLE_CELLS // 300 == 54
-    assert_table_matches_plain_walks(inst, 60, as_stream(4))
+    with mock.patch.object(cascade, "_source_reach", wraps=cascade._source_reach) as search:
+        assert_table_matches_plain_walks(inst, 60, as_stream(4))
+    assert search.call_args_list[0].args[2] == 54 * 300 and search.call_args_list[0].args[3].size > 300
+
+
+@pytest.mark.parametrize("pairs, blocks", [(1 << 18, [2, 4, 8, 6]), (8000, [2, 4, 4, 8, 2])])
+def test_offer_table_searches_from_deep_sources_only(pairs, blocks):
+    # Only a source with a live target that relays is searched; the rest are counted off
+    # their live edges. Blocks start at 2 worlds and double, up to 8, after a search that
+    # keeps under pairs / 8 keys: at 8,000 pairs the first block of 4 keeps 1,602 and the
+    # next stays at 4, whose search keeps 960.
+    inst = dc.random_instance(40, 3 / 39, 11, prob_range=(0.2, 0.6), rates=(0.5, 1.0))
+    g, n = inst.graph, inst.graph.node_count
+    worlds = sample_worlds(g, 20, as_stream(9), inst.model)
+    with mock.patch.object(cascade, "_TABLE_CELLS", 2 * n), mock.patch.object(cascade, "_TABLE_GROWN", 8 * n), \
+            mock.patch.object(cascade, "_TABLE_PAIRS", pairs), \
+            mock.patch.object(cascade, "_source_reach", wraps=cascade._source_reach) as search:
+        table = offer_totals(g, worlds, 2)
+    assert [c.args[2] // n for c in search.call_args_list] == blocks
+    assert np.array_equal(table, offer_totals(g, worlds, 2))
+    live, indptr, start, searched = live_rows(worlds), g.csr.indptr, 0, 0
+    for c, r in zip(search.call_args_list, blocks):
+        deep = [w * n + v for w in range(r) for v in deep_sources(g, worlds, start + w)]
+        assert c.args[3].tolist() == deep
+        start, searched = start + r, searched + len(deep)
+    sources = sum(bool(live[w, indptr[v]:indptr[v + 1]].any()) for w in range(20) for v in range(n))
+    assert (searched, sources) == (450, 560)  # 110 shallow sources are counted off their edges
+
+
+@pytest.mark.parametrize("edges, source, reach", [
+    (((0, 1), (1, 0)), 0, 2),  # the only target links back
+    (((0, 1), (0, 2), (1, 3), (2, 3)), 0, 4),  # a diamond reaches its sink once
+])
+def test_offer_table_counts_each_node_once(edges, source, reach):
+    n = 1 + max(max(e) for e in edges)
+    inst = with_model(dc.SocialGraph(n, tuple(str(i) for i in range(n)), tuple(dc.Edge(a, b, 1.0) for a, b in edges)))
+    table = assert_table_matches_plain_walks(inst, 50, as_stream(1))
+    accept = sample_worlds(inst.graph, 50, as_stream(1), inst.model).accept[:, source]
+    assert table[source].tolist() == [reach * int(np.sum(accept <= i)) for i in range(2)]
+
+
+@st.composite
+def small_digraphs(draw):
+    n = draw(st.integers(1, 7))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4 * n))
+    arcs = {(a, b): None for a, b in pairs if a != b}  # no self-loops or duplicates, in drawn order
+    probs = draw(st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]), min_size=len(arcs), max_size=len(arcs)))
+    return dc.SocialGraph(n, tuple(str(i) for i in range(n)),
+                          tuple(dc.Edge(a, b, p) for (a, b), p in zip(arcs, probs)))
+
+
+_TWO_CYCLES = dc.SocialGraph(4, tuple("0123"), (dc.Edge(0, 1, 0.7), dc.Edge(1, 0, 0.7), dc.Edge(1, 2, 1.0),
+                                                dc.Edge(2, 1, 0.3), dc.Edge(3, 2, 0.0)))
+_DIAMONDS = dc.SocialGraph(5, tuple("01234"), (dc.Edge(0, 1, 1.0), dc.Edge(0, 2, 0.7), dc.Edge(1, 3, 0.3),
+                                               dc.Edge(2, 3, 1.0), dc.Edge(3, 4, 0.7), dc.Edge(4, 0, 0.3)))
+
+
+@given(small_digraphs(), st.integers(1, 17), st.sampled_from([1 << 18, 6]), st.integers(0, 2**16))
+@example(_TWO_CYCLES, 13, 1 << 18, 0)
+@example(_DIAMONDS, 17, 6, 1)
+@settings(max_examples=200, deadline=None)
+def test_offer_table_matches_plain_walks_on_small_digraphs(graph, samples, pairs, seed):
+    # One world in the first block, growing to four, so the last block is partial for most
+    # sample counts; at 6 pairs most sorted searches give up and the dense path takes over.
+    n = graph.node_count
+    with mock.patch.object(cascade, "_TABLE_CELLS", n), mock.patch.object(cascade, "_TABLE_GROWN", 4 * n), \
+            mock.patch.object(cascade, "_TABLE_PAIRS", pairs):
+        assert_table_matches_plain_walks(with_model(graph, seed=seed), samples, as_stream(seed))
 
 
 @pytest.mark.parametrize("block", [0, 2])
 def test_offer_table_matches_plain_walks_after_a_search_gives_up(monkeypatch, block):
     # 20 isolated nodes, then a core of 60 with near-certain edges: a core cascade
-    # reaches about 55 nodes. The sorted search of a block of 10 worlds gives up, at
-    # the pair limit in the first block or forced in the third after two were
-    # counted, and from that block on sources search in chunks of 7 dense slots.
-    # Counts are kept per node and menu interval, 80 * 4 of them: past a uint8.
+    # reaches about 55 nodes, and over 500 of a block's 800 keys are deep sources.
+    # The sorted search of a block of 10 worlds gives up, at the pair limit in the
+    # first block or forced in the third after two were counted, and from that
+    # block on the deep sources search in chunks of 7 dense slots. Counts are kept
+    # per node and menu interval, 80 * 4 of them: past a uint8.
     core = dc.random_instance(60, 3 / 59, 9, prob_range=(0.9, 1.0)).graph
     edges = tuple(dc.Edge(e.src + 20, e.dst + 20, e.prob) for e in core.edges)
     inst = with_model(dc.SocialGraph(80, tuple(str(i) for i in range(80)), edges), rates=(0.5, 1.0, 2.0))
     monkeypatch.setattr(cascade, "_TABLE_CELLS", 10 * 80)
+    monkeypatch.setattr(cascade, "_TABLE_GROWN", 10 * 80)
     monkeypatch.setattr(cascade, "_VISITED_CELLS", 7 * 10 * 80)
-    calls = itertools.count()
+    calls, search = itertools.count(), cascade._source_reach
     if block == 0:
         monkeypatch.setattr(cascade, "_TABLE_PAIRS", 400)
-        batch = cascade._source_reach
+        batch = search
     else:
         def batch(*args):  # offer_totals runs twice below, each in 3 blocks
-            return None if next(calls) % 3 == block else cascade._source_reach(*args)
+            return None if next(calls) % 3 == block else search(*args)
     with mock.patch.object(cascade, "_source_reach", side_effect=batch) as batched, \
             mock.patch.object(cascade, "_dense_reach", wraps=cascade._dense_reach) as dense:
         table = assert_table_matches_plain_walks(inst, 30, as_stream(3))
     assert batched.call_count == 2 * (block + 1)
     seeds = [c.args[3] for c in dense.call_args_list]
-    assert max(map(len, seeds)) == 7 and len(seeds) >= 2 * (3 - block) * 500 // 7  # 500+ sources a block
-    assert table[:20, 1].tolist() == np.sum(sample_worlds(inst.graph, 30, as_stream(3), inst.model).accept[:, :20] <= 1,
-                                             axis=0).tolist()
+    worlds = sample_worlds(inst.graph, 30, as_stream(3), inst.model)
+    deep = [w % 10 * 80 + v for w in range(10 * block, 30) for v in deep_sources(inst.graph, worlds, w)]
+    assert len(deep) >= (3 - block) * 500  # 500+ deep sources a block
+    assert max(map(len, seeds)) == 7 and sorted(k % 800 for chunk in seeds for k in chunk.tolist()) == sorted(2 * deep)
+    assert table[:20, 1].tolist() == np.sum(worlds.accept[:, :20] <= 1, axis=0).tolist()
     assert table.max() > 50 * 10
 
 

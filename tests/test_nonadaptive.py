@@ -372,12 +372,25 @@ def test_hill_climbing_matches_an_eager_scan_past_int64_units(mode):
     for seed in range(10):
         inst = dc.random_instance(12, 3 / 11, seed, prob_range=(0.1, 0.6), rates=(0.1, 0.3))
         spec = dc.BudgetSpec(budget=0.6 if mode == "hard" else 0.25, mode=mode)
+        ledger = BudgetLedger.for_spec(inst.model, spec)
         if mode == "soft":
-            assert max(BudgetLedger.for_spec(inst.model, spec).offer(v, 0.3) for v in range(12)) > 2**63
+            assert max(ledger.offer(v, 0.3) for v in range(12)) > 2**63
+        rows, row_of = ledger.offer_rows(12)
+        assert [rows[k] for k in row_of] == [tuple(ledger.offer(v, r) for r in inst.menu.rates) for v in range(12)]
+        assert len(rows) == (1 if mode == "hard" else len(set(inst.model.probs)))
         ev = dc.MCEvaluator(inst, samples=40, stream=as_stream(seed))
         cfg = dc.hill_climbing(inst, spec, ev)
         assert cfg.effective_map == eager_hill_climbing(inst, spec, ev).effective_map, f"seed {seed}"
         assert len(cfg.effective_map) > 1, f"seed {seed}"
+
+
+def test_offer_rows_hold_each_distinct_row_once():
+    menu = dc.DiscountMenu(rates=(1.0, 2.0))
+    model = dc.AdoptionModel(menu=menu, probs=((0.5, 1.0), (0.25, 0.5), (0.5, 1.0), (0.5, 0.75)))
+    rows, row_of = BudgetLedger.for_spec(model, dc.BudgetSpec(budget=2.0, mode="soft")).offer_rows(4)
+    assert (rows, row_of.tolist()) == ([(2, 8), (1, 4), (2, 6)], [0, 1, 0, 2])  # units of 1/4
+    rows, row_of = BudgetLedger.for_spec(model, dc.BudgetSpec(budget=2.0, mode="hard")).offer_rows(4)
+    assert (rows, row_of.tolist()) == ([(1, 2)], [0, 0, 0, 0])
 
 
 def test_brute_force_fig1(fig1, hard2):
