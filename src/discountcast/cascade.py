@@ -313,7 +313,7 @@ def sample_worlds(graph: SocialGraph, samples: int, stream, model: AdoptionModel
         live[w:w + step] = np.packbits(rows, axis=1, bitorder="little")
     accept = None
     if model is not None:
-        probs = np.ascontiguousarray(np.array(model.probs, dtype=np.float64).reshape(n, -1).T)
+        probs = np.ascontiguousarray(model.table.T)
         accept = np.empty((samples, n), dtype=np.min_scalar_type(len(probs)))
         step = max(1, _TABLE_CELLS // n)
         for w in range(0, samples, step):

@@ -120,7 +120,7 @@ def random_instance(nodes: int, edge_prob: float, stream=None, *,
     )
     menu = DiscountMenu(rates=tuple(rates))
     rows = np.sort(generator(root, 2).uniform(alo, ahi, size=(nodes, len(menu))), axis=1)
-    model = AdoptionModel(menu=menu, probs=tuple(tuple(row) for row in rows.tolist()))
+    model = AdoptionModel(menu=menu, probs=rows)
     return Instance(graph=graph, model=model)
 
 

@@ -17,14 +17,18 @@ node's probabilities must be non-decreasing in the rate.
 
 Files of at least `BULK_MIN_ROWS` lines in the common shape (a graph
 file with a first-line header, an adoption file with one row per cell)
-are split whole and converted column by column; anything else, and any
-file that fails a check, goes to the line-by-line parsers, which word
-every load error.
+are read by numpy's C text reader, which turns each row's fields into
+numbers; anything else, and any file that fails a check, goes to the
+line-by-line parsers, which word every load error. The reader refuses
+some spellings that Python's `int` and `float` accept (`1_0`, non-ASCII
+digits) and a `#` anywhere; files holding them load line by line, to
+the same result.
 """
 from __future__ import annotations
 
 import bisect
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,9 +39,16 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 # Graph and adoption files of at least this many lines are first tried on
-# the bulk path (split whole, converted and checked with numpy); below it,
-# the line-by-line parsers are faster.
+# the bulk path (read by numpy's C text reader, checked with numpy); below
+# it, the line-by-line parsers are faster.
 BULK_MIN_ROWS = 32
+
+# `str.splitlines` ends a line at each of these characters but numpy's
+# reader takes them for spaces, and a NUL would end a numpy string field
+# early: files holding any of them load line by line.
+_BULK_REFUSED = "\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+_EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("prob", np.float64)])
 
 
 class Edge(NamedTuple):
@@ -258,36 +269,59 @@ def _edge_arrays(edges: tuple[Edge, ...]) -> dict[str, np.ndarray]:
     return {"src": np.array(src, np.int64), "dst": np.array(dst, np.int64), "prob": np.array(prob, np.float64)}
 
 
-@dataclass(frozen=True)
 class AdoptionModel:
     """Per-node adoption probability at every menu rate.
 
     probs[v][i] is the chance node v accepts when offered menu rate i;
-    rows are non-decreasing because a larger discount never hurts.
+    rows are non-decreasing because a larger discount never hurts. The
+    same values are `table`, a read-only float64 (n, m) array. A model
+    built from row tuples keeps them as `probs` and derives the table on
+    first read; one built from an array keeps a copy as its table and
+    derives `probs` on first read. Models are equal when their menus and
+    tables are; they are not hashable.
     """
 
-    menu: DiscountMenu
-    probs: tuple[tuple[float, ...], ...]
+    def __init__(self, menu: DiscountMenu, probs):
+        if not isinstance(probs, np.ndarray):
+            _check_rows(menu, probs)
+            self.__dict__.update(menu=menu, node_count=len(probs), probs=probs)
+            return
+        m = len(menu)
+        table = np.array(probs, dtype=np.float64) if len(probs) else np.empty((0, m))
+        if not (table.ndim == 2 and table.shape[1] == m and ((table >= 0.0) & (table <= 1.0)).all()
+                and (table[:, 1:] >= table[:, :-1]).all()):
+            _check_rows(menu, table.tolist())  # words the first fault
+        self.__setstate__(dict(menu=menu, node_count=len(table), table=table))
 
-    def __post_init__(self):
-        m = len(self.menu)
-        for v, row in enumerate(self.probs):
-            if len(row) != m:
-                raise ValidationError(f"node {v}: expected {m} adoption probabilities, got {len(row)}")
-            prev = 0.0
-            for i, p in enumerate(row):
-                if not 0.0 <= p <= 1.0:
-                    raise ValidationError(f"node {v}: adoption probability {p} outside [0, 1]")
-                if i and p < prev:
-                    raise ValidationError(
-                        f"node {v}: adoption probability must be non-decreasing in the rate "
-                        f"({prev} at rate {self.menu.rates[i-1]}, {p} at rate {self.menu.rates[i]})"
-                    )
-                prev = p
+    def __setstate__(self, state):
+        """Store fields and cached values, the table made read-only (an
+        unpickled array comes back writable)."""
+        self.__dict__.update(state)
+        if "table" in state:
+            self.table.setflags(write=False)
 
-    @property
-    def node_count(self) -> int:
-        return len(self.probs)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AdoptionModel is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, AdoptionModel):
+            return NotImplemented
+        return self.menu == other.menu and np.array_equal(self.table, other.table)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"AdoptionModel(nodes={self.node_count}, rates={self.menu.rates})"
+
+    @cached_property
+    def probs(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self.table.tolist()))
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        table = np.array(self.probs, dtype=np.float64).reshape(self.node_count, len(self.menu))
+        table.setflags(write=False)
+        return table
 
     def prob(self, v: int, rate_idx: int) -> float:
         return self.probs[v][rate_idx]
@@ -304,6 +338,25 @@ class AdoptionModel:
         row = self.probs[v]
         i = bisect.bisect_left(row, g)
         return i if i < len(row) else None
+
+
+def _check_rows(menu: DiscountMenu, rows) -> None:
+    """Raise on the first row of `rows` that is not a non-decreasing list of
+    len(menu) probabilities in [0, 1], naming its node."""
+    m = len(menu)
+    for v, row in enumerate(rows):
+        if len(row) != m:
+            raise ValidationError(f"node {v}: expected {m} adoption probabilities, got {len(row)}")
+        prev = 0.0
+        for i, p in enumerate(row):
+            if not 0.0 <= p <= 1.0:
+                raise ValidationError(f"node {v}: adoption probability {p} outside [0, 1]")
+            if i and p < prev:
+                raise ValidationError(
+                    f"node {v}: adoption probability must be non-decreasing in the rate "
+                    f"({prev} at rate {menu.rates[i-1]}, {p} at rate {menu.rates[i]})"
+                )
+            prev = p
 
 
 @dataclass(frozen=True)
@@ -338,47 +391,59 @@ def _content_lines(text: str) -> Iterable[tuple[int, str]]:
             yield lineno, line
 
 
-def _bulk_fields(text: str, head_fields: int) -> list[str] | None:
-    """Every field of a file in the shape the bulk parsers read, else None.
+def _load(path, bulk, parse):
+    """`bulk(f)` of the open file at `path`, or where it is short, holds a
+    character of `_BULK_REFUSED` or `bulk` returns None, `parse(path, text)`."""
+    with open(path) as f:
+        text = f.read()
+        if text.count("\n") >= BULK_MIN_ROWS and not any(c in text for c in _BULK_REFUSED):
+            del text  # not held while numpy reads the file again
+            f.seek(0)
+            loaded = bulk(f)
+            if loaded is not None:
+                return loaded
+            f.seek(0)
+            text = f.read()
+    return parse(path, text)
 
-    That shape: no `#`, `head_fields` fields on the first line and three
-    on every other non-blank line, as `_content_lines` and `str.split`
-    see them.
-    """
-    if "#" in text:
-        return None
-    counts = list(map(len, map(str.split, text.splitlines())))
-    if counts[:1] != [head_fields] or set(counts[1:]) - {0, 3}:
-        return None
-    return text.split()
+
+def _bulk_rows(f, dtype: np.dtype) -> np.ndarray | None:
+    """The rest of `f` as one structured row per non-blank line, read by numpy's C
+    text reader, or None where it refuses: a row of another length, or a token it
+    does not read as its field's type (`#` is an ordinary character to it)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x reads "1.0" as an int, with a warning
+        try:
+            return np.loadtxt(f, dtype=dtype, comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            return None
 
 
 def load_graph(path) -> SocialGraph:
     """Parse a graph file; see the module docstring for the format."""
-    with open(path) as f:
-        text = f.read()
-    graph = _bulk_graph(text) if text.count("\n") >= BULK_MIN_ROWS else None
-    return graph if graph is not None else _parse_graph(path, text)
+    return _load(path, _bulk_graph, _parse_graph)
 
 
-def _bulk_graph(text: str) -> SocialGraph | None:
-    """The graph of a file with a first-line `nodes` header and three fields on every other
-    non-blank line, its columns converted by numpy, which reads each token
-    with the `int` and `float` that `_parse_graph` calls.
+def _bulk_graph(f) -> SocialGraph | None:
+    """The graph of a file with a first-line `nodes` header and three fields on
+    every other non-blank line, read by numpy, which reads a token as `int` and
+    `float` do or refuses it.
 
     Returns None for any other file and for any input `_parse_graph`
     would refuse, so that parser words every error.
     """
-    fields = _bulk_fields(text, 2)
-    if fields is None or fields[0] != "nodes":
+    head = f.readline().split()
+    if len(head) != 2 or head[0] != "nodes":
         return None
     try:
-        n = int(fields[1])
-        src = np.array(fields[2::3], dtype=np.int64)
-        dst = np.array(fields[3::3], dtype=np.int64)
-        prob = np.array(fields[4::3], dtype=np.float64)
-    except (ValueError, OverflowError):
+        n = int(head[1])
+    except ValueError:
         return None
+    rows = _bulk_rows(f, _EDGE_ROW)
+    if rows is None:
+        return None
+    src, dst, prob = (np.ascontiguousarray(rows[name]) for name in _EDGE_ROW.names)
     if not (0 <= n < 2**31 and _edges_valid(n, src, dst, prob)):
         return None
     return SocialGraph._unchecked(node_count=n, src=src, dst=dst, prob=prob)
@@ -448,41 +513,61 @@ def _parse_graph(path, text: str) -> SocialGraph:
 
 def load_adoption(path, graph: SocialGraph, menu: DiscountMenu) -> AdoptionModel:
     """Parse an adoption file against a loaded graph and menu."""
-    with open(path) as f:
-        text = f.read()
-    model = _bulk_adoption(text, graph, menu) if text.count("\n") >= BULK_MIN_ROWS else None
-    return model if model is not None else _parse_adoption(path, text, graph, menu)
+    return _load(path, lambda f: _bulk_adoption(f, graph, menu),
+                 lambda path, text: _parse_adoption(path, text, graph, menu))
 
 
-def _bulk_adoption(text: str, graph: SocialGraph, menu: DiscountMenu) -> AdoptionModel | None:
+def _bulk_adoption(f, graph: SocialGraph, menu: DiscountMenu) -> AdoptionModel | None:
     """The model of a file with exactly one explicit row per (node, rate) cell and no
-    wildcard, with tokens resolved as `_parse_adoption` resolves them.
+    wildcard, read by numpy, with tokens resolved as `_parse_adoption` resolves them.
 
     Returns None for any other file and for any row `_parse_adoption`
     would refuse, so that parser words every load error; `AdoptionModel`
     words its own on both paths.
     """
-    fields = _bulk_fields(text, 3)
     n, m = graph.node_count, len(menu)
-    if fields is None or len(fields) != 3 * n * m:
+    labelled = "labels" in vars(graph)  # else a header graph read in bulk: node v is labelled str(v)
+    # one character wider than any label, so that a token numpy cuts short is no label
+    width = 1 + (max(map(len, graph.labels), default=0) if labelled else len(str(max(n - 1, 0))))
+    rows = _bulk_rows(f, np.dtype([("node", f"U{width}"), ("rate", np.float64), ("prob", np.float64)]))
+    if rows is None:
         return None
-    nodes, rates = fields[0::3], fields[1::3]
-    if "*" in nodes:
+    if labelled:
+        index = graph._label_index
+        if "*" in index:
+            return None
+        try:
+            nodes = np.fromiter(map(index.__getitem__, rows["node"].tolist()), np.int64, len(rows))
+        except KeyError:
+            return None
+    else:
+        nodes = _numbered_nodes(rows["node"], width, n)
+        if nodes is None:
+            return None
+    rates = np.array(menu.rates)
+    rate_ix = np.minimum(np.searchsorted(rates, rows["rate"]), m - 1)
+    if not (rates[rate_ix] == rows["rate"]).all():
         return None
-    rate_ix = {}
-    try:
-        for token in set(rates):
-            rate_ix[token] = menu._index[float(token)]
-        cells = m * np.fromiter(map(graph._label_index.__getitem__, nodes), np.int64, n * m)
-        cells += np.fromiter(map(rate_ix.__getitem__, rates), np.int64, n * m)
-        values = np.array(fields[2::3], dtype=np.float64)
-    except (ValueError, KeyError):
-        return None
+    cells = nodes * m + rate_ix
     if (np.bincount(cells, minlength=n * m) != 1).any():
         return None
     table = np.empty(n * m)
-    table[cells] = values
-    return AdoptionModel(menu=menu, probs=tuple(map(tuple, table.reshape(n, m).tolist())))
+    table[cells] = rows["prob"]
+    return AdoptionModel(menu, table.reshape(n, m))
+
+
+def _numbered_nodes(tokens: np.ndarray, width: int, n: int) -> np.ndarray | None:
+    """v for each of `tokens` (strings of at most `width` characters) that spells a
+    label str(v) of nodes 0..n-1 (no sign, no leading zero), else None."""
+    chars = np.ascontiguousarray(tokens).view(np.uint32).reshape(len(tokens), width)
+    used = chars > 0  # a string is padded with NULs, and holds none (`_BULK_REFUSED`)
+    digits = np.where(used, chars - ord("0"), 0)  # unsigned: a character below "0" wraps past 9
+    if (digits > 9).any() or ((digits[:, 0] == 0) & used[:, 1]).any():
+        return None
+    nodes = np.zeros(len(tokens), dtype=np.int64)
+    for column, digit in zip(used.T, digits.T):
+        nodes = np.where(column, nodes * 10 + digit, nodes)
+    return nodes if (nodes < n).all() else None
 
 
 def _parse_adoption(path, text: str, graph: SocialGraph, menu: DiscountMenu) -> AdoptionModel:

@@ -1,5 +1,7 @@
+import io
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -273,17 +275,28 @@ def test_load_graph_rejects_bad_edges_at_their_line(tmp_path, text, message):
     assert str(exc.value) == message.format(path=p)
 
 
+def load_outcome(load):
+    """What `load()` returns, or the type and message of the ValueError it raises."""
+    try:
+        return load()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 def outcomes_of_both_paths(monkeypatch, load):
     """What `load()` returns or raises with bulk parsing tried on a file of any
     size, then with the line-by-line parsers alone."""
     outcomes = []
     for min_rows in (0, 10**9):
         monkeypatch.setattr(graph_module, "BULK_MIN_ROWS", min_rows)
-        try:
-            outcomes.append(load())
-        except ValueError as exc:
-            outcomes.append((type(exc), str(exc)))
+        outcomes.append(load_outcome(load))
     return outcomes
+
+
+def bulk_taken(monkeypatch, path, bulk) -> bool:
+    """Whether the bulk parser `bulk` takes the file at `path`, at any size."""
+    monkeypatch.setattr(graph_module, "BULK_MIN_ROWS", 0)
+    return graph_module._load(path, bulk, lambda *_: None) is not None
 
 
 # (id, file text, whether the bulk parser takes it)
@@ -291,14 +304,21 @@ _GRAPH_FILES = [
     ("plain", "nodes 3\n0 1 0.5\n1 2 0.25\n", True),
     ("leading-zero", "nodes 8\n07 1 0.5\n", True),
     ("plus-sign", "nodes 4\n+3 1 0.5\n", True),
-    ("underscore", "nodes 11\n1_0 1 0.5\n", True),
-    ("unicode-digit", "nodes 4\n\u0663 1 0.5\n", True),
+    ("underscore", "nodes 11\n1_0 1 0.5\n", False),  # numpy reads no `_` in a number
+    ("unicode-digit", "nodes 4\n\u0663 1 0.5\n", False),  # nor a non-ASCII digit
     ("exponent", "nodes 2\n0 1 1e-3\n1 0 5E-1\n", True),
     ("crlf", "nodes 3\r\n0 1 0.5\r\n1 2 0.25\r\n", True),
     ("no-final-newline", "nodes 3\n0 1 0.5\n1 2 0.25", True),
     ("blank-lines", "nodes 3\n\n0 1 0.5\n   \n\n1 2 0.25\n\n", True),
     ("tabs", "nodes 3\n0\t1\t0.5\n 1 \t2  0.25\t\n", True),
-    ("vertical-tab-ends-a-line", "nodes 3\n0 1 0.5\x0b1 2 0.25\n", True),
+    ("vertical-tab-ends-a-line", "nodes 3\n0 1 0.5\x0b1 2 0.25\n", False),
+    ("cr-newlines", "nodes 3\r0 1 0.5\r1 2 0.25\r", True),
+    ("nbsp-separators", "nodes 3\n0\xa01\xa00.5\n", True),
+    ("ideographic-space-separators", "nodes 3\n0\u30001\u30000.5\n", True),
+    ("form-feed-separators", "nodes 3\n0\x0c1\x0c0.5\n", False),  # str.splitlines ends a line there
+    ("file-separator-separators", "nodes 3\n0\x1c1\x1c0.5\n", False),
+    ("form-feed-line-end", "nodes 3\n0 1 0.5\x0c\n", False),
+    ("nul-in-prob", "nodes 3\n0 1 0.5\x00\n", False),
     ("no-edges", "nodes 2\n", True),
     ("inf", "nodes 2\n0 1 inf\n", False),
     ("nan", "nodes 2\n0 1 0.5\n1 0 nan\n", False),
@@ -314,12 +334,17 @@ _GRAPH_FILES = [
     ("negative-count", "nodes -1\n", False),
     ("header-as-edge", "nodes 3\nnodes 1 0.5\n", False),
     ("comment", "nodes 3\n0 1 0.5  # note\n", False),
+    ("hash-glued", "nodes 3\n0 1 0.5#x\n", False),
+    ("hash-spaced", "nodes 3\n0 1 0.5 # note\n", False),
+    ("header-extra-fields", "nodes 3 7\n0 1 0.5\n", False),
+    ("float-prob-spellings", "nodes 3\n0 1 +.5\n1 2 5E-1\n2 0 1.\n", True),
     ("header-after-blank", "\nnodes 3\n0 1 0.5\n", False),
     ("headerless", "a b 0.5\nb c 0.25\n", False),
     ("empty", "", False),
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text,bulk", [case[1:] for case in _GRAPH_FILES], ids=[case[0] for case in _GRAPH_FILES])
 def test_graph_bulk_and_line_parsers_agree(tmp_path, monkeypatch, text, bulk):
     p = tmp_path / "g.txt"
@@ -328,7 +353,7 @@ def test_graph_bulk_and_line_parsers_agree(tmp_path, monkeypatch, text, bulk):
     assert fast == slow
     if isinstance(fast, dc.SocialGraph):
         assert (fast.labels, fast.edges) == (slow.labels, slow.edges)
-    assert (graph_module._bulk_graph(p.read_text()) is not None) == bulk
+    assert bulk_taken(monkeypatch, p, graph_module._bulk_graph) == bulk
 
 
 # (id, file text, whether the bulk parser takes it), against the graph
@@ -336,11 +361,20 @@ def test_graph_bulk_and_line_parsers_agree(tmp_path, monkeypatch, text, bulk):
 _ADOPTION_FILES = [
     ("plain", "0 1 0.1\n0 2 0.2\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6\n", True),
     ("any-row-order", "2 2 0.6\n0 1 0.1\n1 2 0.4\n2 1 0.5\n0 2 0.2\n1 1 0.3\n", True),
-    ("rate-spellings", "0 1e0 0.1\n0 2.00 0.2\n1 +1 0.3\n1 2_0e-1 0.4\n2 1. 0.5\n2 2 1e-3\n", True),
+    ("rate-spellings", "0 1e0 0.1\n0 2.00 0.2\n1 +1 0.3\n1 2_0e-1 0.4\n2 1. 0.5\n2 2 1e-3\n", False),  # `_`
+    ("numpy-rate-spellings", "0 1e0 0.1\n0 2.00 0.2\n1 +1 0.3\n1 20e-1 0.4\n2 1. 0.5\n2 2 1e-3\n", True),
+    ("cr-newlines", "0 1 0.1\r0 2 0.2\r1 1 0.3\r1 2 0.4\r2 1 0.5\r2 2 0.6\r", True),
+    ("nbsp-separators", "0\xa01 0.1\n0 2 0.2\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2\u30002 0.6\n", True),
+    ("form-feed-separator", "0 1 0.1\n0 2 0.2\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2\x0c2 0.6\n", False),
     ("crlf-tabs-blanks", "0\t1 0.1\r\n0 2 0.2\r\n\r\n1 1 0.3\r\n1 2\t0.4\r\n2 1 0.5\r\n2 2 0.6", True),
     ("leading-zero-node", "00 1 0.1\n0 2 0.2\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6\n", False),
     ("plus-sign-node", "0 1 0.1\n0 2 0.2\n+1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6\n", False),
     ("underscore-node", "0 1 0.1\n0 2 0.2\n1 1 0.3\n1 2 0.4\n2_0 1 0.5\n2 2 0.6\n", False),
+    ("minus-zero-node", "-0 1 0.1\n0 2 0.2\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6\n", False),
+    ("unicode-digit-node", "0 1 0.1\n0 2 0.2\n\u0661 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6\n", False),
+    ("unknown-node", "0 1 0.1\n0 2 0.2\n1 1 0.3\n1 2 0.4\n2 1 0.5\n3 2 0.6\n", False),
+    ("long-node", "0 1 0.1\n0 2 0.2\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6\n100 1 0.5\n", False),
+    ("nul-after-node", "0 1 0.1\n0 2 0.2\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2\x00 2 0.6\n", False),
     ("duplicate-cell", "0 1 0.1\n0 2 0.2\n1 1 0.3\n1 1 0.4\n2 1 0.5\n2 2 0.6\n", False),
     ("missing-cell", "0 1 0.1\n0 2 0.2\n1 1 0.3\n2 1 0.5\n2 2 0.6\n", False),
     ("unknown-rate", "0 1 0.1\n0 3 0.2\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6\n", False),
@@ -352,9 +386,11 @@ _ADOPTION_FILES = [
     ("wildcard", "* 1 0.1\n* 2 0.2\n1 1 0.3\n1 2 0.4\n", False),
     ("field-count", "0 1 0.1\n0 2 0.2 x\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6\n", False),
     ("comment", "0 1 0.1\n0 2 0.2\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6  # last\n", False),
+    ("hash-glued", "0 1 0.1\n0 2 0.2\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6#x\n", False),
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text,bulk", [case[1:] for case in _ADOPTION_FILES],
                          ids=[case[0] for case in _ADOPTION_FILES])
 def test_adoption_bulk_and_line_parsers_agree(tmp_path, monkeypatch, text, bulk):
@@ -364,28 +400,144 @@ def test_adoption_bulk_and_line_parsers_agree(tmp_path, monkeypatch, text, bulk)
     ad.write_bytes(text.encode())
     fast, slow = outcomes_of_both_paths(monkeypatch, lambda: dc.load_instance(g, ad, (1.0, 2.0)))
     assert fast == slow
-    graph, menu = dc.load_graph(g), DiscountMenu(rates=(1.0, 2.0))
-    try:
-        taken = graph_module._bulk_adoption(ad.read_text(), graph, menu) is not None
-    except dc.ValidationError:  # AdoptionModel's own checks, the same on both paths
-        taken = True
-    assert taken == bulk
+    menu = DiscountMenu(rates=(1.0, 2.0))
+    for min_rows in (0, 10**9):  # the graph read in bulk (nodes numbered), then line by line (labelled)
+        monkeypatch.setattr(graph_module, "BULK_MIN_ROWS", min_rows)
+        graph = dc.load_graph(g)
+        assert ("labels" in vars(graph)) == bool(min_rows)
+        try:
+            taken = bulk_taken(monkeypatch, ad, lambda f: graph_module._bulk_adoption(f, graph, menu))
+        except dc.ValidationError:  # AdoptionModel's own checks, the same on both paths
+            taken = True
+        assert taken == bulk
+
+
+def bulk_read(token: str, field: str):
+    """What the bulk reader makes of `token` as the `src` or `prob` field of an edge row, or None."""
+    row = f"{token} 1 0.5\n" if field == "src" else f"0 1 {token}\n"
+    rows = graph_module._bulk_rows(io.StringIO(row), graph_module._EDGE_ROW)
+    return None if rows is None else rows[field][0].item()
 
 
 def test_numpy_reads_number_tokens_as_int_and_float_do():
-    ints = ["0", "07", "+3", "-2", "1_0", "\u0663", "12345678901234"]
-    floats = ["0.1", "1e-3", "+.5", "5.", "-0", "1_0.5", "inf", "-Infinity", "nan", "1e400", "-1e-400",
-              "0.30000000000000004", "\u0663.\u0665"]
-    assert np.array(ints, dtype=np.int64).tolist() == [int(t) for t in ints]
-    assert [x.hex() for x in np.array(floats, dtype=np.float64).tolist()] == [float(t).hex() for t in floats]
-    for bad in ("1.0", "1e3", "0x1", "_1", "x"):
+    for token in ("0", "07", "+3", "-2", "-0", "12345678901234", "9223372036854775807"):
+        assert bulk_read(token, "src") == int(token)
+    for token in ("0.1", "1e-3", "+.5", "5.", "-0", "inf", "-Infinity", "+INF", "nan", "NaN", "1e400", "-1e-400",
+                  "0.30000000000000004", "5e-324", "1E5"):
+        assert bulk_read(token, "prob").hex() == float(token).hex()
+    # `int` and `float` read these and numpy does not: their files load line by line
+    for token in ("1_0", "\u0663", "\uff11", "99999999999999999999"):
+        int(token)
+        assert bulk_read(token, "src") is None
+    for token in ("1_0.5", "\u0663.\u0665", "\uff11e0"):
+        float(token)
+        assert bulk_read(token, "prob") is None
+    for token in ("1.0", "1e3", "0x1", "_1", "x", "1#"):
         with pytest.raises(ValueError):
-            np.array([bad], dtype=np.int64)
-    for bad in ("0x1p3", "1e", ".", "1__0"):
+            int(token)
+        assert bulk_read(token, "src") is None
+    for token in ("0x1p3", "1e", ".", "1__0", "infinit", "0.5#x"):
         with pytest.raises(ValueError):
-            np.array([bad], dtype=np.float64)
-    with pytest.raises(OverflowError):
-        np.array(["99999999999999999999"], dtype=np.int64)
+            float(token)
+        assert bulk_read(token, "prob") is None
+
+
+# signs, ASCII and non-ASCII digits, `_`, `.`, exponents and inf/nan spellings
+_TOKEN_PARTS = st.sampled_from(["+", "-", "0", "1", "7", "9", "\u0663", "\uff11", "\u0e51", "_", ".", "e", "E",
+                                "inf", "Infinity", "nan", "NaN", "iNF"])
+_TOKENS = st.lists(_TOKEN_PARTS, min_size=1, max_size=6).map("".join)
+
+
+@given(_TOKENS)
+@example("-nan")
+@example("1_0")
+@settings(max_examples=400, deadline=None)
+def test_numpy_reads_a_token_as_int_and_float_do_or_not_at_all(token):
+    value = bulk_read(token, "src")
+    if value is not None:
+        assert value == int(token)
+    value = bulk_read(token, "prob")
+    if value is not None:
+        assert value.hex() == float(token).hex()
+
+
+# whitespace that str.split and numpy both split on, line ends of both, and
+# characters where they disagree (str.splitlines ends a line at \x0b, \x0c,
+# \x1c, \x85 and \u2028; numpy reads them as spaces)
+_SEPARATORS = st.sampled_from([" ", "\t", " \t ", "\xa0", "\u3000", "\x1f", "\x0b", "\x0c", "\x1c", "\x85",
+                               "\u2028"])
+_LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r", "\n \n", "#x\n", " # note\n", "\x00\n"])
+_FIELDS = st.one_of(st.sampled_from(["0", "1", "2", "1.0", "2.0", "0.5", "0.25", "1e0", "*", "00", "+2"]), _TOKENS)
+
+
+@st.composite
+def _three_field_rows(draw) -> str:
+    rows = draw(st.lists(st.lists(_FIELDS, min_size=3, max_size=3) | st.lists(_FIELDS, min_size=2, max_size=4),
+                         max_size=8))
+    return "".join(draw(_SEPARATORS).join(row) + draw(_LINE_ENDS) for row in rows)
+
+
+@given(_three_field_rows())
+@example("0 1 0.5\n1 2 0.25\n")
+@example("0\x0c1\x0c0.5\n")
+@settings(max_examples=200, deadline=None)
+def test_a_three_field_file_loads_the_same_on_both_paths(tmp_path_factory, rows):
+    tmp = tmp_path_factory.mktemp("files")
+    g, ad = tmp / "g.txt", tmp / "ad.txt"
+    g.write_bytes(("nodes 3\n" + rows).encode())
+    ad.write_bytes(rows.encode())
+    small = tmp / "small.txt"
+    small.write_text("nodes 3\n0 1 0.5\n1 2 0.5\n")
+    with pytest.MonkeyPatch.context() as monkeypatch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast, slow = outcomes_of_both_paths(monkeypatch, lambda: dc.load_graph(g))
+        assert fast == slow
+        fast, slow = outcomes_of_both_paths(monkeypatch, lambda: dc.load_instance(small, ad, (1.0, 2.0)))
+        assert fast == slow
+
+
+def _spellings(value: int) -> st.SearchStrategy[str]:
+    """Tokens that `int` or `float` read as `value`, most of them plainly written."""
+    plain = str(value)
+    return st.sampled_from([plain] * 40 + ["0" + plain, "+" + plain, "-" + plain, plain + ".", plain + "e0",
+                                          plain + "0e-1", plain + "_0e-1", chr(0x660 + value)])
+
+
+@st.composite
+def _adoption_rows(draw) -> str:
+    """An adoption file for nodes 0..2 at rates 1 and 2: each cell once, in any order, with
+    spelled tokens, and now and then a cell dropped, repeated or set by a wildcard."""
+    cells = draw(st.permutations([(v, r) for v in range(3) for r in (1, 2)]))
+    change = draw(st.sampled_from(["none"] * 4 + ["drop", "repeat", "wildcard"]))
+    if change == "drop":
+        cells = cells[1:]
+    elif change == "repeat":
+        cells = cells + cells[:1]
+    elif change == "wildcard":
+        cells = [("*", r) for r in (1, 2)] + cells[2:]
+    separator, end = draw(_SEPARATORS), draw(_LINE_ENDS)
+    probs = st.floats(0.0, 1.0).map(repr) | st.sampled_from(["0", "1", "1e-3", "nan", "1.5", "-0.0", "0_5e-1"])
+    return "".join(separator.join((str(v) if v == "*" else draw(_spellings(v)), draw(_spellings(r)), draw(probs)))
+                   + end for v, r in cells)
+
+
+@given(_adoption_rows())
+@example("0 1 0.1\n0 2 0.2\n1 1 0.3\n1 2 0.4\n2 1 0.5\n2 2 0.6\n")
+@settings(max_examples=300, deadline=None)
+def test_a_spelled_adoption_table_loads_the_same_on_both_paths(tmp_path_factory, rows):
+    tmp = tmp_path_factory.mktemp("files")
+    g, ad = tmp / "g.txt", tmp / "ad.txt"
+    g.write_text("nodes 3\n0 1 0.5\n1 2 0.5\n")
+    ad.write_bytes(rows.encode())
+    menu = DiscountMenu(rates=(1.0, 2.0))
+    with pytest.MonkeyPatch.context() as monkeypatch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        monkeypatch.setattr(graph_module, "BULK_MIN_ROWS", 10**9)
+        labelled = dc.load_graph(g)
+        expected = load_outcome(lambda: dc.load_adoption(ad, labelled, menu))
+        monkeypatch.setattr(graph_module, "BULK_MIN_ROWS", 0)
+        for graph in (dc.load_graph(g), labelled):  # nodes numbered, then labelled
+            assert load_outcome(lambda: dc.load_adoption(ad, graph, menu)) == expected
 
 
 def relabeled(inst: dc.Instance, seed: int) -> dc.Instance:
@@ -530,3 +682,96 @@ def test_load_adoption_rejects(tmp_path, text, error, message):
     with pytest.raises(error) as exc:
         dc.load_instance(g, ad, (1.0, 2.0))
     assert str(exc.value) == message.format(path=ad)
+
+
+def test_adoption_model_is_the_same_from_tuples_arrays_and_either_loader(tmp_path, monkeypatch):
+    inst = dc.random_instance(80, 3 / 79, 5, rates=(0.5, 1.0))
+    assert "probs" not in vars(inst.model)  # the generator handed over its array
+    files = dc.write_instance(inst, tmp_path)
+    rows = tuple(tuple(row) for row in inst.model.table.tolist())
+    from_tuples = dc.AdoptionModel(inst.menu, rows)
+    assert from_tuples.probs is rows and "table" not in vars(from_tuples)
+    models = [inst.model, from_tuples, dc.AdoptionModel(inst.menu, np.array(rows))]
+    for min_rows in (0, 10**9):
+        monkeypatch.setattr(graph_module, "BULK_MIN_ROWS", min_rows)
+        models.append(dc.load_instance(files["graph"], files["adoption"], files["discounts"])[1])
+    assert "probs" not in vars(models[-2]) and "table" not in vars(models[-1])  # read in bulk, then line by line
+    hexes = [[p.hex() for p in row] for row in rows]
+    for model in models:
+        assert model == from_tuples and from_tuples == model
+        assert [[p.hex() for p in row] for row in model.probs] == hexes
+        assert model.table.dtype == np.float64 and model.table.shape == (80, 2)
+        assert model.node_count == 80
+    assert models[-2].probs == rows and models[-2].probs is models[-2].probs  # built once, on first read
+
+
+def test_adoption_models_differ_by_menu_and_value_and_are_unhashable():
+    menu = DiscountMenu(rates=(1.0, 2.0))
+    model = dc.AdoptionModel(menu, np.array([[0.25, 0.5], [0.5, 1.0]]))
+    assert model == dc.AdoptionModel(menu, ((0.25, 0.5), (0.5, 1.0)))
+    for changed in (
+        dc.AdoptionModel(DiscountMenu(rates=(1.0, 3.0)), ((0.25, 0.5), (0.5, 1.0))),
+        dc.AdoptionModel(menu, ((0.25, 0.5), (0.5, 0.75))),
+        dc.AdoptionModel(menu, ((0.25, 0.5),)),
+    ):
+        assert changed != model and model != changed
+    assert model != "model"
+    with pytest.raises(TypeError):
+        hash(model)
+    with pytest.raises(AttributeError):
+        model.menu = menu
+    assert dc.AdoptionModel(menu, ()) == dc.AdoptionModel(menu, np.empty((0, 2)))
+
+
+def test_adoption_table_is_read_only_after_a_pickle_round_trip(tmp_path):
+    inst = dc.random_instance(60, 3 / 59, 7)
+    files = dc.write_instance(inst, tmp_path)
+    loaded = dc.load_instance(files["graph"], files["adoption"], files["discounts"])[1]
+    source = np.array(inst.model.probs)
+    from_array = dc.AdoptionModel(inst.menu, source)
+    from_tuples = dc.AdoptionModel(inst.menu, inst.model.probs)
+    for model in (inst.model, loaded, from_array, from_tuples):
+        for copy in (model, pickle.loads(pickle.dumps(model))):
+            with pytest.raises(ValueError):
+                copy.table[0, 0] = 0.0
+            assert copy == inst.model
+    source[0, 0] = 0.0  # the model keeps its own copy
+    assert from_array == inst.model
+
+
+_MODEL_FAULTS = [
+    ("row-length", ((0.1,), (0.2,)), "node 0: expected 2 adoption probabilities, got 1"),
+    ("above-one", ((0.1, 0.2), (0.3, 1.5)), "node 1: adoption probability 1.5 outside [0, 1]"),
+    ("below-zero", ((0.1, 0.2), (-0.25, 0.5)), "node 1: adoption probability -0.25 outside [0, 1]"),
+    ("nan", ((0.1, 0.2), (math.nan, 0.5)), "node 1: adoption probability nan outside [0, 1]"),
+    ("inf", ((0.1, math.inf),), "node 0: adoption probability inf outside [0, 1]"),
+    ("decreasing", ((0.1, 0.2), (0.6, 0.4)),
+     "node 1: adoption probability must be non-decreasing in the rate (0.6 at rate 1.0, 0.4 at rate 2.0)"),
+    ("first-fault-wins", ((0.1, 0.2), (0.5, 0.4), (2.0, 0.1)),
+     "node 1: adoption probability must be non-decreasing in the rate (0.5 at rate 1.0, 0.4 at rate 2.0)"),
+]
+
+
+@pytest.mark.parametrize("rows,message", [case[1:] for case in _MODEL_FAULTS], ids=[case[0] for case in _MODEL_FAULTS])
+def test_adoption_model_words_a_fault_the_same_from_an_array(rows, message):
+    menu = DiscountMenu(rates=(1.0, 2.0))
+    for probs in (rows, np.array(rows)):
+        with pytest.raises(dc.ValidationError) as exc:
+            dc.AdoptionModel(menu, probs)
+        assert str(exc.value) == message
+
+
+@given(st.integers(0, 4), st.integers(1, 3),
+       st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.0, -0.5, 1.5, math.nan, math.inf, -math.inf]),
+                min_size=12, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_adoption_model_checks_an_array_as_it_checks_tuples(n, m, cells):
+    menu = DiscountMenu(rates=tuple(float(r) for r in range(1, m + 1)))
+    rows = tuple(tuple(cells[v * m:(v + 1) * m]) for v in range(n))
+    outcomes = []
+    for probs in (rows, np.array(rows).reshape(n, m)):
+        try:
+            outcomes.append(dc.AdoptionModel(menu, probs).probs)
+        except dc.ValidationError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
