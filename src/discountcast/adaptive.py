@@ -154,10 +154,8 @@ class CascadeOutcomes:
         key = (influenced, v)
         if key in self._memo:
             return self._memo[key]
-        allowed = set(range(self.graph.node_count)).difference(_bits(influenced))
         dist: dict[int, float] = {}
-        for w, reached in _live_edge_outcomes(self.graph, [v], allowed):
-            addmask = sum(1 << u for u in reached)
+        for w, addmask in _live_edge_outcomes(self.graph, [v], influenced):
             dist[addmask] = dist.get(addmask, 0.0) + w
         out = sorted(dist.items())
         self._memo[key] = out
@@ -347,8 +345,7 @@ class SpreadEstimator:
             if (influenced >> v) & 1:
                 raise ValidationError(f"node {v} is already influenced")
             if self.mode == "exact":
-                n = self.graph.node_count
-                val = spread_exact(self.graph, [v], restrict=set(range(n)).difference(_bits(influenced)))
+                val = spread_exact(self.graph, [v], blocked=influenced)
             else:
                 val = masked_reach(self._masks, v, influenced) / self.samples
             self._cache[key] = val

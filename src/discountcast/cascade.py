@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, TooLargeError, ValidationError
-from .graph import AdoptionModel, Instance, SeedDiscountPair, SocialGraph, _content_lines
+from .graph import AdoptionModel, Instance, SeedDiscountPair, SocialGraph, _content_lines, check_nodes
 from .rng import as_stream, child, generator
 
 MAX_UNCERTAIN_EDGES = 16
@@ -97,8 +97,8 @@ def sample_realization(instance: Instance, stream) -> Realization:
     )
 
 
-def _relevant_subgraph(graph: SocialGraph, seeds, allowed, *, max_uncertain_edges: int | None = None):
-    """Forward closure of `seeds` over positive-probability edges.
+def _relevant_subgraph(graph: SocialGraph, seeds, blocked: int, *, max_uncertain_edges: int | None = None):
+    """Forward closure of `seeds` over positive-probability edges into nodes outside `blocked`.
 
     Returns (adjacency, probs) where adjacency maps a node to
     (dst, slot) pairs: slot -1 marks an always-live edge, other slots
@@ -109,20 +109,14 @@ def _relevant_subgraph(graph: SocialGraph, seeds, allowed, *, max_uncertain_edge
     """
     adj: dict[int, list[tuple[int, int]]] = {}
     probs: list[float] = []
-    closure: set[int] = set()
-    queue: deque[int] = deque()
-    for s in seeds:
-        if (allowed is None or s in allowed) and s not in closure:
-            closure.add(s)
-            queue.append(s)
+    closure = sum(1 << s for s in seeds)
+    queue = deque(seeds)
     while queue:
         u = queue.popleft()
         entries = adj.setdefault(u, [])
         for eidx in graph.out_edges[u]:
             e = graph.edges[eidx]
-            if e.prob <= 0.0:
-                continue
-            if allowed is not None and e.dst not in allowed:
+            if e.prob <= 0.0 or (blocked >> e.dst) & 1:
                 continue
             if e.prob >= 1.0:
                 slot = -1
@@ -130,8 +124,8 @@ def _relevant_subgraph(graph: SocialGraph, seeds, allowed, *, max_uncertain_edge
                 slot = len(probs)
                 probs.append(e.prob)
             entries.append((e.dst, slot))
-            if e.dst not in closure:
-                closure.add(e.dst)
+            if not (closure >> e.dst) & 1:
+                closure |= 1 << e.dst
                 queue.append(e.dst)
         if max_uncertain_edges is not None and len(probs) > max_uncertain_edges:
             raise TooLargeError(
@@ -141,53 +135,51 @@ def _relevant_subgraph(graph: SocialGraph, seeds, allowed, *, max_uncertain_edge
     return adj, probs
 
 
-def _reach(adj, seeds, mask: int) -> set[int]:
-    """Nodes reachable from `seeds` when uncertain slot i is live iff bit i of mask is set."""
-    seen = set(seeds)
+def _reach(adj, seeds, start: int, mask: int) -> int:
+    """Bitmask reachable from `seeds` (bitmask `start`) when uncertain slot i is live iff bit i of mask is."""
+    seen = start
     stack = list(seeds)
     while stack:
         u = stack.pop()
         for w, slot in adj.get(u, ()):
-            if w in seen:
-                continue
-            if slot >= 0 and not (mask >> slot) & 1:
-                continue
-            seen.add(w)
-            stack.append(w)
+            if not (seen >> w) & 1 and (slot < 0 or (mask >> slot) & 1):
+                seen |= 1 << w
+                stack.append(w)
     return seen
 
 
-def _live_edge_outcomes(graph: SocialGraph, seeds, allowed, *, max_uncertain_edges: int | None = None):
+def _live_edge_outcomes(graph: SocialGraph, seeds, blocked: int, *, max_uncertain_edges: int | None = None):
     """Yield (weight, reached) for each state of the uncertain edges a cascade
-    from `seeds` can cross, in mask order, skipping states of weight zero.
+    from the distinct `seeds` can cross, in mask order, skipping states of weight zero.
 
-    `reached` is the node set the cascade reaches in that state; the cap
+    Nodes set in the bitmask `blocked` neither seed nor relay. `reached`
+    is the bitmask of nodes the cascade reaches in that state; the cap
     is `_relevant_subgraph`'s.
     """
-    adj, probs = _relevant_subgraph(graph, seeds, allowed, max_uncertain_edges=max_uncertain_edges)
+    seeds = [s for s in seeds if not (blocked >> s) & 1]
+    adj, probs = _relevant_subgraph(graph, seeds, blocked, max_uncertain_edges=max_uncertain_edges)
+    start = sum(1 << s for s in seeds)
     for mask in range(1 << len(probs)):
         w = 1.0
         for i, p in enumerate(probs):
             w *= p if (mask >> i) & 1 else 1.0 - p
         if w:
-            yield w, _reach(adj, seeds, mask)
+            yield w, _reach(adj, seeds, start, mask)
 
 
-def spread_exact(graph: SocialGraph, seeds, *, restrict=None) -> float:
+def spread_exact(graph: SocialGraph, seeds, *, blocked: int = 0) -> float:
     """Expected cascade size from `seeds`, by enumerating live-edge states.
 
     Only edges with probability strictly between 0 and 1 branch; more
     than `MAX_UNCERTAIN_EDGES` of them in reach raise before any
-    enumeration. Nodes outside `restrict` neither seed nor relay.
+    enumeration. Nodes set in the bitmask `blocked` neither seed nor relay.
     """
-    allowed = None if restrict is None else set(restrict)
-    seed_list = sorted({s for s in seeds if allowed is None or s in allowed})
-    if not seed_list:
-        return 0.0
+    seeds = sorted(set(seeds))
+    check_nodes(seeds, graph.node_count, "seed set")
     total = 0.0
     # A plain loop: sum() compensates float sums from Python 3.12 on, which moves the last bits.
-    for w, reached in _live_edge_outcomes(graph, seed_list, allowed, max_uncertain_edges=MAX_UNCERTAIN_EDGES):
-        total += w * len(reached)
+    for w, reached in _live_edge_outcomes(graph, seeds, blocked, max_uncertain_edges=MAX_UNCERTAIN_EDGES):
+        total += w * reached.bit_count()
     return total
 
 
@@ -239,9 +231,9 @@ class WorldMasks:
 
 
 def masked_reach(masks: WorldMasks, source: int, blocked: int) -> int:
-    """Reach of `source` summed over the sampled worlds, the total `_mc_total`
-    gives on the same worlds; nodes set in the bitmask `blocked` neither seed
-    nor receive influence.
+    """Reach of `source` summed over the sampled worlds, where nodes set in the
+    bitmask `blocked` neither seed nor receive influence; with none set, the
+    total `_mc_total` gives on the same worlds.
 
     The worlds are searched together. Bit w of `reach[u]` is set once u is
     reached in world w, and `done[u]` holds the bits u has passed on. A node
@@ -327,18 +319,17 @@ def check_samples(samples) -> None:
         raise ValidationError(f"samples must be a positive int, got {samples!r} (CLI: --samples)")
 
 
-def spread_mc(graph: SocialGraph, seeds, samples: int, stream, *, blocked=None) -> float:
+def spread_mc(graph: SocialGraph, seeds, samples: int, stream) -> float:
     """Monte Carlo estimate of the expected cascade size from `seeds`.
 
     Every replicate starts from the same seeds, run through the shared
-    kernel in blocks, and each examined edge draws from `stream`. Nodes
-    set in `blocked` (a bool mask over the nodes) neither seed nor
-    receive influence. Bit-deterministic; the mean is an integer total
-    over the sample count.
+    kernel in blocks, and each examined edge draws from `stream`.
+    Bit-deterministic; the mean is an integer total over the sample count.
     """
     check_samples(samples)
     n = graph.node_count
-    seed_nodes = np.array(sorted({s for s in seeds if blocked is None or not blocked[s]}), dtype=np.int64)
+    seed_nodes = np.array(sorted(set(seeds)), dtype=np.int64)
+    check_nodes(seed_nodes, n, "seed set")
     if not seed_nodes.size:
         return 0.0
     gen = generator(as_stream(stream))
@@ -346,10 +337,10 @@ def spread_mc(graph: SocialGraph, seeds, samples: int, stream, *, blocked=None) 
     def block_seeds(done: int, r: int) -> np.ndarray:
         return (np.arange(0, r * n, n, dtype=np.int64)[:, None] + seed_nodes).ravel()
 
-    return _mc_total(graph, samples, gen, block_seeds, blocked) / samples
+    return _mc_total(graph, samples, gen, block_seeds) / samples
 
 
-def _mc_total(graph: SocialGraph, samples: int, gen: np.random.Generator | None, block_seeds, blocked=None,
+def _mc_total(graph: SocialGraph, samples: int, gen: np.random.Generator | None, block_seeds,
               worlds: Worlds | None = None) -> int:
     """Cascade sizes summed over `samples` independent replicates, run in blocks
     of r as one `_dense_reach` over keys replicate*n + node each. `block_seeds(done,
@@ -368,11 +359,11 @@ def _mc_total(graph: SocialGraph, samples: int, gen: np.random.Generator | None,
     total = 0
     for done in range(0, samples, per_block):
         r = min(samples - done, per_block)
-        total += _dense_reach(csr.indptr, csr.dst, n, block_seeds(done, r), live, visited, blocked).size
+        total += _dense_reach(csr.indptr, csr.dst, n, block_seeds(done, r), live, visited).size
     return total
 
 
-def _dense_reach(indptr, dst, n: int, seeds: np.ndarray, live, visited: np.ndarray, blocked=None) -> np.ndarray:
+def _dense_reach(indptr, dst, n: int, seeds: np.ndarray, live, visited: np.ndarray) -> np.ndarray:
     """Every key a `_bfs` from `seeds` reaches, the seeds first, marked in the
     all-False dense buffer `visited` and unmarked once the search is done."""
 
@@ -383,7 +374,7 @@ def _dense_reach(indptr, dst, n: int, seeds: np.ndarray, live, visited: np.ndarr
     def mark(keys):
         visited[keys] = True
 
-    keys = np.concatenate(list(_bfs(indptr, dst, n, seeds, live, fresh, mark, blocked)))
+    keys = np.concatenate(list(_bfs(indptr, dst, n, seeds, live, fresh, mark)))
     visited[keys] = False
     return keys
 
@@ -463,7 +454,7 @@ def _source_reach(indptr: np.ndarray, dst: np.ndarray, cells: int, sources: np.n
     return np.concatenate(levels)[sources.size:] // cells
 
 
-def _bfs(indptr: np.ndarray, dst: np.ndarray, n: int, frontier: np.ndarray, live, fresh, mark, blocked=None):
+def _bfs(indptr: np.ndarray, dst: np.ndarray, n: int, frontier: np.ndarray, live, fresh, mark):
     """Level-synchronous breadth-first search from the sorted, distinct keys
     `frontier`; yields each level's newly reached keys once marked, the seeds first.
 
@@ -472,7 +463,7 @@ def _bfs(indptr: np.ndarray, dst: np.ndarray, n: int, frontier: np.ndarray, live
     `dst`) are gathered in key order and `live(pos, base)` says which
     fire (all if `live` is None), given their CSR positions and their
     keys' bases. A fired edge's target key joins the next frontier
-    unless it is `blocked` (a bool mask over nodes) or already reached.
+    unless it is already reached.
     The caller keeps the reached keys: `fresh(keys, keep)` returns the
     keys where the bool mask `keep` holds, less those already reached,
     and `mark(keys)` records a level's sorted, distinct new keys, which
@@ -490,12 +481,9 @@ def _bfs(indptr: np.ndarray, dst: np.ndarray, n: int, frontier: np.ndarray, live
         if not m:
             break
         pos = np.repeat(starts - ends + counts, counts) + np.arange(m)
-        targets = dst[pos]
         base = np.repeat(frontier - node, counts)
         keep = np.ones(m, dtype=bool) if live is None else live(pos, base)
-        if blocked is not None:
-            keep &= ~blocked[targets]
-        keys = fresh(base + targets, keep)
+        keys = fresh(base + dst[pos], keep)
         keys.sort()
         if keys.size > 1:
             keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]

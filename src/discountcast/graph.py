@@ -104,6 +104,13 @@ class SeedDiscountPair(NamedTuple):
     rate: float
 
 
+def check_nodes(nodes, node_count: int, what: str) -> None:
+    """Refuse a node id outside 0..node_count-1, which would index another node or nothing."""
+    for v in nodes:
+        if not 0 <= v < node_count:
+            raise ValidationError(f"{what} references unknown node {v}")
+
+
 @dataclass(frozen=True)
 class DiscountMenu:
     """Strictly increasing, strictly positive discount rates."""
@@ -287,6 +294,8 @@ class AdoptionModel:
             self.__dict__.update(menu=menu, node_count=len(probs), probs=probs)
             return
         m = len(menu)
+        if probs.ndim != 2 and probs.size:
+            raise ValidationError(f"adoption table must have shape (nodes, rates) = (n, {m}), got {probs.shape}")
         table = np.array(probs, dtype=np.float64) if len(probs) else np.empty((0, m))
         if not (table.ndim == 2 and table.shape[1] == m and ((table >= 0.0) & (table <= 1.0)).all()
                 and (table[:, 1:] >= table[:, :-1]).all()):
@@ -396,7 +405,8 @@ def _load(path, bulk, parse):
     character of `_BULK_REFUSED` or `bulk` returns None, `parse(path, text)`."""
     with open(path) as f:
         text = f.read()
-        if text.count("\n") >= BULK_MIN_ROWS and not any(c in text for c in _BULK_REFUSED):
+        # splits at the first BULK_MIN_ROWS newlines only, so long files are not counted through
+        if len(text.split("\n", BULK_MIN_ROWS)) > BULK_MIN_ROWS and not any(c in text for c in _BULK_REFUSED):
             del text  # not held while numpy reads the file again
             f.seek(0)
             loaded = bulk(f)

@@ -28,7 +28,7 @@ from .cascade import (
     spread_exact,
 )
 from .errors import TooLargeError, ValidationError
-from .graph import AdoptionModel, DiscountMenu, Instance, SeedDiscountPair
+from .graph import AdoptionModel, DiscountMenu, Instance, SeedDiscountPair, check_nodes
 from .rng import as_stream, generator
 
 GAIN_EPS = 1e-12
@@ -171,9 +171,7 @@ def seedset_probability(config: Configuration, model: AdoptionModel, seed_set) -
     """
     eff = config.effective_map
     seeds = set(seed_set)
-    for v in seeds:
-        if not 0 <= v < model.node_count:
-            raise ValidationError(f"seed set references unknown node {v}")
+    check_nodes(seeds, model.node_count, "seed set")
     product = 1.0
     for v in range(model.node_count):
         p = model.prob_at_rate(v, eff[v]) if v in eff else 0.0
@@ -193,6 +191,7 @@ def f_exact(config: Configuration, instance: Instance, *, spread_cache: dict | N
     """
     graph, model = instance.graph, instance.model
     eff = config.effective_map
+    check_nodes(eff, graph.node_count, "configuration")
     support = sorted(v for v, r in eff.items() if model.prob_at_rate(v, r) > 0.0)
     if len(support) > MAX_SUPPORT_NODES:
         raise TooLargeError(
@@ -227,6 +226,7 @@ def f_mc(config: Configuration, instance: Instance, samples: int, stream) -> flo
     check_samples(samples)
     graph, model = instance.graph, instance.model
     eff = config.effective_map
+    check_nodes(eff, graph.node_count, "configuration")
     support = sorted(
         (v, model.prob_at_rate(v, eff[v])) for v in eff if model.prob_at_rate(v, eff[v]) > 0.0
     )
@@ -300,20 +300,22 @@ class MCEvaluator:
         eff = config.effective_map
         if not eff:
             return 0.0
-        graph, menu = self.instance.graph, self.instance.menu
-        if len(eff) == 1:  # a table read, not worth a cache entry
-            (v, rate), = eff.items()
-            return int(self._offers[v, menu.index_of(rate)]) / self.samples
         key = tuple(sorted(eff.items()))
-        if key not in self._values:
-            nodes, ridx = np.array([(v, menu.index_of(rate)) for v, rate in key], dtype=np.int64).T
-            accept, n = self._worlds.accept, graph.node_count
+        if key in self._values:
+            return self._values[key]
+        graph, menu = self.instance.graph, self.instance.menu
+        check_nodes(eff, graph.node_count, "configuration")
+        if len(key) == 1:  # a table read, not worth a cache entry
+            (v, rate), = key
+            return int(self._offers[v, menu.index_of(rate)]) / self.samples
+        nodes, ridx = np.array([(v, menu.index_of(rate)) for v, rate in key], dtype=np.int64).T
+        accept, n = self._worlds.accept, graph.node_count
 
-            def block_seeds(done: int, r: int) -> np.ndarray:
-                rows, cols = np.nonzero(accept[done:done + r, nodes] <= ridx)
-                return rows * n + nodes[cols]
+        def block_seeds(done: int, r: int) -> np.ndarray:
+            rows, cols = np.nonzero(accept[done:done + r, nodes] <= ridx)
+            return rows * n + nodes[cols]
 
-            self._values[key] = _mc_total(graph, self.samples, None, block_seeds, worlds=self._worlds) / self.samples
+        self._values[key] = _mc_total(graph, self.samples, None, block_seeds, worlds=self._worlds) / self.samples
         return self._values[key]
 
     def radius(self) -> float:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import discountcast as dc
 import discountcast.cascade as cascade
+from discountcast.adaptive import CascadeOutcomes
 from discountcast.cascade import accept_index, offer_totals, sample_worlds
 from discountcast.rng import as_stream, child
 
@@ -61,13 +62,13 @@ def test_spread_exact_matches_brute_on_random_instances():
         assert dc.spread_exact(g, seeds) == pytest.approx(brute_spread(g, seeds), abs=1e-12)
 
 
-def test_spread_exact_respects_restrict(fig1):
+def test_spread_exact_respects_blocked(fig1):
     g = fig1.graph
-    allowed = {2, 3, 4}  # after a and b are spoken for
-    assert dc.spread_exact(g, [2], restrict=allowed) == pytest.approx(1.55, abs=1e-9)
-    assert dc.spread_exact(g, [3], restrict=allowed) == pytest.approx(1.1, abs=1e-9)
-    assert dc.spread_exact(g, [2], restrict=allowed) == pytest.approx(
-        brute_spread(g, [2], allowed), abs=1e-12
+    blocked = 0b11  # after a and b are spoken for
+    assert dc.spread_exact(g, [2], blocked=blocked) == pytest.approx(1.55, abs=1e-9)
+    assert dc.spread_exact(g, [3], blocked=blocked) == pytest.approx(1.1, abs=1e-9)
+    assert dc.spread_exact(g, [2], blocked=blocked) == pytest.approx(
+        brute_spread(g, [2], {2, 3, 4}), abs=1e-12
     )
 
 
@@ -136,17 +137,8 @@ def test_spread_mc_repeats_after_other_calls_reuse_the_buffer(fig1):
     first = dc.spread_mc(g, [0, 7], 2000, as_stream(4))
     dc.spread_mc(g, [1, 2, 3], 5000, as_stream(5))
     dc.spread_mc(fig1.graph, [0], 1000, as_stream(6))
-    dc.spread_mc(g, [7, 9], 3000, as_stream(7), blocked=np.arange(300) % 2 == 1)
+    dc.spread_mc(g, [7, 9], 3000, as_stream(7))
     assert dc.spread_mc(g, [0, 7], 2000, as_stream(4)) == first
-
-
-def test_spread_mc_respects_blocked(fig1):
-    g = fig1.graph
-    for seeds, allowed in (([2], {2, 3, 4}), ([1, 2], {1, 2, 3, 4}), ([0, 4], {0, 2, 3})):
-        exact = dc.spread_exact(g, seeds, restrict=allowed)
-        blocked = np.array([v not in allowed for v in range(g.node_count)])
-        est = dc.spread_mc(g, seeds, 200_000, as_stream(13), blocked=blocked)
-        assert est == pytest.approx(exact, abs=0.02)
 
 
 def test_spread_mc_across_many_blocks(fig1):
@@ -179,14 +171,14 @@ def world_reach(graph, worlds, w, seeds, blocked=()):
     return len(seen)
 
 
-def world_total(graph, worlds, seeds, blocked) -> int:
+def world_total(graph, worlds, seeds) -> int:
     """The world kernel's total over every world: `_mc_total` with a `worlds` set."""
     n, seeds = graph.node_count, np.array(sorted(seeds), dtype=np.int64)
 
     def block_seeds(done, r):
         return (np.arange(0, r * n, n, dtype=np.int64)[:, None] + seeds).ravel()
 
-    return cascade._mc_total(graph, worlds.samples, None, block_seeds, blocked, worlds)
+    return cascade._mc_total(graph, worlds.samples, None, block_seeds, worlds)
 
 
 def test_masked_reach_on_worlds_matches_a_plain_walk():
@@ -200,12 +192,10 @@ def test_masked_reach_on_worlds_matches_a_plain_walk():
     assert cascade._WORLD_CELLS // n == 4
     assert worlds.accept is None and worlds.live.shape == (150, (g.csr.prob.size + 7) // 8)
     masks = cascade.WorldMasks(g, worlds)
-    blocked = np.zeros(n, dtype=bool)
-    blocked[[1, 5, 9, 30]] = True
     for v in (0, 2, 7, 11):
         want = sum(world_reach(g, worlds, w, [v], {1, 5, 9, 30}) for w in range(150))
         assert cascade.masked_reach(masks, v, 1 << 1 | 1 << 5 | 1 << 9 | 1 << 30) == want
-        assert world_total(g, worlds, [v], blocked) == want
+        assert world_total(g, worlds, [v]) == sum(world_reach(g, worlds, w, [v]) for w in range(150))
 
 
 def masks_cases():
@@ -227,7 +217,8 @@ def masks_cases():
 @pytest.mark.parametrize("case", sorted(masks_cases()))
 def test_masked_reach_equals_the_world_kernel(case, samples, cells, monkeypatch):
     # mask widths that are and are not whole bytes, so the packed rows' padding bits show
-    # if they leak; with cells=1 the transpose runs 8 edges at a time
+    # if they leak; with cells=1 the transpose runs 8 edges at a time. The reference is a
+    # plain walk in each world.
     g = masks_cases()[case]
     n = g.node_count
     worlds = sample_worlds(g, samples, as_stream(samples))
@@ -242,9 +233,9 @@ def test_masked_reach_equals_the_world_kernel(case, samples, cells, monkeypatch)
         for trial in range(4):
             blocked = rng.random(n) < (0.0, 0.2, 0.4, 0.7)[trial]
             blocked[v] = False
-            bits = sum(1 << int(u) for u in np.flatnonzero(blocked))
-            got = cascade.masked_reach(masks, v, bits)
-            want = world_total(g, worlds, [v], blocked)
+            nodes = set(np.flatnonzero(blocked).tolist())
+            got = cascade.masked_reach(masks, v, sum(1 << u for u in nodes))
+            want = sum(world_reach(g, worlds, w, [v], nodes) for w in range(samples))
             assert (got / samples).hex() == (want / samples).hex(), (v, trial)
             assert not any(masks.reach) and not any(masks.done)  # the scratch rows are clean for the next call
         assert cascade.masked_reach(masks, v, 1 << v) == 0  # a blocked source reaches nothing
@@ -410,9 +401,9 @@ def test_offer_table_counts_each_node_once(edges, source, reach):
 
 
 @st.composite
-def small_digraphs(draw):
-    n = draw(st.integers(1, 7))
-    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4 * n))
+def small_digraphs(draw, max_nodes=7, arcs_per_node=4):
+    n = draw(st.integers(1, max_nodes))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=arcs_per_node * n))
     arcs = {(a, b): None for a, b in pairs if a != b}  # no self-loops or duplicates, in drawn order
     probs = draw(st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]), min_size=len(arcs), max_size=len(arcs)))
     return dc.SocialGraph(n, tuple(str(i) for i in range(n)),
@@ -423,6 +414,23 @@ _TWO_CYCLES = dc.SocialGraph(4, tuple("0123"), (dc.Edge(0, 1, 0.7), dc.Edge(1, 0
                                                 dc.Edge(2, 1, 0.3), dc.Edge(3, 2, 0.0)))
 _DIAMONDS = dc.SocialGraph(5, tuple("01234"), (dc.Edge(0, 1, 1.0), dc.Edge(0, 2, 0.7), dc.Edge(1, 3, 0.3),
                                                dc.Edge(2, 3, 1.0), dc.Edge(3, 4, 0.7), dc.Edge(4, 0, 0.3)))
+
+
+@given(small_digraphs(max_nodes=6, arcs_per_node=2), st.data())
+@settings(max_examples=150, deadline=None)
+def test_blocked_nodes_neither_seed_nor_relay(graph, data):
+    # seeds may lie inside the mask; blocked seeds add nothing, and a blocked node's
+    # cascade outcome is the empty mask
+    n = graph.node_count
+    blocked = data.draw(st.integers(0, (1 << n) - 1), label="blocked")
+    seeds = data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="seeds")
+    open_nodes = [v for v in range(n) if not (blocked >> v) & 1]
+    assert dc.spread_exact(graph, seeds, blocked=blocked) == pytest.approx(
+        brute_spread(graph, seeds, open_nodes), abs=1e-12)
+    for v in range(n):
+        outcomes = CascadeOutcomes(graph).of(blocked, v)
+        assert all(not added & blocked and (added >> v) & 1 == (v in open_nodes) for added, _ in outcomes)
+        assert sum(w for _, w in outcomes) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(small_digraphs(), st.integers(1, 17), st.sampled_from([1 << 18, 6]), st.integers(0, 2**16))

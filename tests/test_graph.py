@@ -356,6 +356,21 @@ def test_graph_bulk_and_line_parsers_agree(tmp_path, monkeypatch, text, bulk):
     assert bulk_taken(monkeypatch, p, graph_module._bulk_graph) == bulk
 
 
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_files_of_bulk_min_rows_newlines_take_the_bulk_path(tmp_path, monkeypatch, final_newline):
+    # the count of newlines routes a file, not of lines: a last line without one does not count
+    n = graph_module.BULK_MIN_ROWS
+    lines = ["nodes 40"] + [f"{v} {v + 1} 0.5" for v in range(n)]
+    calls = []
+    monkeypatch.setattr(graph_module, "_bulk_graph", lambda f: calls.append("bulk"))
+    for newlines in (n - 1, n):
+        p = tmp_path / f"g{newlines}.txt"
+        p.write_text("\n".join(lines[:newlines]) + "\n" if final_newline else "\n".join(lines[:newlines + 1]))
+        calls.clear()
+        assert dc.load_graph(p).node_count == 40
+        assert calls == (["bulk"] if newlines == n else []), newlines
+
+
 # (id, file text, whether the bulk parser takes it), against the graph
 # "nodes 3" with menu (1, 2); every cell is listed once unless said otherwise
 _ADOPTION_FILES = [
@@ -759,6 +774,13 @@ def test_adoption_model_words_a_fault_the_same_from_an_array(rows, message):
         with pytest.raises(dc.ValidationError) as exc:
             dc.AdoptionModel(menu, probs)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 1), ()])
+def test_adoption_model_refuses_an_array_of_another_shape(shape):
+    with pytest.raises(dc.ValidationError) as exc:
+        dc.AdoptionModel(DiscountMenu(rates=(1.0, 2.0)), np.full(shape, 0.5))
+    assert str(exc.value) == f"adoption table must have shape (nodes, rates) = (n, 2), got {shape}"
 
 
 @given(st.integers(0, 4), st.integers(1, 3),

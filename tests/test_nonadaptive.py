@@ -59,6 +59,25 @@ def test_seedset_probability(fig1):
     assert dc.seedset_probability(cfg, fig1.model, {0, 2}) == 0.0
 
 
+_ONE = dc.Configuration.of((0, 1.0))
+
+
+@pytest.mark.parametrize("node", [-1, 5])
+@pytest.mark.parametrize("entry", [
+    lambda inst, v: dc.spread_exact(inst.graph, [0, v]),
+    lambda inst, v: dc.spread_mc(inst.graph, [0, v], 10, as_stream(0)),
+    lambda inst, v: dc.seedset_probability(_ONE, inst.model, {0, v}),
+    lambda inst, v: dc.f_exact(_ONE.add(dc.SeedDiscountPair(v, 1.0)), inst),
+    lambda inst, v: dc.f_mc(_ONE.add(dc.SeedDiscountPair(v, 1.0)), inst, 10, as_stream(0)),
+    lambda inst, v: dc.MCEvaluator(inst, 10, as_stream(0)).value(dc.Configuration.of((v, 1.0))),
+    lambda inst, v: dc.MCEvaluator(inst, 10, as_stream(0)).value(_ONE.add(dc.SeedDiscountPair(v, 1.0))),
+], ids=["spread_exact", "spread_mc", "seedset_probability", "f_exact", "f_mc", "mc_value_single", "mc_value"])
+def test_unknown_nodes_are_refused(fig1, entry, node):
+    # -1 would index node 4 of fig1's five, and 5 none
+    with pytest.raises(dc.ValidationError, match=rf"^(seed set|configuration) references unknown node {node}$"):
+        entry(fig1, node)
+
+
 def test_f_exact_reference_values(fig1):
     assert dc.f_exact(dc.Configuration.of((0, 2.0)), fig1) == pytest.approx(1.609, abs=1e-9)
     cfg = dc.Configuration.of((0, 1.0), (1, 1.0))
