@@ -37,7 +37,12 @@ once (`cascade.masked_reach`). So they shrink the same way, and lazy
 and eager scans pick the same offers in both estimator modes. Sampled
 evaluation builds one policy per process and reuses it across trials:
 every estimate and draw is keyed by state, so reuse changes no value.
-All trials start from one prior, so they share its conditional support
+
+The realizations consistent with a belief are its conditional support
+(`_ConditionalSupport`), built once per belief: the exhaustive cap
+counts them, enumeration walks them and every draw reads them. A
+rollout branch estimate draws all its rollouts from one support, and
+all sampled trials start from one prior, so they share its support
 and the policy's first steps: `GreedyPolicy` memoizes its first
 `MEMO_DEPTH` probes by belief for the one root it last began from.
 """
@@ -68,7 +73,7 @@ from .cascade import (
     spread_exact,
 )
 from .errors import PolicyContractError, TooLargeError, ValidationError
-from .graph import Instance, SeedDiscountPair, SocialGraph
+from .graph import Instance, SeedDiscountPair, SocialGraph, check_nodes
 from .nonadaptive import BudgetLedger, BudgetSpec
 from .rng import as_stream, child, generator
 
@@ -342,6 +347,7 @@ class SpreadEstimator:
             influenced = sum(1 << u for u in set(influenced))
         key = (influenced, v)
         if key not in self._cache:
+            check_nodes((v,), self.graph.node_count, "residual spread")
             if (influenced >> v) & 1:
                 raise ValidationError(f"node {v} is already influenced")
             if self.mode == "exact":
@@ -494,110 +500,87 @@ def _threshold_options(row: tuple[float, ...], floor_idx: int) -> list[tuple[int
     return options
 
 
-def _conditional_support(instance: Instance, given):
-    """What stays open in a realization consistent with `given`.
+class _ConditionalSupport:
+    """The realizations consistent with one `given`, built once for every use.
 
     `given` is a `BeliefState`, or a `PartialObservation` read as the
-    belief it implies with its revealed edge states pinned. Returns the
-    fixed threshold index per node ("never accepts" if influenced), the
-    (node, threshold options) pairs still open, the edge states fixed by
-    observation or by a 0/1 probability, and the undetermined edges:
-    0 < p < 1 out of uninfluenced nodes, as every revealed edge leaves
-    an influenced one.
-    """
-    graph = instance.graph
-    live = [e.prob >= 1.0 for e in graph.edges]
-    if isinstance(given, BeliefState):
-        influenced, floors = given.influenced, given.floors
-    else:
-        influenced, floors = sum(1 << u for u in given.influenced), [-1] * graph.node_count
-        for pair, accepted in given.probed:
-            if not accepted:
-                floors[pair.node] = max(floors[pair.node], instance.menu.index_of(pair.rate))
-        for eidx, state in given.revealed.items():
-            live[eidx] = state
-    fixed = [len(instance.menu)] * graph.node_count
-    varying: list[tuple[int, list[tuple[int, float]]]] = []
-    for v, row in enumerate(instance.model.probs):
-        if not (influenced >> v) & 1:
-            options = _threshold_options(row, floors[v])
-            if len(options) == 1:
-                fixed[v] = options[0][0]
-            else:
-                varying.append((v, options))
-    undetermined = [
-        i for i, e in enumerate(graph.edges) if not (influenced >> e.src) & 1 and 0.0 < e.prob < 1.0
-    ]
-    return fixed, varying, live, undetermined
-
-
-def conditional_outcome_count(instance: Instance, given) -> int:
-    """Number of joint realizations an exhaustive pass would enumerate from `given`."""
-    _fixed, varying, _live, undetermined = _conditional_support(instance, given)
-    return math.prod(len(options) for _, options in varying) << len(undetermined)
-
-
-def _check_outcome_count(instance: Instance, given, fix: str = "") -> None:
-    count = conditional_outcome_count(instance, given)
-    if count > MAX_OUTCOMES:
-        raise TooLargeError(f"exhaustive evaluation needs {count} realizations, cap is {MAX_OUTCOMES}{fix}")
-
-
-def enumerate_conditional_realizations(instance: Instance, given):
-    """Yield (weight, realization) consistent with `given`, weights summing to 1.
-
-    `given` is a `BeliefState` or a `PartialObservation`; more than
-    `MAX_OUTCOMES` realizations are refused up front. Thresholds are
-    enumerated at menu-interval resolution, which is all a policy can
-    ever distinguish. Influenced nodes get the "never accepts" sentinel;
-    nothing may probe them again.
-    """
-    _check_outcome_count(instance, given)
-    edges = instance.graph.edges
-    fixed, varying, base_live, undetermined = _conditional_support(instance, given)
-    for combo in itertools.product(*(options for _, options in varying)):
-        idx = list(fixed)
-        w_nodes = 1.0
-        for (v, _), (i, p) in zip(varying, combo):
-            idx[v] = i
-            w_nodes *= p
-        for mask in range(1 << len(undetermined)):
-            live = list(base_live)
-            w = w_nodes
-            for j, eidx in enumerate(undetermined):
-                p = edges[eidx].prob
-                if (mask >> j) & 1:
-                    live[eidx] = True
-                    w *= p
-                else:
-                    live[eidx] = False
-                    w *= 1.0 - p
-            yield w, Realization(
-                seeding=SeedingRealization(min_rate_idx=tuple(idx)),
-                diffusion=DiffusionRealization(live=tuple(live)),
-            )
-
-
-class _ConditionalSampler:
-    """Draws realizations consistent with one `given` from its support.
-
-    Each draw takes one `gen.random(k)` call: a uniform per open node,
-    which walks that node's threshold options, then one per undetermined
-    edge, live below the edge's probability. One call gives the numbers
-    k scalar calls would, so the support can be built once and shared.
+    belief it implies with its revealed edge states pinned. The support
+    holds the fixed threshold index per node ("never accepts" if
+    influenced), the (node, threshold options) pairs still open, every
+    edge's live state as fixed by observation or by a 0/1 probability,
+    and the undetermined edges with their probabilities: 0 < p < 1 out
+    of uninfluenced nodes, as every revealed edge leaves an influenced
+    one. `count` is the number of joint realizations, which an
+    exhaustive pass refuses past `MAX_OUTCOMES` (`check`).
     """
 
     def __init__(self, instance: Instance, given):
-        fixed, self._varying, live, undetermined = _conditional_support(instance, given)
-        self._fixed = tuple(fixed)
-        self._live = np.array(live, dtype=bool)
-        self._undetermined = np.array(undetermined, dtype=np.intp)
-        self._edge_probs = instance.graph.prob[self._undetermined]
+        graph = instance.graph
+        self.live = graph.prob >= 1.0
+        if isinstance(given, BeliefState):
+            influenced, floors = given.influenced, given.floors
+        else:
+            influenced, floors = sum(1 << u for u in given.influenced), [-1] * graph.node_count
+            for pair, accepted in given.probed:
+                if not accepted:
+                    floors[pair.node] = max(floors[pair.node], instance.menu.index_of(pair.rate))
+            for eidx, state in given.revealed.items():
+                self.live[eidx] = state
+        fixed = [len(instance.menu)] * graph.node_count
+        self.varying: list[tuple[int, list[tuple[int, float]]]] = []
+        for v, row in enumerate(instance.model.probs):
+            if not (influenced >> v) & 1:
+                options = _threshold_options(row, floors[v])
+                if len(options) == 1:
+                    fixed[v] = options[0][0]
+                else:
+                    self.varying.append((v, options))
+        self.fixed = tuple(fixed)
+        self.undetermined = np.array([i for i, e in enumerate(graph.edges)
+                                      if not (influenced >> e.src) & 1 and 0.0 < e.prob < 1.0], dtype=np.intp)
+        self.edge_probs = graph.prob[self.undetermined]
+        self.count = math.prod(len(options) for _, options in self.varying) << len(self.undetermined)
+
+    def check(self, fix: str = "") -> None:
+        if self.count > MAX_OUTCOMES:
+            raise TooLargeError(f"exhaustive evaluation needs {self.count} realizations, cap is {MAX_OUTCOMES}{fix}")
+
+    def realizations(self):
+        """Yield (weight, realization) over the support, weights summing to 1.
+
+        More than `MAX_OUTCOMES` realizations are refused up front.
+        Thresholds are enumerated at menu-interval resolution, which is
+        all a policy can ever distinguish.
+        """
+        self.check()
+        varying, base_live = self.varying, self.live.tolist()
+        edges = list(zip(self.undetermined.tolist(), self.edge_probs.tolist()))
+        for combo in itertools.product(*(options for _, options in varying)):
+            idx = list(self.fixed)
+            w_nodes = 1.0
+            for (v, _), (i, p) in zip(varying, combo):
+                idx[v] = i
+                w_nodes *= p
+            for mask in range(1 << len(edges)):
+                live = list(base_live)
+                w = w_nodes
+                for j, (eidx, p) in enumerate(edges):
+                    if (mask >> j) & 1:
+                        live[eidx] = True
+                        w *= p
+                    else:
+                        live[eidx] = False
+                        w *= 1.0 - p
+                yield w, Realization(SeedingRealization(tuple(idx)), DiffusionRealization(tuple(live)))
 
     def draw(self, gen: np.random.Generator) -> Realization:
-        varying = self._varying
-        us = gen.random(len(varying) + len(self._undetermined))
-        idx = list(self._fixed)
+        """One realization from one `gen.random(k)` call: a uniform per open
+        node, which walks that node's threshold options, then one per
+        undetermined edge, live below the edge's probability. One call
+        gives the numbers k scalar calls would."""
+        varying = self.varying
+        us = gen.random(len(varying) + len(self.undetermined))
+        idx = list(self.fixed)
         for (v, options), u in zip(varying, us[:len(varying)].tolist()):
             idx[v] = options[-1][0]
             for i, p in options:
@@ -605,18 +588,21 @@ class _ConditionalSampler:
                 if u < 0:
                     idx[v] = i
                     break
-        live = self._live.copy()
-        live[self._undetermined] = us[len(varying):] < self._edge_probs
-        return Realization(
-            seeding=SeedingRealization(min_rate_idx=tuple(idx)),
-            diffusion=DiffusionRealization(live=tuple(live.tolist())),
-        )
+        live = self.live.copy()
+        live[self.undetermined] = us[len(varying):] < self.edge_probs
+        return Realization(SeedingRealization(tuple(idx)), DiffusionRealization(tuple(live.tolist())))
+
+
+def enumerate_conditional_realizations(instance: Instance, given):
+    """Yield (weight, realization) consistent with `given`, a `BeliefState` or
+    a `PartialObservation`, weights summing to 1 (`_ConditionalSupport.realizations`)."""
+    yield from _ConditionalSupport(instance, given).realizations()
 
 
 def sample_conditional_realization(instance: Instance, given, gen: np.random.Generator) -> Realization:
     """Draw a realization consistent with `given`, a `BeliefState` or a
     `PartialObservation` (nodes first, then edges)."""
-    return _ConditionalSampler(instance, given).draw(gen)
+    return _ConditionalSupport(instance, given).draw(gen)
 
 
 @dataclass(frozen=True)
@@ -661,10 +647,10 @@ class BranchEstimator:
         if key in self._memo:
             return self._memo[key]
         base = belief.influenced.bit_count()
+        support = _ConditionalSupport(self.instance, belief)
         if self.config.mode == "exhaustive":
-            _check_outcome_count(self.instance, belief,
-                                 '; estimate the branch by sampling with BranchConfig(mode="rollouts")'
-                                 " (CLI: --branch rollouts)")
+            support.check('; estimate the branch by sampling with BranchConfig(mode="rollouts")'
+                          " (CLI: --branch rollouts)")
             val = _expected_influence(self._greedy, self.instance, self._cascades, state) - base
         else:
             m = len(self.instance.menu)
@@ -674,8 +660,7 @@ class BranchEstimator:
             root = child(self.stream, belief.influenced, floors_code, belief.budget // g, state.ledger.denom // g)
             total = 0
             for r in range(self.config.rollouts):
-                realization = sample_conditional_realization(self.instance, belief, generator(root, r))
-                record = _execute(self._greedy, self.instance, state, realization)
+                record = _execute(self._greedy, self.instance, state, support.draw(generator(root, r)))
                 total += record.cascade_size - base
             val = total / self.config.rollouts
         self._memo[key] = val
@@ -730,19 +715,19 @@ class IteratedFactory:
         return _branch_policy(self, stream, iterate=True)
 
 
-def _run_trials(policy, instance: Instance, spec: BudgetSpec, root, lo: int, hi: int) -> list[int]:
-    """Cascade sizes of `policy` over trials lo..hi-1, each against its own keyed draw."""
-    prior = _ConditionalSampler(instance, BeliefState.initial(instance.graph.node_count, 0))
+def _run_trials(policy, prior: _ConditionalSupport, instance: Instance, spec: BudgetSpec, root,
+                lo: int, hi: int) -> list[int]:
+    """Cascade sizes of `policy` over trials lo..hi-1, each against its own keyed draw from `prior`."""
     return [run_policy(policy, instance, spec, prior.draw(generator(root, 2, t))).cascade_size for t in range(lo, hi)]
 
 
-# A pool worker's policy and inputs, set once per process by `_start_worker`.
+# A pool worker's policy, prior and inputs, set once per process by `_start_worker`.
 _worker_args = None
 
 
-def _start_worker(policy_factory, instance: Instance, spec: BudgetSpec, root) -> None:
+def _start_worker(policy_factory, prior: _ConditionalSupport, instance: Instance, spec: BudgetSpec, root) -> None:
     global _worker_args
-    _worker_args = (policy_factory(child(root, 1)), instance, spec, root)
+    _worker_args = (policy_factory(child(root, 1)), prior, instance, spec, root)
 
 
 def _worker_trials(bounds: tuple[int, int]) -> list[int]:
@@ -759,27 +744,28 @@ def evaluate_policy(policy_factory, instance: Instance, spec: BudgetSpec, trials
     are consistent with the initial belief. An integer samples that
     many realizations and reports a Hoeffding radius at confidence
     95%. Sampled trials use per-trial substreams and integer
-    totals, so the result is identical for any worker count. Each
-    process builds the policy once (a pool worker in its initializer)
-    and runs all its trials with it; chunks of trials carry only their
-    bounds.
+    totals, so the result is identical for any worker count. The
+    prior's conditional support is built once and every trial draws
+    from it. Each process builds the policy once (a pool worker in its
+    initializer, which also receives the support) and runs all its
+    trials with it; chunks of trials carry only their bounds.
     """
     if trials == "exhaustive":
         state = initial_state(instance, spec)
-        _check_outcome_count(instance, state.belief,
-                             "; sample instead with an integer trial count (CLI: drop --exhaustive)")
+        _ConditionalSupport(instance, state.belief).check(
+            "; sample instead with an integer trial count (CLI: drop --exhaustive)")
         policy = policy_factory(child(as_stream(stream), 0))
         return _expected_influence(policy, instance, CascadeOutcomes(instance.graph), state), 0.0
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValidationError(f"trials must be a positive int or 'exhaustive', got {trials!r}")
-    root = as_stream(stream)
+    root, prior = as_stream(stream), _ConditionalSupport(instance, BeliefState.initial(instance.graph.node_count, 0))
     chunks = [(lo, min(lo + _EVAL_CHUNK, trials)) for lo in range(0, trials, _EVAL_CHUNK)]
     if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks)), initializer=_start_worker,
-                                 initargs=(policy_factory, instance, spec, root)) as pool:
+                                 initargs=(policy_factory, prior, instance, spec, root)) as pool:
             total = sum(size for chunk in pool.map(_worker_trials, chunks) for size in chunk)
     else:
-        total = sum(_run_trials(policy_factory(child(root, 1)), instance, spec, root, 0, trials))
+        total = sum(_run_trials(policy_factory(child(root, 1)), prior, instance, spec, root, 0, trials))
     mean = total / trials
     return mean, hoeffding_radius(instance.graph.node_count, trials)
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ParseError, TooLargeError, ValidationError
 from .graph import AdoptionModel, Instance, SeedDiscountPair, SocialGraph, _content_lines, check_nodes
-from .rng import as_stream, child, generator
+from .rng import as_stream, generator
 
 MAX_UNCERTAIN_EDGES = 16
 _VISITED_CELLS = 1 << 22  # replicates * nodes in one Monte Carlo block
@@ -78,22 +78,14 @@ class Realization:
     diffusion: DiffusionRealization
 
 
-def sample_seeding(instance: Instance, stream) -> SeedingRealization:
-    g = generator(as_stream(stream)).random(instance.graph.node_count)
-    return SeedingRealization.of(instance.model, g.tolist())
-
-
-def sample_diffusion(graph: SocialGraph, stream) -> DiffusionRealization:
-    gen = generator(as_stream(stream))
-    live = tuple((gen.random(len(graph.prob)) < graph.prob).tolist())
-    return DiffusionRealization(live=live)
-
-
 def sample_realization(instance: Instance, stream) -> Realization:
-    root = as_stream(stream)
+    """Thresholds from substream 0 of `stream`, edge states from substream 1."""
+    root, prob = as_stream(stream), instance.graph.prob
+    thresholds = generator(root, 0).random(instance.graph.node_count)
+    live = generator(root, 1).random(len(prob)) < prob
     return Realization(
-        seeding=sample_seeding(instance, child(root, 0)),
-        diffusion=sample_diffusion(instance.graph, child(root, 1)),
+        seeding=SeedingRealization.of(instance.model, thresholds.tolist()),
+        diffusion=DiffusionRealization(live=tuple(live.tolist())),
     )
 
 

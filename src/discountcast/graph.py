@@ -354,6 +354,8 @@ def _check_rows(menu: DiscountMenu, rows) -> None:
     len(menu) probabilities in [0, 1], naming its node."""
     m = len(menu)
     for v, row in enumerate(rows):
+        if not hasattr(row, "__len__"):
+            raise ValidationError(f"adoption table must have shape (nodes, rates) = (n, {m}); node {v}'s row is {row!r}")
         if len(row) != m:
             raise ValidationError(f"node {v}: expected {m} adoption probabilities, got {len(row)}")
         prev = 0.0

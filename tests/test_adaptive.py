@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import discountcast as dc
-from discountcast.adaptive import MEMO_DEPTH, _conditional_support, _execute, _run_trials, conditional_outcome_count
+from discountcast import adaptive
+from discountcast.adaptive import MEMO_DEPTH, _ConditionalSupport, _execute, _run_trials
 from discountcast.rng import as_stream, child, generator
 
 from conftest import tiny_instance
@@ -266,7 +267,7 @@ def test_conditional_realizations_pin_revealed_edges(fig1):
 
 def test_enumeration_cap():
     inst, _ = past_outcome_cap()
-    assert conditional_outcome_count(inst, dc.PartialObservation()) == 262_144
+    assert _ConditionalSupport(inst, dc.PartialObservation()).count == 262_144
     with pytest.raises(dc.TooLargeError) as exc:
         next(dc.enumerate_conditional_realizations(inst, dc.PartialObservation()))
     assert str(exc.value) == "exhaustive evaluation needs 262144 realizations, cap is 200000"
@@ -286,6 +287,25 @@ def test_branch_estimator_modes_agree(fig1, hard2):
         fig1, est, dc.BranchConfig(mode="rollouts", rollouts=4000), stream=as_stream(7)
     )
     assert again.greedy_value_from(dc.initial_state(fig1, hard2)) == b
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "rollouts"])
+def test_branch_estimate_builds_one_support(fig1, hard2, mode, monkeypatch):
+    # Every build of a belief's support takes the threshold options of
+    # each uninfluenced node once, so R rollouts drawn from R builds
+    # would take them R times.
+    calls = []
+    options = adaptive._threshold_options
+
+    def spy(row, floor_idx):
+        calls.append(floor_idx)
+        return options(row, floor_idx)
+
+    monkeypatch.setattr(adaptive, "_threshold_options", spy)
+    branch = dc.BranchEstimator(fig1, dc.SpreadEstimator(fig1.graph), dc.BranchConfig(mode=mode, rollouts=5),
+                                stream=as_stream(7))
+    branch.greedy_value_from(dc.initial_state(fig1, hard2))
+    assert len(calls) == fig1.graph.node_count
 
 
 def test_estimator_guards():
@@ -446,7 +466,7 @@ def test_belief_and_observation_give_one_conditional_distribution(fig1, hard2):
     obs.revealed.update(revealed)
     obs.probed.append((dc.SeedDiscountPair(0, 1.0), True))
     assert (belief.influenced, belief.floors[2]) == (0b11, 0)
-    assert conditional_outcome_count(fig1, belief) == conditional_outcome_count(fig1, obs) > 1
+    assert _ConditionalSupport(fig1, belief).count == _ConditionalSupport(fig1, obs).count > 1
     open_edges = [i for i, e in enumerate(fig1.graph.edges) if e.src not in obs.influenced]
 
     def seen(real):
@@ -577,7 +597,7 @@ def _lazy_and_eager(kind, inst, spec, est):
     if kind == "shots":
         return dc.GreedyPolicy(inst, est, _AlwaysShoot(), iterate=True), EagerGreedy(inst, est, _AlwaysShoot(), True)
     # Exhaustive branch estimates only where the enumeration stays small.
-    small = conditional_outcome_count(inst, dc.initial_state(inst, spec).belief) <= 5000
+    small = _ConditionalSupport(inst, dc.initial_state(inst, spec).belief).count <= 5000
     config = dc.BranchConfig(mode="exhaustive" if small else "rollouts", rollouts=3)
     lazy_branch = dc.BranchEstimator(inst, est, config, stream=as_stream(4))
     eager_branch = dc.BranchEstimator(inst, est, config, stream=as_stream(4))
@@ -726,8 +746,9 @@ def test_memo_root_tells_ledgers_apart(kind):
 
 def _scalar_draw(instance, given, gen):
     """The reference draw: one scalar uniform per open node, then one per undetermined edge."""
-    idx, varying, live, undetermined = _conditional_support(instance, given)
-    for v, options in varying:
+    support = _ConditionalSupport(instance, given)
+    idx, live = list(support.fixed), support.live.tolist()
+    for v, options in support.varying:
         u = gen.random()
         idx[v] = options[-1][0]
         for i, p in options:
@@ -735,7 +756,7 @@ def _scalar_draw(instance, given, gen):
             if u < 0:
                 idx[v] = i
                 break
-    for eidx in undetermined:
+    for eidx in support.undetermined.tolist():
         live[eidx] = bool(gen.random() < instance.graph.edges[eidx].prob)
     return dc.Realization(seeding=dc.SeedingRealization(min_rate_idx=tuple(idx)),
                           diffusion=dc.DiffusionRealization(live=tuple(live)))
@@ -773,7 +794,7 @@ def test_sampled_trials_draw_what_per_trial_draws_give():
     want = [dc.run_policy(factory(child(root, 1)), inst, spec,
                           dc.sample_conditional_realization(inst, prior, generator(root, 2, t))).cascade_size
             for t in range(64)]
-    assert _run_trials(factory(child(root, 1)), inst, spec, root, 0, 64) == want
+    assert _run_trials(factory(child(root, 1)), _ConditionalSupport(inst, prior), inst, spec, root, 0, 64) == want
 
 
 def _keeping(factory, built):

@@ -522,6 +522,14 @@ def test_conditional_spread_on_residual_graph(fig1):
     assert mc.residual_spread(influenced, 2) == pytest.approx(1.55, abs=0.02)
 
 
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_residual_spread_refuses_unknown_nodes(fig1, mode):
+    est = dc.SpreadEstimator(fig1.graph, mode=mode, samples=10, stream=as_stream(2))
+    for v in (-1, fig1.graph.node_count):
+        with pytest.raises(dc.ValidationError, match=f"^residual spread references unknown node {v}$"):
+            est.residual_spread(0, v)
+
+
 def test_realization_round_trip(tmp_path, fig1):
     real = dc.sample_realization(fig1, as_stream(9))
     path = tmp_path / "real.txt"

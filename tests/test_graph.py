@@ -783,6 +783,14 @@ def test_adoption_model_refuses_an_array_of_another_shape(shape):
     assert str(exc.value) == f"adoption table must have shape (nodes, rates) = (n, 2), got {shape}"
 
 
+def test_adoption_model_refuses_flat_rows():
+    menu = DiscountMenu(rates=(1.0, 2.0))
+    for probs, message in (((0.1, 0.2), "node 0's row is 0.1"), (((0.1, 0.2), 0.3), "node 1's row is 0.3")):
+        with pytest.raises(dc.ValidationError) as exc:
+            dc.AdoptionModel(menu, probs)
+        assert str(exc.value) == f"adoption table must have shape (nodes, rates) = (n, 2); {message}"
+
+
 @given(st.integers(0, 4), st.integers(1, 3),
        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.0, -0.5, 1.5, math.nan, math.inf, -math.inf]),
                 min_size=12, max_size=12))
