@@ -147,23 +147,29 @@ class CascadeOutcomes:
 
     The cascade runs on the residual graph: influenced nodes neither
     receive nor relay influence, and every edge between the others is
-    still unobserved. Outcomes are (added-node bitmask, probability)
-    pairs sorted by mask, the seed's own bit included.
+    still unobserved. Outcomes are (added-node bitmask, probability,
+    added count, keep) tuples sorted by mask, the seed's own bit
+    included. `keep` clears the added nodes' floor fields from a packed
+    belief (`optimal_policy_oracle`), node u's field being `width` bits
+    at bit n + width * u.
     """
 
-    def __init__(self, graph: SocialGraph):
-        self.graph = graph
-        self._memo: dict[tuple[int, int], list[tuple[int, float]]] = {}
+    def __init__(self, instance: Instance):
+        self.graph = instance.graph
+        self.width = len(instance.menu).bit_length()  # holds floor + 1, 0 to len(menu)
+        self._memo: dict[tuple[int, int], list[tuple[int, float, int, int]]] = {}
 
-    def of(self, influenced: int, v: int) -> list[tuple[int, float]]:
+    def of(self, influenced: int, v: int) -> list[tuple[int, float, int, int]]:
         key = (influenced, v)
-        if key in self._memo:
-            return self._memo[key]
-        dist: dict[int, float] = {}
-        for w, addmask in _live_edge_outcomes(self.graph, [v], influenced):
-            dist[addmask] = dist.get(addmask, 0.0) + w
-        out = sorted(dist.items())
-        self._memo[key] = out
+        out = self._memo.get(key)
+        if out is None:
+            dist: dict[int, float] = {}
+            for w, addmask in _live_edge_outcomes(self.graph, [v], influenced):
+                dist[addmask] = dist.get(addmask, 0.0) + w
+            n, width, ones = self.graph.node_count, self.width, (1 << self.width) - 1
+            out = self._memo[key] = [(addmask, w, addmask.bit_count(),
+                                      ~sum(ones << (n + width * u) for u in _bits(addmask)))
+                                     for addmask, w in sorted(dist.items())]
         return out
 
 
@@ -309,7 +315,7 @@ def _expected_influence(policy, instance: Instance, cascades: CascadeOutcomes, s
         belief = st.belief
         q = belief.accept_chance(probs, pair.node, rate_idx)
         if q > 0.0:
-            for addmask, w in cascades.of(belief.influenced, pair.node):
+            for addmask, w, _, _ in cascades.of(belief.influenced, pair.node):
                 stack.append((weight * q * w, dup(pol), st.after_accept(pair, addmask)))
         if q < 1.0:
             stack.append((weight * (1.0 - q), pol, st.after_reject(pair, rate_idx)))
@@ -415,6 +421,7 @@ class GreedyPolicy:
                                 tuple((-math.inf, v, None) for v in nodes) if self.branch is not None else ())
         self._phase = "greedy" if self.branch is None else "shot"
         self._depth = 0
+        self._cheapest = min(state.ledger.rate_units.values())
         self._ratios, self._spreads = map(list, self._root_heaps)
 
     def next_probe(self, state: PolicyState) -> SeedDiscountPair | None:
@@ -443,6 +450,8 @@ class GreedyPolicy:
             self._phase = "greedy"
         heap, belief, rates = self._ratios, state.belief, self.instance.menu.rates
         influenced, floors, units, left = belief.influenced, belief.floors, state.ledger.rate_units, belief.budget
+        if left < self._cheapest:  # nothing fits, now or later: the budget only falls
+            return None
         while heap:
             _, v, i, stamp = heap[0]
             # Closed (`BeliefState.is_open`, inlined), or out of reach for good: the budget only falls.
@@ -639,7 +648,7 @@ class BranchEstimator:
         self.config = config
         self.stream = as_stream(stream) if stream is not None else None
         self._greedy = GreedyPolicy(instance, estimator)
-        self._cascades = CascadeOutcomes(instance.graph)
+        self._cascades = CascadeOutcomes(instance)
         self._memo: dict[tuple[BeliefState, int], float] = {}
 
     def greedy_value_from(self, state: PolicyState) -> float:
@@ -755,7 +764,7 @@ def evaluate_policy(policy_factory, instance: Instance, spec: BudgetSpec, trials
         _ConditionalSupport(instance, state.belief).check(
             "; sample instead with an integer trial count (CLI: drop --exhaustive)")
         policy = policy_factory(child(as_stream(stream), 0))
-        return _expected_influence(policy, instance, CascadeOutcomes(instance.graph), state), 0.0
+        return _expected_influence(policy, instance, CascadeOutcomes(instance), state), 0.0
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValidationError(f"trials must be a positive int or 'exhaustive', got {trials!r}")
     root, prior = as_stream(stream), _ConditionalSupport(instance, BeliefState.initial(instance.graph.node_count, 0))
@@ -776,7 +785,10 @@ def optimal_policy_oracle(instance: Instance, spec: BudgetSpec) -> float:
     `BeliefState`s suffice because edges out of uninfluenced nodes stay
     independent of everything revealed so far. Only probes with a
     positive conditional acceptance chance are considered; anything else
-    changes no beliefs and wastes nothing but time.
+    changes no beliefs and wastes nothing but time. The recursion packs
+    each belief into one int, `budget << (n + w * n) | floors << n |
+    influenced`: node v's floor + 1 takes the w = `CascadeOutcomes.width`
+    bits at n + w * v.
     """
     graph, model, menu = instance.graph, instance.model, instance.menu
     n, m = graph.node_count, len(menu)
@@ -788,35 +800,45 @@ def optimal_policy_oracle(instance: Instance, spec: BudgetSpec) -> float:
         raise TooLargeError(f"optimal oracle handles menus up to {ORACLE_MAX_RATES} rates, got {m}")
     ledger = BudgetLedger(menu, spec)
     rates = [ledger.rate_units[r] for r in menu.rates]
-    return _optimal_value(BeliefState.initial(n, ledger.budget), model.probs, rates,
-                          CascadeOutcomes(graph), {})
+    cascades = CascadeOutcomes(instance)
+    # chances[v][floor + 1][i]: the chance v accepts menu rate i, given that floor
+    chances = [[[BeliefState(0, (floor,) * n, 0).accept_chance(model.probs, v, i) for i in range(m)]
+                for floor in range(-1, m)] for v in range(n)]
+    return _optimal_value(ledger.budget << (n + cascades.width * n), rates, chances, cascades, {})
 
 
-def _optimal_value(belief: BeliefState, probs, rates: list[int], cascades: CascadeOutcomes,
-                   memo: dict[BeliefState, float]) -> float:
-    """The oracle's recursion, kept at module level so that no closure cycle
-    holds its memo alive past the call."""
-    if belief in memo:
-        return memo[belief]
+def _optimal_value(key: int, rates: list[int], chances, cascades: CascadeOutcomes, memo: dict[int, float]) -> float:
+    """The oracle's recursion over packed beliefs, kept at module level so that
+    no closure cycle holds its memo alive past the call."""
+    if key in memo:
+        return memo[key]
+    n, w = len(chances), cascades.width
+    top = n + w * n
+    influenced, budget, ones = key & ((1 << n) - 1), key >> top, (1 << w) - 1
     best = 0.0
-    for v in range(len(probs)):
-        if (belief.influenced >> v) & 1:
+    for v in range(n):
+        if (influenced >> v) & 1:
             continue
+        at = n + w * v
+        field = (key >> at) & ones
+        row = chances[v][field]
         for i, rate in enumerate(rates):
-            if rate > belief.budget:
+            if rate > budget:
                 continue
-            q = belief.accept_chance(probs, v, i)
+            q = row[i]
             if q <= 0.0:
                 continue
             acc = 0.0
-            for addmask, w in cascades.of(belief.influenced, v):
-                after = belief.after_accept(addmask, rate)
-                acc += w * (addmask.bit_count() + _optimal_value(after, probs, rates, cascades, memo))
+            spent = key - (rate << top)
+            for addmask, p, size, keep in cascades.of(influenced, v):
+                acc += p * (size + _optimal_value((spent | addmask) & keep, rates, chances, cascades, memo))
             if q >= 1.0:
                 cand = acc
             else:
-                cand = q * acc + (1.0 - q) * _optimal_value(belief.after_reject(v, i), probs, rates, cascades, memo)
+                # v rejects: its floor field goes from `field` to i + 1
+                cand = q * acc + (1.0 - q) * _optimal_value(key + ((i + 1 - field) << at), rates, chances,
+                                                            cascades, memo)
             if cand > best:
                 best = cand
-    memo[belief] = best
+    memo[key] = best
     return best

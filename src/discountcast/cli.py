@@ -156,14 +156,18 @@ _config_option = click.option(
     "--config", type=click.File(), is_eager=True, expose_value=False, callback=_load_config,
     help="JSON object of option values; explicit flags win",
 )
-_instance_options = [
+_input_options = [
     click.option("--graph", type=click.Path(), required=True, help="edge list file"),
     click.option("--adoption", type=click.Path(), required=True, help="adoption probability file"),
     click.option("--discounts", type=_Rates(), required=True, help="comma-separated menu rates, e.g. '1,2'"),
     click.option("--budget", type=float, required=True),
-    click.option("--mode", type=click.Choice(["hard", "soft"]), default="hard",
-                 help="budget counts committed rates (hard) or expected payout (soft)"),
 ]
+_instance_options = [*_input_options, click.option(
+    "--mode", type=click.Choice(["hard", "soft"]), default="hard",
+    help="budget counts committed rates (hard) or expected payout (soft)")]
+# Adaptive runs commit each accepted rate, so their budget is hard: soft is a usage error.
+_adaptive_instance_options = [*_input_options, click.option(
+    "--mode", type=click.Choice(["hard"]), default="hard", help="adaptive runs count committed rates")]
 _policy_options = [
     click.option("--estimator", type=click.Choice(["exact", "mc"]), default=EstimatorConfig.mode),
     click.option("--samples", type=click.IntRange(min=1), default=EstimatorConfig.samples,
@@ -286,7 +290,7 @@ def _write_trajectory_csv(path, instance: Instance, record) -> None:
 
 
 @main.command()
-@_add_options(_instance_options)
+@_add_options(_adaptive_instance_options)
 @click.option("--algorithm", type=click.Choice(_ADAPTIVE_ALGOS), default="adaptive-greedy")
 @_add_options(_policy_options)
 @click.option("--realization", type=click.Path(), help="replay a stored realization instead of sampling one")
@@ -335,7 +339,7 @@ def adaptive(algorithm, realization, trajectory_csv, seed, out, **params):
 
 
 @main.command()
-@_add_options(_instance_options)
+@_add_options(_adaptive_instance_options)
 @click.option("--algorithm", type=click.Choice(_ADAPTIVE_ALGOS), default="adaptive-greedy")
 @click.option("--trials", type=click.IntRange(min=1), default=1000)
 @click.option("--exhaustive", is_flag=True, help="enumerate every realization instead of sampling")
@@ -364,7 +368,7 @@ def evaluate(algorithm, trials, exhaustive, workers, seed, out, **params):
 
 
 @main.command()
-@_add_options(_instance_options)
+@_add_options(_adaptive_instance_options)
 @_add_options(_report_options)
 @_guarded
 def oracle(out, **params):

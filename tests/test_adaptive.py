@@ -1,13 +1,18 @@
+import gc
+import heapq
 import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import discountcast as dc
 from discountcast import adaptive
-from discountcast.adaptive import MEMO_DEPTH, _ConditionalSupport, _execute, _run_trials
+from discountcast.adaptive import MEMO_DEPTH, CascadeOutcomes, _ConditionalSupport, _execute, _run_trials
+from discountcast.nonadaptive import BudgetLedger
 from discountcast.rng import as_stream, child, generator
 
 from conftest import tiny_instance
@@ -387,6 +392,106 @@ def test_optimal_oracle_caps():
         dc.optimal_policy_oracle(lone, spec)
 
 
+def _reference_optimal_value(belief, probs, rates, cascades, memo):
+    """The oracle's recursion as it ran over `BeliefState`s, before beliefs were packed into ints."""
+    if belief in memo:
+        return memo[belief]
+    best = 0.0
+    for v in range(len(probs)):
+        if (belief.influenced >> v) & 1:
+            continue
+        for i, rate in enumerate(rates):
+            if rate > belief.budget:
+                continue
+            q = belief.accept_chance(probs, v, i)
+            if q <= 0.0:
+                continue
+            acc = 0.0
+            for addmask, w, *_ in cascades.of(belief.influenced, v):
+                after = belief.after_accept(addmask, rate)
+                acc += w * (addmask.bit_count() + _reference_optimal_value(after, probs, rates, cascades, memo))
+            if q >= 1.0:
+                cand = acc
+            else:
+                cand = q * acc + (1.0 - q) * _reference_optimal_value(belief.after_reject(v, i), probs, rates,
+                                                                      cascades, memo)
+            if cand > best:
+                best = cand
+    memo[belief] = best
+    return best
+
+
+def _reference_oracle(inst, spec, memo=None):
+    ledger = BudgetLedger(inst.menu, spec)
+    rates = [ledger.rate_units[r] for r in inst.menu.rates]
+    return _reference_optimal_value(dc.BeliefState.initial(inst.graph.node_count, ledger.budget), inst.model.probs,
+                                    rates, CascadeOutcomes(inst), {} if memo is None else memo)
+
+
+def at_cap_instance():
+    """5 nodes, 6 edges and 2 rates: as large as the oracle takes."""
+    edges = ((0, 1, 0.5), (1, 2, 0.4), (2, 3, 0.6), (3, 4, 0.3), (4, 0, 0.5), (0, 2, 0.7))
+    graph = dc.SocialGraph(5, tuple("01234"), tuple(dc.Edge(*e) for e in edges))
+    rows = ((0.2, 0.5), (0.3, 0.6), (0.1, 0.9), (0.4, 0.5), (0.25, 0.75))
+    return dc.Instance(graph=graph, model=dc.AdoptionModel(menu=dc.DiscountMenu(rates=(0.1, 0.2)), probs=rows))
+
+
+@pytest.mark.parametrize("budget,value", [(0.4, "0x1.df6a400fba883p+1"), (0.6, "0x1.f3ffb54ca87a2p+1"),
+                                          (1.0, "0x1.002ca32be992fp+2")])
+def test_oracle_at_its_caps_is_pinned(budget, value, monkeypatch):
+    inst, spec = at_cap_instance(), dc.BudgetSpec(budget=budget, mode="hard")
+    memos, recurse = [], adaptive._optimal_value
+
+    def keeping_memo(key, rates, chances, cascades, memo):
+        memos.append(memo)
+        return recurse(key, rates, chances, cascades, memo)
+
+    monkeypatch.setattr(adaptive, "_optimal_value", keeping_memo)
+    assert dc.optimal_policy_oracle(inst, spec).hex() == value
+    beliefs = {}
+    assert _reference_oracle(inst, spec, beliefs).hex() == value
+    # Packing is one to one on the beliefs reached: one int per `BeliefState`.
+    assert len(memos[0]) == len(beliefs) > 1000
+
+
+@st.composite
+def oracle_instances(draw):
+    """Instances within the oracle's caps, with certain and impossible edges,
+    acceptance chances of 0 and 1, tied rows, and budgets from none to many offers."""
+    n = draw(st.integers(1, 5), label="nodes")
+    slots = [(a, b) for a in range(n) for b in range(n) if a != b]
+    arcs = sorted(draw(st.lists(st.sampled_from(slots), max_size=6, unique=True), label="arcs")) if slots else []
+    edges = tuple(dc.Edge(a, b, draw(st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0]))) for a, b in arcs)
+    rates = tuple(sorted(draw(st.lists(st.sampled_from([0.1, 0.2, 0.25, 0.5, 1.0]), min_size=1, max_size=2,
+                                       unique=True), label="rates")))
+    chances = st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0])
+    rows = tuple(tuple(sorted(draw(chances) for _ in rates)) for _ in range(n))
+    graph = dc.SocialGraph(n, tuple(str(v) for v in range(n)), edges)
+    inst = dc.Instance(graph=graph, model=dc.AdoptionModel(menu=dc.DiscountMenu(rates=rates), probs=rows))
+    return inst, dc.BudgetSpec(budget=round(draw(st.integers(1, 24), label="budget") * 0.05, 2), mode="hard")
+
+
+@given(oracle_instances())
+@settings(max_examples=200, deadline=None)
+def test_oracle_equals_the_belief_state_recursion(case):
+    inst, spec = case
+    assert dc.optimal_policy_oracle(inst, spec).hex() == _reference_oracle(inst, spec).hex()
+
+
+def test_oracle_leaves_no_reference_cycle(fig1, hard2):
+    # The memo must be freed by reference counting alone when the call returns:
+    # a recursion that closed over itself would leave a cycle for the collector.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        dc.optimal_policy_oracle(fig1, hard2)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_iterated_heuristic_runs_clean_on_tiny_instances():
     for seed in range(6):
         inst, spec = tiny_instance(seed)
@@ -676,6 +781,79 @@ def test_sampled_evaluation_builds_one_policy_per_process():
     assert len(builds) == 1
     for workers in (2, 8):
         assert dc.evaluate_policy(factory, inst, spec, 256, stream=9, workers=workers)[0] == serial
+
+
+class DrainingGreedy(dc.GreedyPolicy):
+    """The greedy scan without its early stop: a run whose budget nothing fits
+    pops every remaining heap entry before it returns None."""
+
+    def _step(self, state):
+        if self._phase == "shot":
+            shot = self._top_rate_shot(state)
+            if shot is not None:
+                self._phase = "shot" if self.iterate else "done"
+                return shot
+            self._phase = "greedy"
+        heap, belief, rates = self._ratios, state.belief, self.instance.menu.rates
+        influenced, floors, units, left = belief.influenced, belief.floors, state.ledger.rate_units, belief.budget
+        while heap:
+            _, v, i, stamp = heap[0]
+            if (influenced >> v) & 1 or i <= floors[v] or units[rates[i]] > left:
+                heapq.heappop(heap)
+            elif stamp != influenced:
+                ratio = self.estimator.residual_spread(influenced, v) / rates[i]
+                heapq.heapreplace(heap, (-ratio, v, i, influenced))
+            else:
+                heapq.heappop(heap)
+                return dc.SeedDiscountPair(v, rates[i])
+        return None
+
+
+def _stopping_and_draining(kind, inst, spec, mode, stream):
+    """The policy of `kind` and its draining twin, each with its own estimator drawn
+    from `stream`; a branch estimator's greedy continuation drains in the twin."""
+    ests = [dc.SpreadEstimator(inst.graph, mode=mode, samples=40, stream=as_stream(stream)) for _ in range(2)]
+    if kind == "greedy":
+        return dc.GreedyPolicy(inst, ests[0]), DrainingGreedy(inst, ests[1])
+    if kind == "shots":
+        return (dc.GreedyPolicy(inst, ests[0], _AlwaysShoot(), iterate=True),
+                DrainingGreedy(inst, ests[1], _AlwaysShoot(), iterate=True))
+    small = _ConditionalSupport(inst, dc.initial_state(inst, spec).belief).count <= 5000
+    config = dc.BranchConfig(mode="exhaustive" if small else "rollouts", rollouts=3)
+    branches = [dc.BranchEstimator(inst, est, config, stream=as_stream(4)) for est in ests]
+    branches[1]._greedy = DrainingGreedy(inst, ests[1])
+    iterate = kind == "iterated"
+    return (dc.GreedyPolicy(inst, ests[0], branches[0], iterate=iterate),
+            DrainingGreedy(inst, ests[1], branches[1], iterate=iterate))
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("kind", ["greedy", "enhanced", "iterated", "shots"])
+def test_greedy_scan_stops_once_nothing_fits(mode, kind):
+    # Menu (0.5, 1.0): budgets of 1.5 and 2 end exactly spent or with exactly the
+    # cheap rate left, and 1.75 and 2.25 with change below the cheap rate or with
+    # only the top rate out of reach. The 16-node case runs past the step memo
+    # and, for enhanced and iterated, on rollouts.
+    cases = [(dc.random_instance(n, 1.2 / (n - 1), seed, rates=(0.5, 1.0), prob_range=(0.3, 0.9),
+                                 accept_range=(0.1, 1.0)), budget)
+             for n, seed in ((4, 1), (5, 2)) for budget in (1.5, 1.75, 2.0, 2.25)]
+    cases.append((dc.random_instance(16, 0.8 / 15, 40, rates=(0.5, 1.0), prob_range=(0.3, 0.9)), 3.25))
+    ends, stopped = set(), 0
+    for i, (inst, budget) in enumerate(cases):
+        spec = dc.BudgetSpec(budget=budget, mode="hard")
+        policy, draining = _stopping_and_draining(kind, inst, spec, mode, i)
+        for t in range(16):
+            real = dc.sample_realization(inst, child(as_stream(100 + i), t))
+            want = dc.run_policy(draining, inst, spec, real)
+            got = dc.run_policy(policy, inst, spec, real)
+            assert got == want, f"case {i} realization {t}"
+            left = budget - want.delivered_cost
+            ends.add("spent" if left == 0 else "change" if left < 0.5 else "top" if left < 1.0 else "open")
+            stopped += left < 0.5 and bool(policy._ratios)
+        # the stop re-scores nothing the drained scan did not
+        assert policy.estimator._cache == draining.estimator._cache
+    assert {"spent", "change", "top"} <= ends
+    assert stopped > 0
 
 
 def _memo_kinds(inst, mode):

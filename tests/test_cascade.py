@@ -427,10 +427,13 @@ def test_blocked_nodes_neither_seed_nor_relay(graph, data):
     open_nodes = [v for v in range(n) if not (blocked >> v) & 1]
     assert dc.spread_exact(graph, seeds, blocked=blocked) == pytest.approx(
         brute_spread(graph, seeds, open_nodes), abs=1e-12)
+    one_rate = dc.AdoptionModel(menu=dc.DiscountMenu(rates=(1.0,)), probs=((0.5,),) * n)
     for v in range(n):
-        outcomes = CascadeOutcomes(graph).of(blocked, v)
-        assert all(not added & blocked and (added >> v) & 1 == (v in open_nodes) for added, _ in outcomes)
-        assert sum(w for _, w in outcomes) == pytest.approx(1.0, abs=1e-12)
+        outcomes = CascadeOutcomes(dc.Instance(graph=graph, model=one_rate)).of(blocked, v)
+        assert all(not added & blocked and (added >> v) & 1 == (v in open_nodes) for added, *_ in outcomes)
+        assert sum(w for _, w, *_ in outcomes) == pytest.approx(1.0, abs=1e-12)
+        # one rate: a packed belief's floor fields are 1 bit each, node u's at bit n + u
+        assert all(size == added.bit_count() and ~keep == added << n for added, _, size, keep in outcomes)
 
 
 @given(small_digraphs(), st.integers(1, 17), st.sampled_from([1 << 18, 6]), st.integers(0, 2**16))

@@ -201,6 +201,22 @@ def test_oracle_command(fig1_dir):
     assert rep["radius"] == 0.0
 
 
+@pytest.mark.parametrize("command", ["oracle", "evaluate", "adaptive"])
+def test_adaptive_commands_refuse_soft_budgets(command, fig1_dir, tmp_path):
+    # Adaptive runs commit each accepted rate, so their budgets are hard; soft
+    # is a usage error by flag and by config file alike, before anything runs.
+    cfg = tmp_path / "soft.json"
+    cfg.write_text(json.dumps({"mode": "soft"}))
+    for extra in (["--mode", "soft"], ["--config", str(cfg)]):
+        res = runner.invoke(main, [command, *_instance_args(fig1_dir), *extra])
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for '--mode'" in res.stderr
+        assert res.stdout == ""
+    assert _report(_invoke([command, *_instance_args(fig1_dir), "--mode", "hard"]).stdout)["mode"] == "hard"
+    soft = _invoke(["nonadaptive", *_instance_args(fig1_dir), "--mode", "soft"])
+    assert _report(soft.stdout)["mode"] == "soft"
+
+
 def test_config_file_fills_options_but_flags_win(fig1_dir, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
