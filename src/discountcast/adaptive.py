@@ -20,10 +20,11 @@ the ledger; the open offers are read off the belief, and each probe
 answer yields the next state. So exhaustive evaluation expands its
 decision tree over states once, weighting each branch by its
 probability, instead of replaying it against every joint realization.
-The oracle and the exhaustive branch estimate share the memoized
-cascade outcomes (`CascadeOutcomes`). Only replay against one
-realization (`run_policy`), used for sampled evaluation, records which
-edges each probe revealed.
+The oracle, exhaustive evaluation, the exhaustive branch estimate and
+exact residual spreads all read one memo per graph
+(`cascade.ExactMemo`): its cascade outcomes and its spreads. Only
+replay against one realization (`run_policy`), used for sampled
+evaluation, records which edges each probe revealed.
 
 The greedy scan is lazy (the accelerated greedy of Golovin and Krause,
 2011). A residual spread never grows as the influenced set grows, so a
@@ -61,16 +62,17 @@ import numpy as np
 
 from .cascade import (
     DiffusionRealization,
+    ExactMemo,
     Realization,
     SeedingRealization,
     WorldMasks,
-    _live_edge_outcomes,
+    _bits,
     check_samples,
+    exact_memo,
     hoeffding_radius,
     masked_reach,
     reveal_cascade,
     sample_worlds,
-    spread_exact,
 )
 from .errors import PolicyContractError, TooLargeError, ValidationError
 from .graph import Instance, SeedDiscountPair, SocialGraph, check_nodes
@@ -81,14 +83,6 @@ _EVAL_CHUNK = 64
 MEMO_DEPTH = 3  # probes per run that `GreedyPolicy` memoizes by belief
 MAX_OUTCOMES = 200_000  # joint realizations an exhaustive pass may enumerate
 ORACLE_MAX_NODES, ORACLE_MAX_EDGES, ORACLE_MAX_RATES = 5, 6, 2
-
-
-def _bits(mask: int):
-    """The set bits of `mask`, lowest first, one step per set bit."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class BeliefState(NamedTuple):
@@ -140,37 +134,6 @@ class BeliefState(NamedTuple):
     def after_reject(self, v: int, rate_idx: int) -> "BeliefState":
         floors = self.floors
         return BeliefState(self.influenced, floors[:v] + (rate_idx,) + floors[v + 1:], self.budget)
-
-
-class CascadeOutcomes:
-    """Distribution of the set a seed newly influences, memoized per influenced set.
-
-    The cascade runs on the residual graph: influenced nodes neither
-    receive nor relay influence, and every edge between the others is
-    still unobserved. Outcomes are (added-node bitmask, probability,
-    added count, keep) tuples sorted by mask, the seed's own bit
-    included. `keep` clears the added nodes' floor fields from a packed
-    belief (`optimal_policy_oracle`), node u's field being `width` bits
-    at bit n + width * u.
-    """
-
-    def __init__(self, instance: Instance):
-        self.graph = instance.graph
-        self.width = len(instance.menu).bit_length()  # holds floor + 1, 0 to len(menu)
-        self._memo: dict[tuple[int, int], list[tuple[int, float, int, int]]] = {}
-
-    def of(self, influenced: int, v: int) -> list[tuple[int, float, int, int]]:
-        key = (influenced, v)
-        out = self._memo.get(key)
-        if out is None:
-            dist: dict[int, float] = {}
-            for w, addmask in _live_edge_outcomes(self.graph, [v], influenced):
-                dist[addmask] = dist.get(addmask, 0.0) + w
-            n, width, ones = self.graph.node_count, self.width, (1 << self.width) - 1
-            out = self._memo[key] = [(addmask, w, addmask.bit_count(),
-                                      ~sum(ones << (n + width * u) for u in _bits(addmask)))
-                                     for addmask, w in sorted(dist.items())]
-        return out
 
 
 @dataclass(frozen=True)
@@ -290,17 +253,18 @@ def run_policy(policy, instance: Instance, spec: BudgetSpec, realization: Realiz
     return _execute(policy, instance, initial_state(instance, spec), realization)
 
 
-def _expected_influence(policy, instance: Instance, cascades: CascadeOutcomes, state: PolicyState) -> float:
+def _expected_influence(policy, instance: Instance, state: PolicyState) -> float:
     """Expected final cascade size of running `policy` on from `state`.
 
     Expands the policy's decision tree once: each probe is checked as
     replay checks it, then branches on reject and on every cascade
-    outcome of an accept, each weighted by its probability; branches of
-    probability zero are never entered. A branch runs on a `copy.copy`
-    of the policy, so its per-run state (phase, scan heaps) stays per
-    branch while estimator caches are shared.
+    outcome of an accept (`ExactMemo.outcomes` on the residual graph),
+    each weighted by its probability; branches of probability zero are
+    never entered. A branch runs on a `copy.copy` of the policy, so its
+    per-run state (phase, scan heaps) stays per branch while estimator
+    caches are shared.
     """
-    probs = instance.model.probs
+    probs, cascades = instance.model.probs, exact_memo(instance.graph)
     dup = getattr(type(policy), "__copy__", copy.copy)  # skips `copy.copy`'s dispatch
     policy.begin(state)
     total = 0.0
@@ -315,7 +279,7 @@ def _expected_influence(policy, instance: Instance, cascades: CascadeOutcomes, s
         belief = st.belief
         q = belief.accept_chance(probs, pair.node, rate_idx)
         if q > 0.0:
-            for addmask, w, _, _ in cascades.of(belief.influenced, pair.node):
+            for addmask, w, _ in cascades.outcomes(belief.influenced, pair.node):
                 stack.append((weight * q * w, dup(pol), st.after_accept(pair, addmask)))
         if q < 1.0:
             stack.append((weight * (1.0 - q), pol, st.after_reject(pair, rate_idx)))
@@ -332,6 +296,8 @@ class SpreadEstimator:
     influenced source behind. In "mc" mode the answer is the mean reach
     over `samples` live-edge worlds drawn once from `stream`, so it
     never grows as the influenced set grows, exactly as in "exact" mode.
+    An "exact" answer comes from the graph's `ExactMemo`, shared with
+    every other exact routine on the graph.
     """
 
     def __init__(self, graph: SocialGraph, *, mode: str = "exact", samples: int = 1000, stream=None):
@@ -350,14 +316,19 @@ class SpreadEstimator:
     def residual_spread(self, influenced, v: int) -> float:
         """Expected cascade of seeding v alone; `influenced` is a node bitmask or a set of nodes."""
         if not isinstance(influenced, int):
-            influenced = sum(1 << u for u in set(influenced))
+            influenced = set(influenced)
+            check_nodes(influenced, self.graph.node_count, "influenced set")
+            influenced = sum(1 << u for u in influenced)
         key = (influenced, v)
         if key not in self._cache:
-            check_nodes((v,), self.graph.node_count, "residual spread")
+            n = self.graph.node_count
+            check_nodes((v,), n, "residual spread")
+            if not 0 <= influenced < 1 << n:
+                raise ValidationError(f"influenced mask {influenced} names nodes outside 0..{n - 1}")
             if (influenced >> v) & 1:
                 raise ValidationError(f"node {v} is already influenced")
             if self.mode == "exact":
-                val = spread_exact(self.graph, [v], blocked=influenced)
+                val = exact_memo(self.graph).spread(1 << v, influenced)
             else:
                 val = masked_reach(self._masks, v, influenced) / self.samples
             self._cache[key] = val
@@ -648,7 +619,6 @@ class BranchEstimator:
         self.config = config
         self.stream = as_stream(stream) if stream is not None else None
         self._greedy = GreedyPolicy(instance, estimator)
-        self._cascades = CascadeOutcomes(instance)
         self._memo: dict[tuple[BeliefState, int], float] = {}
 
     def greedy_value_from(self, state: PolicyState) -> float:
@@ -660,7 +630,7 @@ class BranchEstimator:
         if self.config.mode == "exhaustive":
             support.check('; estimate the branch by sampling with BranchConfig(mode="rollouts")'
                           " (CLI: --branch rollouts)")
-            val = _expected_influence(self._greedy, self.instance, self._cascades, state) - base
+            val = _expected_influence(self._greedy, self.instance, state) - base
         else:
             m = len(self.instance.menu)
             floors_code = sum((fl + 1) * (m + 1) ** v for v, fl in enumerate(belief.floors))
@@ -764,7 +734,7 @@ def evaluate_policy(policy_factory, instance: Instance, spec: BudgetSpec, trials
         _ConditionalSupport(instance, state.belief).check(
             "; sample instead with an integer trial count (CLI: drop --exhaustive)")
         policy = policy_factory(child(as_stream(stream), 0))
-        return _expected_influence(policy, instance, CascadeOutcomes(instance), state), 0.0
+        return _expected_influence(policy, instance, state), 0.0
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValidationError(f"trials must be a positive int or 'exhaustive', got {trials!r}")
     root, prior = as_stream(stream), _ConditionalSupport(instance, BeliefState.initial(instance.graph.node_count, 0))
@@ -787,8 +757,8 @@ def optimal_policy_oracle(instance: Instance, spec: BudgetSpec) -> float:
     positive conditional acceptance chance are considered; anything else
     changes no beliefs and wastes nothing but time. The recursion packs
     each belief into one int, `budget << (n + w * n) | floors << n |
-    influenced`: node v's floor + 1 takes the w = `CascadeOutcomes.width`
-    bits at n + w * v.
+    influenced`: node v's floor + 1 takes the w = `len(menu).bit_length()`
+    bits at n + w * v. Cascade outcomes come from the graph's `ExactMemo`.
     """
     graph, model, menu = instance.graph, instance.model, instance.menu
     n, m = graph.node_count, len(menu)
@@ -800,28 +770,47 @@ def optimal_policy_oracle(instance: Instance, spec: BudgetSpec) -> float:
         raise TooLargeError(f"optimal oracle handles menus up to {ORACLE_MAX_RATES} rates, got {m}")
     ledger = BudgetLedger(menu, spec)
     rates = [ledger.rate_units[r] for r in menu.rates]
-    cascades = CascadeOutcomes(instance)
     # chances[v][floor + 1][i]: the chance v accepts menu rate i, given that floor
     chances = [[[BeliefState(0, (floor,) * n, 0).accept_chance(model.probs, v, i) for i in range(m)]
                 for floor in range(-1, m)] for v in range(n)]
-    return _optimal_value(ledger.budget << (n + cascades.width * n), rates, chances, cascades, {})
+    nodes = _OpenNodes(exact_memo(graph), chances, m.bit_length())
+    return _optimal_value(ledger.budget << nodes.top, rates, nodes, {})
 
 
-def _optimal_value(key: int, rates: list[int], chances, cascades: CascadeOutcomes, memo: dict[int, float]) -> float:
-    """The oracle's recursion over packed beliefs, kept at module level so that
-    no closure cycle holds its memo alive past the call."""
-    if key in memo:
-        return memo[key]
-    n, w = len(chances), cascades.width
-    top = n + w * n
-    influenced, budget, ones = key & ((1 << n) - 1), key >> top, (1 << w) - 1
+class _OpenNodes(dict):
+    """The oracle's reading of each influenced set it reaches, made on first use.
+
+    Per open node v, in node order: its floor field's offset n + w * v in
+    a packed belief, its chance rows `chances[v]` and its cascade outcomes
+    as (added mask, probability, added count, keep) tuples, where `keep`
+    clears the added nodes' floor fields.
+    """
+
+    def __init__(self, cascades: ExactMemo, chances, width: int):
+        super().__init__()
+        n = len(chances)
+        self.cascades, self.chances, self.width = cascades, chances, width
+        self.low, self.top, self.ones = (1 << n) - 1, n + width * n, (1 << width) - 1
+
+    def __missing__(self, influenced: int):
+        n, w, ones = len(self.chances), self.width, self.ones
+        out = self[influenced] = [
+            (n + w * v, self.chances[v], [(added, p, size, ~sum(ones << (n + w * u) for u in _bits(added)))
+                                          for added, p, size in self.cascades.outcomes(influenced, v)])
+            for v in range(n) if not (influenced >> v) & 1]
+        return out
+
+
+def _optimal_value(key: int, rates: list[int], nodes: _OpenNodes, memo: dict[int, float]) -> float:
+    """The value of the packed belief `key`, which is not in `memo` yet: callers
+    look there first. Kept at module level so that no closure cycle holds the
+    memo alive past the call."""
+    top, ones = nodes.top, nodes.ones
+    budget = key >> top
     best = 0.0
-    for v in range(n):
-        if (influenced >> v) & 1:
-            continue
-        at = n + w * v
+    for at, rows, outcomes in nodes[key & nodes.low]:
         field = (key >> at) & ones
-        row = chances[v][field]
+        row = rows[field]
         for i, rate in enumerate(rates):
             if rate > budget:
                 continue
@@ -830,14 +819,20 @@ def _optimal_value(key: int, rates: list[int], chances, cascades: CascadeOutcome
                 continue
             acc = 0.0
             spent = key - (rate << top)
-            for addmask, p, size, keep in cascades.of(influenced, v):
-                acc += p * (size + _optimal_value((spent | addmask) & keep, rates, chances, cascades, memo))
+            for added, p, size, keep in outcomes:
+                after = (spent | added) & keep
+                val = memo.get(after)
+                if val is None:
+                    val = _optimal_value(after, rates, nodes, memo)
+                acc += p * (size + val)
             if q >= 1.0:
                 cand = acc
             else:
-                # v rejects: its floor field goes from `field` to i + 1
-                cand = q * acc + (1.0 - q) * _optimal_value(key + ((i + 1 - field) << at), rates, chances,
-                                                            cascades, memo)
+                after = key + ((i + 1 - field) << at)  # v rejects: its floor field goes from `field` to i + 1
+                val = memo.get(after)
+                if val is None:
+                    val = _optimal_value(after, rates, nodes, memo)
+                cand = q * acc + (1.0 - q) * val
             if cand > best:
                 best = cand
     memo[key] = best

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,6 +88,14 @@ def sample_realization(instance: Instance, stream) -> Realization:
         seeding=SeedingRealization.of(instance.model, thresholds.tolist()),
         diffusion=DiffusionRealization(live=tuple(live.tolist())),
     )
+
+
+def _bits(mask: int):
+    """The set bits of `mask`, lowest first, one step per set bit."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _relevant_subgraph(graph: SocialGraph, seeds, blocked: int, *, max_uncertain_edges: int | None = None):
@@ -173,6 +182,53 @@ def spread_exact(graph: SocialGraph, seeds, *, blocked: int = 0) -> float:
     for w, reached in _live_edge_outcomes(graph, seeds, blocked, max_uncertain_edges=MAX_UNCERTAIN_EDGES):
         total += w * reached.bit_count()
     return total
+
+
+class ExactMemo:
+    """Exact cascade results on one graph, kept for every exact routine that runs on it.
+
+    `outcomes(blocked, v)` is the distribution of the set a cascade from
+    v alone reaches when the nodes in the bitmask `blocked` neither
+    receive nor relay influence: (reached bitmask, probability, reached
+    count) tuples sorted by mask, enumerated with no cap. `spread(seeds,
+    blocked)` is `spread_exact` of the seed bitmask `seeds` with those
+    nodes blocked; a miss calls `spread_exact`, cap included. The two
+    are kept apart, since their sums round differently. The memo refers
+    to its graph weakly, so it goes with the graph by reference counting.
+    """
+
+    __slots__ = ("_graph", "_outcomes", "_spreads")
+
+    def __init__(self, graph: SocialGraph):
+        self._graph = weakref.ref(graph)
+        self._outcomes: dict[tuple[int, int], list[tuple[int, float, int]]] = {}
+        self._spreads: dict[tuple[int, int], float] = {}
+
+    def outcomes(self, blocked: int, v: int) -> list[tuple[int, float, int]]:
+        key = (blocked, v)
+        out = self._outcomes.get(key)
+        if out is None:
+            dist: dict[int, float] = {}
+            for w, reached in _live_edge_outcomes(self._graph(), [v], blocked):
+                dist[reached] = dist.get(reached, 0.0) + w
+            out = self._outcomes[key] = [(reached, w, reached.bit_count()) for reached, w in sorted(dist.items())]
+        return out
+
+    def spread(self, seeds: int, blocked: int) -> float:
+        key = (seeds, blocked)
+        val = self._spreads.get(key)
+        if val is None:
+            val = self._spreads[key] = spread_exact(self._graph(), list(_bits(seeds)), blocked=blocked)
+        return val
+
+
+def exact_memo(graph: SocialGraph) -> ExactMemo:
+    """The graph's `ExactMemo`, made on first use. It is kept with the graph
+    but never pickled (`SocialGraph.__getstate__`): a pool worker makes its own."""
+    memo = graph.__dict__.get("_exact_memo")
+    if memo is None:
+        memo = graph.__dict__["_exact_memo"] = ExactMemo(graph)
+    return memo
 
 
 @dataclass(frozen=True, eq=False)

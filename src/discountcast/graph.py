@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,6 +183,10 @@ class SocialGraph:
         graph = cls.__new__(cls)
         graph.__setstate__(state)
         return graph
+
+    def __getstate__(self):
+        """Fields and cached values, less the exact memo (`cascade.exact_memo`): a copy starts its own."""
+        return {k: v for k, v in self.__dict__.items() if k != "_exact_memo"}
 
     def __setstate__(self, state):
         """Store fields and cached values, the edge arrays made read-only
@@ -419,15 +424,28 @@ def _load(path, bulk, parse):
     return parse(path, text)
 
 
-def _bulk_rows(f, dtype: np.dtype) -> np.ndarray | None:
-    """The rest of `f` as one structured row per non-blank line, read by numpy's C
-    text reader, or None where it refuses: a row of another length, or a token it
-    does not read as its field's type (`#` is an ordinary character to it)."""
+def _bulk_rows(f, dtype: np.dtype, skiprows: int = 0) -> np.ndarray | None:
+    """The rest of the open file `f`, whose first `skiprows` lines have been read, as
+    one structured row per non-blank line, read by numpy's C text reader, or None
+    where it refuses: a row of another length, or a token it does not read as its
+    field's type (`#` is an ordinary character to it).
+
+    numpy reads a file it opens by name in blocks, faster than line by line
+    from a handle, but opening costs it about 50 µs: by name pays past about
+    16 kB, some 600 graph lines. A name that numpy would decompress by its
+    suffix is read through the handle.
+    """
+    name = getattr(f, "name", None)  # None for an in-memory file, an int for a descriptor
+    if (isinstance(name, str) and os.fstat(f.fileno()).st_size > 1 << 14
+            and os.path.splitext(name)[1] not in (".gz", ".bz2", ".xz", ".lzma")):
+        f = name
+    else:
+        skiprows = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
         warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x reads "1.0" as an int, with a warning
         try:
-            return np.loadtxt(f, dtype=dtype, comments=None, ndmin=1)
+            return np.loadtxt(f, dtype=dtype, comments=None, skiprows=skiprows, ndmin=1)
         except (ValueError, DeprecationWarning):
             return None
 
@@ -452,7 +470,7 @@ def _bulk_graph(f) -> SocialGraph | None:
         n = int(head[1])
     except ValueError:
         return None
-    rows = _bulk_rows(f, _EDGE_ROW)
+    rows = _bulk_rows(f, _EDGE_ROW, skiprows=1)
     if rows is None:
         return None
     src, dst, prob = (np.ascontiguousarray(rows[name]) for name in _EDGE_ROW.names)

@@ -22,10 +22,10 @@ from .cascade import (
     Worlds,
     _mc_total,
     check_samples,
+    exact_memo,
     hoeffding_radius,
     offer_totals,
     sample_worlds,
-    spread_exact,
 )
 from .errors import TooLargeError, ValidationError
 from .graph import AdoptionModel, DiscountMenu, Instance, SeedDiscountPair, check_nodes
@@ -181,13 +181,13 @@ def seedset_probability(config: Configuration, model: AdoptionModel, seed_set) -
     return product
 
 
-def f_exact(config: Configuration, instance: Instance, *, spread_cache: dict | None = None) -> float:
+def f_exact(config: Configuration, instance: Instance) -> float:
     """Exact objective: sum over acceptance patterns of the exact spread.
 
     Enumerates the subsets of nodes with a positive acceptance chance,
-    refusing more than `MAX_SUPPORT_NODES` of them up front. Pass a
-    shared `spread_cache` dict when evaluating many configurations on
-    one instance.
+    refusing more than `MAX_SUPPORT_NODES` of them up front. Each seed
+    set's spread is read from the graph's `cascade.ExactMemo`, so
+    configurations evaluated on one instance share them.
     """
     graph, model = instance.graph, instance.model
     eff = config.effective_map
@@ -199,7 +199,7 @@ def f_exact(config: Configuration, instance: Instance, *, spread_cache: dict | N
             "sample with MCEvaluator (CLI: --evaluator mc)"
         )
     probs = [model.prob_at_rate(v, eff[v]) for v in support]
-    cache = spread_cache if spread_cache is not None else {}
+    spread = exact_memo(graph).spread
     total = 0.0
     for mask in range(1 << len(support)):
         weight = 1.0
@@ -207,10 +207,7 @@ def f_exact(config: Configuration, instance: Instance, *, spread_cache: dict | N
             weight *= p if (mask >> i) & 1 else 1.0 - p
         if weight == 0.0:
             continue
-        seeds = frozenset(support[i] for i in range(len(support)) if (mask >> i) & 1)
-        if seeds not in cache:
-            cache[seeds] = spread_exact(graph, seeds)
-        total += weight * cache[seeds]
+        total += weight * spread(sum(1 << v for i, v in enumerate(support) if (mask >> i) & 1), 0)
     return total
 
 
@@ -245,17 +242,17 @@ def f_mc(config: Configuration, instance: Instance, samples: int, stream) -> flo
 
 
 class ExactEvaluator:
-    """Caching exact-objective provider for repeated configuration queries."""
+    """Caching exact-objective provider for repeated configuration queries;
+    every evaluator on one graph shares its spreads (`f_exact`)."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self._spreads: dict[frozenset, float] = {}
         self._values: dict[tuple, float] = {}
 
     def value(self, config: Configuration) -> float:
         key = tuple(sorted(config.effective_map.items()))
         if key not in self._values:
-            self._values[key] = f_exact(config, self.instance, spread_cache=self._spreads)
+            self._values[key] = f_exact(config, self.instance)
         return self._values[key]
 
     def single_values(self, offers: np.ndarray) -> np.ndarray:

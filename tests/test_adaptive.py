@@ -1,7 +1,9 @@
 import gc
 import heapq
 import math
+import pickle
 import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discountcast as dc
-from discountcast import adaptive
-from discountcast.adaptive import MEMO_DEPTH, CascadeOutcomes, _ConditionalSupport, _execute, _run_trials
+from discountcast import adaptive, cascade
+from discountcast.adaptive import MEMO_DEPTH, _ConditionalSupport, _execute, _run_trials
+from discountcast.cascade import ExactMemo
 from discountcast.nonadaptive import BudgetLedger
 from discountcast.rng import as_stream, child, generator
 
@@ -407,7 +410,7 @@ def _reference_optimal_value(belief, probs, rates, cascades, memo):
             if q <= 0.0:
                 continue
             acc = 0.0
-            for addmask, w, *_ in cascades.of(belief.influenced, v):
+            for addmask, w, _ in cascades.outcomes(belief.influenced, v):
                 after = belief.after_accept(addmask, rate)
                 acc += w * (addmask.bit_count() + _reference_optimal_value(after, probs, rates, cascades, memo))
             if q >= 1.0:
@@ -425,7 +428,7 @@ def _reference_oracle(inst, spec, memo=None):
     ledger = BudgetLedger(inst.menu, spec)
     rates = [ledger.rate_units[r] for r in inst.menu.rates]
     return _reference_optimal_value(dc.BeliefState.initial(inst.graph.node_count, ledger.budget), inst.model.probs,
-                                    rates, CascadeOutcomes(inst), {} if memo is None else memo)
+                                    rates, ExactMemo(inst.graph), {} if memo is None else memo)
 
 
 def at_cap_instance():
@@ -442,9 +445,9 @@ def test_oracle_at_its_caps_is_pinned(budget, value, monkeypatch):
     inst, spec = at_cap_instance(), dc.BudgetSpec(budget=budget, mode="hard")
     memos, recurse = [], adaptive._optimal_value
 
-    def keeping_memo(key, rates, chances, cascades, memo):
+    def keeping_memo(key, rates, nodes, memo):
         memos.append(memo)
-        return recurse(key, rates, chances, cascades, memo)
+        return recurse(key, rates, nodes, memo)
 
     monkeypatch.setattr(adaptive, "_optimal_value", keeping_memo)
     assert dc.optimal_policy_oracle(inst, spec).hex() == value
@@ -452,6 +455,21 @@ def test_oracle_at_its_caps_is_pinned(budget, value, monkeypatch):
     assert _reference_oracle(inst, spec, beliefs).hex() == value
     # Packing is one to one on the beliefs reached: one int per `BeliefState`.
     assert len(memos[0]) == len(beliefs) > 1000
+
+
+def test_oracle_recurses_once_per_belief(monkeypatch):
+    # Callers look a belief up in the memo before they recurse, so no call is a memo hit.
+    keys, recurse = [], adaptive._optimal_value
+
+    def counting(key, rates, nodes, memo):
+        keys.append(key)
+        return recurse(key, rates, nodes, memo)
+
+    monkeypatch.setattr(adaptive, "_optimal_value", counting)
+    for inst, spec in [(at_cap_instance(), dc.BudgetSpec(budget=1.0, mode="hard")), tiny_instance(200)]:
+        keys.clear()
+        dc.optimal_policy_oracle(inst, spec)
+        assert len(keys) == len(set(keys)) > 50
 
 
 @st.composite
@@ -486,6 +504,86 @@ def test_oracle_leaves_no_reference_cycle(fig1, hard2):
     try:
         gc.collect()
         dc.optimal_policy_oracle(fig1, hard2)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _exact_routines(inst, spec) -> dict:
+    """Each exact routine by name, as a call on `inst` returning its value."""
+    def hill():
+        evaluator = dc.ExactEvaluator(inst)
+        return evaluator.value(dc.hill_climbing(inst, spec, evaluator))
+
+    def exhaustive(factory):
+        return lambda: dc.evaluate_policy(factory(inst, spec), inst, spec, "exhaustive", stream=0)[0]
+
+    return {"oracle": lambda: dc.optimal_policy_oracle(inst, spec), "greedy": exhaustive(dc.GreedyFactory),
+            "enhanced": exhaustive(dc.EnhancedFactory), "iterated": exhaustive(dc.IteratedFactory),
+            "hill": hill, "brute": lambda: dc.brute_force_config(inst, spec)[1]}
+
+
+def _fresh(inst):
+    """`inst` on a new graph, so with an empty exact memo."""
+    g = inst.graph
+    return dc.Instance(graph=dc.SocialGraph(g.node_count, g.labels, g.edges), model=inst.model)
+
+
+@given(oracle_instances())
+@settings(max_examples=100, deadline=None)
+def test_exact_routines_on_one_memo_give_what_they_give_alone(case):
+    inst, spec = case
+    alone = {name: _exact_routines(_fresh(inst), spec)[name]().hex() for name in _exact_routines(inst, spec)}
+    for order in (1, -1):
+        routines = _exact_routines(_fresh(inst), spec)
+        assert {name: routines[name]().hex() for name in list(routines)[::order]} == alone
+
+
+def test_evaluation_after_the_oracle_enumerates_none_of_its_outcomes_again(monkeypatch):
+    inst, spec = tiny_instance(200)
+    calls, enumerate_outcomes = [], cascade._live_edge_outcomes
+
+    def recording(graph, seeds, blocked, **cap):
+        if not cap:  # an outcome table's enumeration; `spread_exact` passes its cap
+            calls.append((tuple(seeds), blocked))
+        return enumerate_outcomes(graph, seeds, blocked, **cap)
+
+    monkeypatch.setattr(cascade, "_live_edge_outcomes", recording)
+
+    def evaluate(inst):
+        calls.clear()
+        for factory in (dc.GreedyFactory, dc.EnhancedFactory):
+            dc.evaluate_policy(factory(inst, spec), inst, spec, "exhaustive", stream=0)
+        return set(calls)
+
+    alone = evaluate(_fresh(inst))
+    calls.clear()
+    dc.optimal_policy_oracle(inst, spec)
+    oracle = set(calls)
+    assert len(calls) == len(oracle)  # each key once
+    assert alone & oracle  # evaluation alone enumerates outcomes the oracle did
+    assert not evaluate(inst) & oracle
+
+
+def _run_exact_routines(inst, spec) -> None:
+    for run in _exact_routines(inst, spec).values():
+        run()
+    dc.SpreadEstimator(inst.graph).residual_spread(0, 0)
+
+
+def test_exact_memo_goes_with_its_instance():
+    inst, spec = tiny_instance(200)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        _run_exact_routines(inst, spec)
+        assert "_exact_memo" in vars(inst.graph)
+        assert "_exact_memo" not in vars(pickle.loads(pickle.dumps(inst)).graph)  # never shipped to a pool worker
+        refs = weakref.ref(inst), weakref.ref(inst.graph)
+        del inst
+        assert [ref() for ref in refs] == [None, None]  # freed by reference counting alone
         assert gc.collect() == 0
     finally:
         if enabled:

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 import discountcast as dc
 import discountcast.cascade as cascade
-from discountcast.adaptive import CascadeOutcomes
-from discountcast.cascade import accept_index, offer_totals, sample_worlds
+from discountcast.cascade import ExactMemo, accept_index, offer_totals, sample_worlds
 from discountcast.rng import as_stream, child
 
 from conftest import tiny_instance
@@ -427,13 +426,11 @@ def test_blocked_nodes_neither_seed_nor_relay(graph, data):
     open_nodes = [v for v in range(n) if not (blocked >> v) & 1]
     assert dc.spread_exact(graph, seeds, blocked=blocked) == pytest.approx(
         brute_spread(graph, seeds, open_nodes), abs=1e-12)
-    one_rate = dc.AdoptionModel(menu=dc.DiscountMenu(rates=(1.0,)), probs=((0.5,),) * n)
     for v in range(n):
-        outcomes = CascadeOutcomes(dc.Instance(graph=graph, model=one_rate)).of(blocked, v)
+        outcomes = ExactMemo(graph).outcomes(blocked, v)
         assert all(not added & blocked and (added >> v) & 1 == (v in open_nodes) for added, *_ in outcomes)
         assert sum(w for _, w, *_ in outcomes) == pytest.approx(1.0, abs=1e-12)
-        # one rate: a packed belief's floor fields are 1 bit each, node u's at bit n + u
-        assert all(size == added.bit_count() and ~keep == added << n for added, _, size, keep in outcomes)
+        assert all(size == added.bit_count() for added, _, size in outcomes)
 
 
 @given(small_digraphs(), st.integers(1, 17), st.sampled_from([1 << 18, 6]), st.integers(0, 2**16))
@@ -531,6 +528,35 @@ def test_residual_spread_refuses_unknown_nodes(fig1, mode):
     for v in (-1, fig1.graph.node_count):
         with pytest.raises(dc.ValidationError, match=f"^residual spread references unknown node {v}$"):
             est.residual_spread(0, v)
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("influenced,message", [
+    ({-1}, "^influenced set references unknown node -1$"),
+    ({1, 9}, "^influenced set references unknown node 9$"),
+    (1 << 9, "^influenced mask 512 names nodes outside 0..4$"),
+    (1 << 5 | 1, "^influenced mask 33 names nodes outside 0..4$"),
+    (-2, "^influenced mask -2 names nodes outside 0..4$"),
+], ids=["set_minus_1", "set_9", "mask_bit_9", "mask_bit_5", "mask_minus_2"])
+def test_residual_spread_refuses_influenced_nodes_outside_the_graph(fig1, mode, influenced, message):
+    # Such a key names no belief: unchecked, it read a spread of the graph's own nodes and cached it.
+    est = dc.SpreadEstimator(fig1.graph, mode=mode, samples=10, stream=as_stream(2))
+    for _ in range(2):  # nothing was cached by the first refusal
+        with pytest.raises(dc.ValidationError, match=message):
+            est.residual_spread(influenced, 2)
+    assert est.residual_spread({1}, 2) == est.residual_spread(0b10, 2)
+
+
+def test_exact_residual_spread_keeps_its_cap_where_outcomes_are_known():
+    # 17 uncertain edges out of node 0: the outcome table enumerates them all, uncapped,
+    # yet an exact spread from node 0 is still refused, as `spread_exact` refuses it.
+    star = dc.SocialGraph(18, tuple(map(str, range(18))), tuple(dc.Edge(0, v, 0.5) for v in range(1, 18)))
+    with pytest.raises(dc.TooLargeError) as alone:
+        dc.spread_exact(star, [0])
+    assert len(cascade.exact_memo(star).outcomes(0, 0)) == 1 << 17
+    with pytest.raises(dc.TooLargeError) as after:
+        dc.SpreadEstimator(star).residual_spread(0, 0)
+    assert str(after.value) == str(alone.value)
 
 
 def test_realization_round_trip(tmp_path, fig1):

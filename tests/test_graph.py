@@ -371,6 +371,17 @@ def test_files_of_bulk_min_rows_newlines_take_the_bulk_path(tmp_path, monkeypatc
         assert calls == (["bulk"] if newlines == n else []), newlines
 
 
+def test_plain_files_named_as_compressed_load_as_text(tmp_path):
+    # numpy decompresses a file it opens by name by these suffixes; a long file of plain text is read as text
+    text = "\n".join(["nodes 3001"] + [f"{v} {v + 1} 0.5" for v in range(3000)]) + "\n"
+    plain = tmp_path / "g.txt"
+    plain.write_text(text)
+    for suffix in (".gz", ".bz2", ".xz", ".lzma"):
+        p = tmp_path / f"g{suffix}"
+        p.write_text(text)
+        assert dc.load_graph(p) == dc.load_graph(plain)
+
+
 # (id, file text, whether the bulk parser takes it), against the graph
 # "nodes 3" with menu (1, 2); every cell is listed once unless said otherwise
 _ADOPTION_FILES = [
