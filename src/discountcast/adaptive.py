@@ -21,10 +21,10 @@ answer yields the next state. So exhaustive evaluation expands its
 decision tree over states once, weighting each branch by its
 probability, instead of replaying it against every joint realization.
 The oracle, exhaustive evaluation, the exhaustive branch estimate and
-exact residual spreads all read one memo per graph
-(`cascade.ExactMemo`): its cascade outcomes and its spreads. Only
-replay against one realization (`run_policy`), used for sampled
-evaluation, records which edges each probe revealed.
+exact residual spreads all read one memo per graph (`cascade.ExactMemo`):
+its cascade outcomes and its spreads, the one store of exact residual
+spreads. Only replay against one realization (`run_policy`), used for
+sampled evaluation, records which edges each probe revealed.
 
 The greedy scan is lazy (the accelerated greedy of Golovin and Krause,
 2011). A residual spread never grows as the influenced set grows, so a
@@ -296,43 +296,41 @@ class SpreadEstimator:
     influenced source behind. In "mc" mode the answer is the mean reach
     over `samples` live-edge worlds drawn once from `stream`, so it
     never grows as the influenced set grows, exactly as in "exact" mode.
-    An "exact" answer comes from the graph's `ExactMemo`, shared with
-    every other exact routine on the graph.
+    Both modes key an answer `(1 << v, influenced)`. An "mc" estimator keeps its own table; an
+    "exact" one keeps none and reads and fills the graph's `ExactMemo.spreads`, shared by every exact routine.
     """
 
     def __init__(self, graph: SocialGraph, *, mode: str = "exact", samples: int = 1000, stream=None):
-        if mode not in ("exact", "mc"):
-            raise ValidationError(f"spread mode must be 'exact' or 'mc', got {mode!r}")
+        EstimatorConfig(mode, samples)  # refuses a bad mode or sample count
         if mode == "mc" and stream is None:
             raise ValidationError("mc spread estimation needs a seed stream")
-        check_samples(samples)
-        self.graph = graph
-        self.mode = mode
-        self.samples = samples
-        self.stream = as_stream(stream) if stream is not None else None
-        self._masks = WorldMasks(graph, sample_worlds(graph, samples, self.stream)) if mode == "mc" else None
-        self._cache: dict[tuple[int, int], float] = {}
+        stream = as_stream(stream) if stream is not None else None
+        masks = WorldMasks(graph, sample_worlds(graph, samples, stream)) if mode == "mc" else None
+        self.__setstate__(dict(graph=graph, mode=mode, samples=samples, stream=stream, _masks=masks, _spreads={}))
+
+    def __setstate__(self, state):  # an exact copy reads the memo of the graph it arrives with
+        self.__dict__.update(state)
+        if self.mode == "exact":
+            self._spreads = exact_memo(self.graph).spreads
 
     def residual_spread(self, influenced, v: int) -> float:
         """Expected cascade of seeding v alone; `influenced` is a node bitmask or a set of nodes."""
+        n = self.graph.node_count
         if not isinstance(influenced, int):
             influenced = set(influenced)
-            check_nodes(influenced, self.graph.node_count, "influenced set")
+            check_nodes(influenced, n, "influenced set")
             influenced = sum(1 << u for u in influenced)
-        key = (influenced, v)
-        if key not in self._cache:
-            n = self.graph.node_count
+        val = self._spreads.get((1 << v, influenced)) if 0 <= v < n else None  # 1 << -1 raises
+        if val is None:
             check_nodes((v,), n, "residual spread")
             if not 0 <= influenced < 1 << n:
                 raise ValidationError(f"influenced mask {influenced} names nodes outside 0..{n - 1}")
             if (influenced >> v) & 1:
                 raise ValidationError(f"node {v} is already influenced")
             if self.mode == "exact":
-                val = exact_memo(self.graph).spread(1 << v, influenced)
-            else:
-                val = masked_reach(self._masks, v, influenced) / self.samples
-            self._cache[key] = val
-        return self._cache[key]
+                return exact_memo(self.graph).spread(1 << v, influenced)
+            val = self._spreads[1 << v, influenced] = masked_reach(self._masks, v, influenced) / self.samples
+        return val
 
 
 class GreedyPolicy:
@@ -451,7 +449,7 @@ class GreedyPolicy:
             elif stamp != influenced:
                 heapq.heapreplace(heap, (-self.estimator.residual_spread(influenced, v), v, influenced))
             else:
-                p = self.instance.model.prob_at_rate(v, d_max)
+                p = belief.accept_chance(self.instance.model.probs, v, top)
                 return SeedDiscountPair(v, d_max) if p * -key > self.branch.greedy_value_from(state) else None
         return None
 
@@ -596,8 +594,7 @@ class BranchConfig:
     def __post_init__(self):
         if self.mode not in ("exhaustive", "rollouts"):
             raise ValidationError(f"branch mode must be 'exhaustive' or 'rollouts', got {self.mode!r}")
-        if self.rollouts < 1:
-            raise ValidationError("rollouts must be at least 1")
+        check_samples(self.rollouts, "rollouts")
 
 
 class BranchEstimator:
@@ -650,6 +647,11 @@ class BranchEstimator:
 class EstimatorConfig:
     mode: str = "exact"
     samples: int = 1000
+
+    def __post_init__(self):
+        if self.mode not in ("exact", "mc"):
+            raise ValidationError(f"spread mode must be 'exact' or 'mc', got {self.mode!r}")
+        check_samples(self.samples)
 
     def build(self, graph: SocialGraph, stream) -> SpreadEstimator:
         return SpreadEstimator(graph, mode=self.mode, samples=self.samples, stream=stream)

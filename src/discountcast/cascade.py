@@ -191,18 +191,18 @@ class ExactMemo:
     v alone reaches when the nodes in the bitmask `blocked` neither
     receive nor relay influence: (reached bitmask, probability, reached
     count) tuples sorted by mask, enumerated with no cap. `spread(seeds,
-    blocked)` is `spread_exact` of the seed bitmask `seeds` with those
-    nodes blocked; a miss calls `spread_exact`, cap included. The two
-    are kept apart, since their sums round differently. The memo refers
-    to its graph weakly, so it goes with the graph by reference counting.
+    blocked)` is `spread_exact` of the seed bitmask `seeds` with those nodes
+    blocked, kept in `spreads[seeds, blocked]`; a miss calls `spread_exact`,
+    cap included. The two are kept apart, since their sums round differently.
+    The memo refers to its graph weakly, so it goes with it by reference counting.
     """
 
-    __slots__ = ("_graph", "_outcomes", "_spreads")
+    __slots__ = ("_graph", "_outcomes", "spreads")
 
     def __init__(self, graph: SocialGraph):
         self._graph = weakref.ref(graph)
         self._outcomes: dict[tuple[int, int], list[tuple[int, float, int]]] = {}
-        self._spreads: dict[tuple[int, int], float] = {}
+        self.spreads: dict[tuple[int, int], float] = {}
 
     def outcomes(self, blocked: int, v: int) -> list[tuple[int, float, int]]:
         key = (blocked, v)
@@ -216,9 +216,9 @@ class ExactMemo:
 
     def spread(self, seeds: int, blocked: int) -> float:
         key = (seeds, blocked)
-        val = self._spreads.get(key)
+        val = self.spreads.get(key)
         if val is None:
-            val = self._spreads[key] = spread_exact(self._graph(), list(_bits(seeds)), blocked=blocked)
+            val = self.spreads[key] = spread_exact(self._graph(), list(_bits(seeds)), blocked=blocked)
         return val
 
 
@@ -361,10 +361,10 @@ def sample_worlds(graph: SocialGraph, samples: int, stream, model: AdoptionModel
     return Worlds(samples, edges, live, accept, np.arange(edges) >> 3, (1 << np.arange(edges) % 8).astype(np.uint8))
 
 
-def check_samples(samples) -> None:
-    """Refuse a sample count that is not a positive int, before anything is drawn."""
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        raise ValidationError(f"samples must be a positive int, got {samples!r} (CLI: --samples)")
+def check_samples(count, what: str = "samples") -> None:
+    """Refuse a count of `what` (its CLI option's name) that is not a positive int, before anything is drawn."""
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise ValidationError(f"{what} must be a positive int, got {count!r} (CLI: --{what})")
 
 
 def spread_mc(graph: SocialGraph, seeds, samples: int, stream) -> float:

@@ -200,6 +200,41 @@ def test_enhanced_and_iterated_differ_after_a_shot():
         assert val == pytest.approx(float.fromhex(want), abs=1e-12), make.__name__
 
 
+def test_shot_is_weighed_by_the_chance_given_rejections():
+    # Node 0 reaches nodes 1-3 for sure. Having rejected rate 1, it takes rate 2
+    # with chance (0.6 - 0.5) / (1 - 0.5) = 0.2, so the shot is worth 0.2 * 4 = 0.8,
+    # less than greedy's continuation; weighed by the unconditional 0.6 it looked
+    # worth 2.4 and enhanced took it.
+    graph = dc.SocialGraph(5, tuple("01234"), tuple(dc.Edge(0, v, 1.0) for v in (1, 2, 3)))
+    rows = ((0.5, 0.6),) + ((0.2, 0.3),) * 4
+    inst = dc.Instance(graph=graph, model=dc.AdoptionModel(menu=dc.DiscountMenu(rates=(1.0, 2.0)), probs=rows))
+    spec = dc.BudgetSpec(budget=2.0, mode="hard")
+    state = dc.initial_state(inst, spec).after_reject(dc.SeedDiscountPair(0, 1.0), 0)
+    greedy, enhanced = (adaptive._expected_influence(make(inst, spec)(as_stream(0)), inst, state)
+                        for make in (dc.GreedyFactory, dc.EnhancedFactory))
+    assert greedy == pytest.approx(1.55256, abs=1e-12)
+    assert enhanced == greedy
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("field,build,message", [
+    ("estimator", lambda: dc.EstimatorConfig(mode="bogus"), "spread mode must be 'exact' or 'mc', got 'bogus'"),
+    ("estimator", lambda: dc.EstimatorConfig(mode="mc", samples=0),
+     "samples must be a positive int, got 0 (CLI: --samples)"),
+    ("branch", lambda: dc.BranchConfig(mode="rollouts", rollouts=2.5), "rollouts must be a positive int, got 2.5"),
+    ("branch", lambda: dc.BranchConfig(mode="rollouts", rollouts=True), "rollouts must be a positive int, got True"),
+    ("branch", lambda: dc.BranchConfig(mode="rollouts", rollouts="3"), "rollouts must be a positive int, got '3'"),
+], ids=["mode", "samples_0", "rollouts_2.5", "rollouts_true", "rollouts_str"])
+def test_bad_policy_configs_are_refused_when_built(fig1, hard2, workers, field, build, message):
+    # Built unchecked, they failed only in the policy factory: at two workers that runs in
+    # each pool worker's initializer, and the caller saw only a broken process pool.
+    if field == "branch":
+        message += " (CLI: --rollouts)"
+    with pytest.raises(dc.ValidationError, match=f"^{re.escape(message)}$"):
+        factory = dc.IteratedFactory(fig1, hard2, **{field: build()})
+        dc.evaluate_policy(factory, fig1, hard2, 2 * adaptive._EVAL_CHUNK, stream=0, workers=workers)
+
+
 def test_enhanced_delegates_when_branch_is_worse(fig1, hard2):
     gv, _ = dc.evaluate_policy(dc.GreedyFactory(fig1, hard2), fig1, hard2, "exhaustive")
     ev, _ = dc.evaluate_policy(dc.EnhancedFactory(fig1, hard2), fig1, hard2, "exhaustive")
@@ -332,10 +367,11 @@ def test_estimator_guards():
 @pytest.mark.parametrize("build", [
     lambda inst, s: dc.SpreadEstimator(inst.graph, mode="mc", samples=s, stream=as_stream(0)),
     lambda inst, s: dc.SpreadEstimator(inst.graph, mode="exact", samples=s),
+    lambda inst, s: dc.EstimatorConfig(mode="mc", samples=s),
     lambda inst, s: dc.MCEvaluator(inst, samples=s, stream=as_stream(0)),
     lambda inst, s: dc.spread_mc(inst.graph, [0], s, as_stream(0)),
     lambda inst, s: dc.f_mc(dc.Configuration.of((0, 1.0)), inst, s, as_stream(0)),
-], ids=["mc_estimator", "exact_estimator", "mc_evaluator", "spread_mc", "f_mc"])
+], ids=["mc_estimator", "exact_estimator", "estimator_config", "mc_evaluator", "spread_mc", "f_mc"])
 def test_sample_counts_are_refused_up_front(fig1, build, samples):
     # at construction, with one message: a zero count would otherwise fail at the first
     # query, and a bool inside numpy
@@ -588,6 +624,52 @@ def test_exact_memo_goes_with_its_instance():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_exact_estimators_keep_no_copy_of_the_memo_spreads(monkeypatch):
+    # Each exact residual spread is stored once, in the graph's memo: the
+    # estimators the factories build read it and keep no table of their own.
+    inst, spec = tiny_instance(200)
+    built, build = [], dc.EstimatorConfig.build
+    monkeypatch.setattr(dc.EstimatorConfig, "build", lambda self, *args: built.append(build(self, *args)) or built[-1])
+    asked, ask = set(), dc.SpreadEstimator.residual_spread
+    monkeypatch.setattr(dc.SpreadEstimator, "residual_spread",
+                        lambda self, influenced, v: asked.add((1 << v, influenced)) or ask(self, influenced, v))
+    dc.optimal_policy_oracle(inst, spec)
+    for factory in (dc.GreedyFactory, dc.EnhancedFactory):
+        dc.evaluate_policy(factory(inst, spec), inst, spec, "exhaustive", stream=0)
+    spreads = cascade.exact_memo(inst.graph).spreads
+    assert len(built) == 2 and asked and asked <= spreads.keys()
+    for est in built:
+        tables = [table for table in vars(est).values() if isinstance(table, dict)]
+        assert len(tables) == 1 and tables[0] is spreads
+
+
+def test_exact_estimators_on_one_graph_share_their_spreads(monkeypatch):
+    inst, _ = tiny_instance(200)
+    n, first = inst.graph.node_count, dc.SpreadEstimator(inst.graph)
+    keys = [(influenced, v) for influenced in range(1 << n) for v in range(n) if not (influenced >> v) & 1]
+    want = [first.residual_spread(*key).hex() for key in keys]
+    calls, spread_exact = [], cascade.spread_exact
+    monkeypatch.setattr(cascade, "spread_exact", lambda *args, **kw: calls.append(args) or spread_exact(*args, **kw))
+    second = dc.SpreadEstimator(inst.graph)
+    assert [second.residual_spread(*key).hex() for key in keys] == want
+    assert calls == []
+    dc.SpreadEstimator(_fresh(inst).graph).residual_spread(*keys[0])
+    assert len(calls) == 1  # the wrapper sees the estimator's misses
+
+
+def test_a_pickled_exact_estimator_reads_its_own_graphs_memo():
+    inst, _ = tiny_instance(200)
+    est = dc.SpreadEstimator(inst.graph)
+    est.residual_spread(0, 0)
+    twin = pickle.loads(pickle.dumps(est))
+    memo = cascade.exact_memo(twin.graph)
+    assert twin.graph is not inst.graph and not memo.spreads
+    assert twin.residual_spread(0, 0) == est.residual_spread(0, 0)
+    twin.residual_spread(0b10, 0)
+    assert set(memo.spreads) == {(1, 0), (1, 0b10)}
+    assert (1, 0b10) not in cascade.exact_memo(inst.graph).spreads
 
 
 def test_iterated_heuristic_runs_clean_on_tiny_instances():
@@ -925,6 +1007,14 @@ def _stopping_and_draining(kind, inst, spec, mode, stream):
             DrainingGreedy(inst, ests[1], branches[1], iterate=iterate))
 
 
+def _asked(est) -> set:
+    """The (influenced, v) keys `est` is asked for from now on, by any policy
+    holding it. Exact estimators share one memo, so their tables tell nothing apart."""
+    keys, ask = set(), est.residual_spread
+    est.residual_spread = lambda influenced, v: keys.add((influenced, v)) or ask(influenced, v)
+    return keys
+
+
 @pytest.mark.parametrize("mode", ["exact", "mc"])
 @pytest.mark.parametrize("kind", ["greedy", "enhanced", "iterated", "shots"])
 def test_greedy_scan_stops_once_nothing_fits(mode, kind):
@@ -940,6 +1030,7 @@ def test_greedy_scan_stops_once_nothing_fits(mode, kind):
     for i, (inst, budget) in enumerate(cases):
         spec = dc.BudgetSpec(budget=budget, mode="hard")
         policy, draining = _stopping_and_draining(kind, inst, spec, mode, i)
+        asked = [_asked(p.estimator) for p in (policy, draining)]
         for t in range(16):
             real = dc.sample_realization(inst, child(as_stream(100 + i), t))
             want = dc.run_policy(draining, inst, spec, real)
@@ -949,7 +1040,7 @@ def test_greedy_scan_stops_once_nothing_fits(mode, kind):
             ends.add("spent" if left == 0 else "change" if left < 0.5 else "top" if left < 1.0 else "open")
             stopped += left < 0.5 and bool(policy._ratios)
         # the stop re-scores nothing the drained scan did not
-        assert policy.estimator._cache == draining.estimator._cache
+        assert asked[0] == asked[1]
     assert {"spent", "change", "top"} <= ends
     assert stopped > 0
 
