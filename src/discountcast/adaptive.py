@@ -23,8 +23,8 @@ probability, instead of replaying it against every joint realization.
 The oracle, exhaustive evaluation, the exhaustive branch estimate and
 exact residual spreads all read one memo per graph (`cascade.ExactMemo`):
 its cascade outcomes and its spreads, the one store of exact residual
-spreads. Only replay against one realization (`run_policy`), used for
-sampled evaluation, records which edges each probe revealed.
+spreads. Only replay against one realization (`run_policy`) records
+which edges each probe revealed.
 
 The greedy scan is lazy (the accelerated greedy of Golovin and Krause,
 2011). A residual spread never grows as the influenced set grows, so a
@@ -41,11 +41,10 @@ every estimate and draw is keyed by state, so reuse changes no value.
 
 The realizations consistent with a belief are its conditional support
 (`_ConditionalSupport`), built once per belief: the exhaustive cap
-counts them, enumeration walks them and every draw reads them. A
-rollout branch estimate draws all its rollouts from one support, and
-all sampled trials start from one prior, so they share its support
-and the policy's first steps: `GreedyPolicy` memoizes its first
-`MEMO_DEPTH` probes by belief for the one root it last began from.
+counts them, enumeration walks them and every draw reads them. Sampled
+trials and rollout branch estimates run a policy against many drawn
+realizations, and `_walk_trials` runs them as one decision tree:
+trials that reach one belief share its probe, and split on its answer.
 """
 from __future__ import annotations
 
@@ -80,7 +79,7 @@ from .nonadaptive import BudgetLedger, BudgetSpec
 from .rng import as_stream, child, generator
 
 _EVAL_CHUNK = 64
-MEMO_DEPTH = 3  # probes per run that `GreedyPolicy` memoizes by belief
+_WALK_ENTRIES = 1 << 19  # realization entries (nodes + edges each) one `_walk_trials` tree holds
 MAX_OUTCOMES = 200_000  # joint realizations an exhaustive pass may enumerate
 ORACLE_MAX_NODES, ORACLE_MAX_EDGES, ORACLE_MAX_RATES = 5, 6, 2
 
@@ -286,6 +285,48 @@ def _expected_influence(policy, instance: Instance, state: PolicyState) -> float
     return total
 
 
+def _walk_trials(policy, instance: Instance, state: PolicyState, realizations) -> list[int]:
+    """Final cascade size of running `policy` from `state` against each realization, in input order.
+
+    The runs form one decision tree, walked as `_expected_influence` walks
+    it: a node asks for a probe once, checks it once and splits its trials
+    into one reject group and one group per set an accept newly influences.
+    Accept branches run on policy copies, the reject branch on the policy.
+    Realizations are walked in groups of at most `_WALK_ENTRIES` entries
+    (the nodes and edges of each), one tree per group.
+    """
+    graph = instance.graph
+    dup = getattr(type(policy), "__copy__", copy.copy)
+    per_group = max(1, _WALK_ENTRIES // (graph.node_count + len(graph.src)))
+    realizations, sizes = iter(realizations), []
+    while group := list(itertools.islice(realizations, per_group)):
+        out = [0] * len(group)
+        policy.begin(state)
+        stack = [(range(len(group)), policy, state)]
+        while stack:
+            trials, pol, st = stack.pop()
+            pair = pol.next_probe(st)
+            if pair is None:
+                for t in trials:
+                    out[t] = st.belief.influenced.bit_count()
+                continue
+            rate_idx = _check_probe(instance, st, pair)
+            v, influenced = pair.node, st.belief.influenced
+            rejects, accepts = [], {}
+            for t in trials:
+                real = group[t]
+                if real.seeding.accepts(v, rate_idx):
+                    newly, _ = reveal_cascade(graph, real.diffusion, influenced, v)
+                    accepts.setdefault(sum(1 << u for u in newly), []).append(t)
+                else:
+                    rejects.append(t)
+            stack.extend((ts, dup(pol), st.after_accept(pair, addmask)) for addmask, ts in accepts.items())
+            if rejects:
+                stack.append((rejects, pol, st.after_reject(pair, rate_idx)))
+        sizes += out
+    return sizes
+
+
 class SpreadEstimator:
     """Expected residual cascade of a single node, cached per influenced set.
 
@@ -346,22 +387,15 @@ class GreedyPolicy:
 
     Both scans are lazy. The per-run heaps hold `(-spread / rate, node,
     rate index, stamp)` and `(-spread, node, stamp)`, `stamp` being the
-    influenced set the key was scored at (None before any scoring). A
-    stale top is re-scored and pushed back; a fresh top is the best
-    offer, ties going to the lowest node, then the lowest rate, as an
-    eager scan would pick. A copy of the policy, one per branch of an
-    exhaustive evaluation, copies the heaps.
+    influenced set the key was scored at. A stale top is re-scored and
+    pushed back; a fresh top is the best offer, ties going to the lowest
+    node, then the lowest rate, as an eager scan would pick. A copy of
+    the policy, one per branch of a decision tree, copies the heaps.
 
-    Runs that begin from one root, `(belief, ledger.denom)`, share work.
-    `begin` reuses the root heaps it built for that root, and the first
-    `MEMO_DEPTH` probes of each run are memoized by (phase, belief):
-    the pair, the phase after the step and the heaps after it. A lazy
-    pick depends on the belief alone, since every stale key bounds its
-    current value, so any run reaching that belief may resume from the
-    stored heaps; a probed pair is closed afterwards, so a lazy pop
-    drops it. The memo thus holds at most the beliefs within
-    `MEMO_DEPTH` probes of one root, and a `begin` from another root
-    empties it. Copies share the memo but keep their own depth.
+    `begin` builds the heaps scored at the run's root, `(belief,
+    ledger.denom)`, and reuses them for every run from the root it last
+    began from. Sampled evaluation and rollouts walk their runs as one
+    tree (`_walk_trials`), so runs that reach one belief share its probe.
     """
 
     def __init__(self, instance: Instance, estimator: SpreadEstimator,
@@ -370,7 +404,7 @@ class GreedyPolicy:
         self.estimator = estimator
         self.branch = branch
         self.iterate = iterate
-        self._root = None  # set, with the memo, by `begin`
+        self._root = None  # the (belief, ledger denominator) `begin` scored the root heaps at
 
     def __copy__(self) -> "GreedyPolicy":
         twin = object.__new__(type(self))
@@ -380,37 +414,32 @@ class GreedyPolicy:
 
     def begin(self, state: PolicyState) -> None:
         root = (state.belief, state.ledger.denom)
-        if root != self._root:
-            belief, m = state.belief, len(self.instance.menu)
-            # The open offers and nodes in sorted order: with equal first keys, heaps already.
-            nodes = [v for v in range(len(belief.floors)) if belief.is_open(v, m - 1)]
-            self._root, self._memo = root, {}
-            self._root_heaps = (tuple((-math.inf, v, i, None) for v in nodes for i in range(m)
-                                      if belief.is_open(v, i)),
-                                tuple((-math.inf, v, None) for v in nodes) if self.branch is not None else ())
-        self._phase = "greedy" if self.branch is None else "shot"
-        self._depth = 0
         self._cheapest = min(state.ledger.rate_units.values())
+        if root != self._root:
+            self._root, self._root_heaps = root, self._scored_heaps(state)
+        self._phase = "greedy" if self.branch is None else "shot"
         self._ratios, self._spreads = map(list, self._root_heaps)
 
+    def _scored_heaps(self, state: PolicyState) -> tuple[tuple, tuple]:
+        """Both heaps as the lazy scans at `state` leave them once every entry is
+        scored: the affordable open offers and, if the top rate is affordable,
+        the nodes open at it. They ask no spread a run from `state` would not:
+        with the shot heap filled, it holds every node the ratio heap scores."""
+        belief, rates, units = state.belief, self.instance.menu.rates, state.ledger.rate_units
+        influenced, top, spread = belief.influenced, len(rates) - 1, self.estimator.residual_spread
+        ratios = [(-(spread(influenced, v) / r), v, i, influenced) for v in range(len(belief.floors))
+                  for i, r in enumerate(rates) if belief.is_open(v, i) and units[r] <= belief.budget]
+        shot = self.branch is not None and units[rates[top]] <= belief.budget
+        spreads = [(-spread(influenced, v), v, influenced) for v in range(len(belief.floors))
+                   if shot and belief.is_open(v, top)]
+        heapq.heapify(ratios)
+        heapq.heapify(spreads)
+        return tuple(ratios), tuple(spreads)
+
     def next_probe(self, state: PolicyState) -> SeedDiscountPair | None:
+        """One probe of the lazy scans, advancing the phase."""
         if self._phase == "done":
             return None
-        if self._depth >= MEMO_DEPTH:
-            return self._step(state)
-        self._depth += 1
-        key = (self._phase, state.belief)
-        hit = self._memo.get(key)
-        if hit is None:
-            pair = self._step(state)
-            self._memo[key] = (pair, self._phase, tuple(self._ratios), tuple(self._spreads))
-            return pair
-        pair, self._phase, ratios, spreads = hit
-        self._ratios, self._spreads = list(ratios), list(spreads)
-        return pair
-
-    def _step(self, state: PolicyState) -> SeedDiscountPair | None:
-        """One probe of the lazy scans, advancing the phase."""
         if self._phase == "shot":
             shot = self._top_rate_shot(state)
             if shot is not None:
@@ -634,11 +663,9 @@ class BranchEstimator:
             # The budget left enters reduced, so the key names the amount, not the ledger's units.
             g = math.gcd(belief.budget, state.ledger.denom)
             root = child(self.stream, belief.influenced, floors_code, belief.budget // g, state.ledger.denom // g)
-            total = 0
-            for r in range(self.config.rollouts):
-                record = _execute(self._greedy, self.instance, state, support.draw(generator(root, r)))
-                total += record.cascade_size - base
-            val = total / self.config.rollouts
+            rollouts = self.config.rollouts
+            draws = (support.draw(generator(root, r)) for r in range(rollouts))
+            val = sum(size - base for size in _walk_trials(self._greedy, self.instance, state, draws)) / rollouts
         self._memo[key] = val
         return val
 
@@ -699,7 +726,8 @@ class IteratedFactory:
 def _run_trials(policy, prior: _ConditionalSupport, instance: Instance, spec: BudgetSpec, root,
                 lo: int, hi: int) -> list[int]:
     """Cascade sizes of `policy` over trials lo..hi-1, each against its own keyed draw from `prior`."""
-    return [run_policy(policy, instance, spec, prior.draw(generator(root, 2, t))).cascade_size for t in range(lo, hi)]
+    draws = (prior.draw(generator(root, 2, t)) for t in range(lo, hi))
+    return _walk_trials(policy, instance, initial_state(instance, spec), draws)
 
 
 # A pool worker's policy, prior and inputs, set once per process by `_start_worker`.
@@ -728,9 +756,14 @@ def evaluate_policy(policy_factory, instance: Instance, spec: BudgetSpec, trials
     totals, so the result is identical for any worker count. The
     prior's conditional support is built once and every trial draws
     from it. Each process builds the policy once (a pool worker in its
-    initializer, which also receives the support) and runs all its
-    trials with it; chunks of trials carry only their bounds.
+    initializer, which also receives the support) and walks its trials
+    (all of them serially, one chunk at a time in a worker) as one
+    decision tree (`_walk_trials`), running each accept branch on a copy
+    of the policy as exhaustive evaluation does: `copy.copy`, unless the
+    policy's class defines `__copy__`. Chunks of trials carry only their
+    bounds. `workers` must be a positive int.
     """
+    check_samples(workers, "workers")
     if trials == "exhaustive":
         state = initial_state(instance, spec)
         _ConditionalSupport(instance, state.belief).check(
@@ -761,6 +794,8 @@ def optimal_policy_oracle(instance: Instance, spec: BudgetSpec) -> float:
     each belief into one int, `budget << (n + w * n) | floors << n |
     influenced`: node v's floor + 1 takes the w = `len(menu).bit_length()`
     bits at n + w * v. Cascade outcomes come from the graph's `ExactMemo`.
+    An accept that leaves less than the cheapest rate is valued on the
+    spot, at its outcomes' sizes, and its states are never memoized.
     """
     graph, model, menu = instance.graph, instance.model, instance.menu
     n, m = graph.node_count, len(menu)
@@ -820,13 +855,17 @@ def _optimal_value(key: int, rates: list[int], nodes: _OpenNodes, memo: dict[int
             if q <= 0.0:
                 continue
             acc = 0.0
-            spent = key - (rate << top)
-            for added, p, size, keep in outcomes:
-                after = (spent | added) & keep
-                val = memo.get(after)
-                if val is None:
-                    val = _optimal_value(after, rates, nodes, memo)
-                acc += p * (size + val)
+            if rate + rates[0] > budget:  # rates[0] is the cheapest: nothing fits after the accept
+                for _, p, size, _ in outcomes:
+                    acc += p * size
+            else:
+                spent = key - (rate << top)
+                for added, p, size, keep in outcomes:
+                    after = (spent | added) & keep
+                    val = memo.get(after)
+                    if val is None:
+                        val = _optimal_value(after, rates, nodes, memo)
+                    acc += p * (size + val)
             if q >= 1.0:
                 cand = acc
             else:

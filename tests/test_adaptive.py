@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import discountcast as dc
 from discountcast import adaptive, cascade
-from discountcast.adaptive import MEMO_DEPTH, _ConditionalSupport, _execute, _run_trials
+from discountcast.adaptive import _ConditionalSupport, _execute, _run_trials, _walk_trials
 from discountcast.cascade import ExactMemo
 from discountcast.nonadaptive import BudgetLedger
 from discountcast.rng import as_stream, child, generator
@@ -490,7 +490,11 @@ def test_oracle_at_its_caps_is_pinned(budget, value, monkeypatch):
     beliefs = {}
     assert _reference_oracle(inst, spec, beliefs).hex() == value
     # Packing is one to one on the beliefs reached: one int per `BeliefState`.
-    assert len(memos[0]) == len(beliefs) > 1000
+    # A state no rate fits is valued where it is reached, not memoized.
+    cheapest = BudgetLedger(inst.menu, spec).rate_units[inst.menu.rates[0]]
+    fits = [belief for belief in beliefs if belief.budget >= cheapest]
+    assert len(memos[0]) == len(fits) < len(beliefs)
+    assert len(fits) > 1000
 
 
 def test_oracle_recurses_once_per_belief(monkeypatch):
@@ -967,7 +971,9 @@ class DrainingGreedy(dc.GreedyPolicy):
     """The greedy scan without its early stop: a run whose budget nothing fits
     pops every remaining heap entry before it returns None."""
 
-    def _step(self, state):
+    def next_probe(self, state):
+        if self._phase == "done":
+            return None
         if self._phase == "shot":
             shot = self._top_rate_shot(state)
             if shot is not None:
@@ -989,22 +995,33 @@ class DrainingGreedy(dc.GreedyPolicy):
         return None
 
 
-def _stopping_and_draining(kind, inst, spec, mode, stream):
-    """The policy of `kind` and its draining twin, each with its own estimator drawn
-    from `stream`; a branch estimator's greedy continuation drains in the twin."""
+class UnscoredRoot(dc.GreedyPolicy):
+    """Greedy from unscored root heaps, every key -inf and unstamped, so that
+    the lazy scans score the root entries themselves."""
+
+    def _scored_heaps(self, state):
+        belief, m = state.belief, len(self.instance.menu)
+        nodes = [v for v in range(len(belief.floors)) if belief.is_open(v, m - 1)]
+        return (tuple((-math.inf, v, i, None) for v in nodes for i in range(m) if belief.is_open(v, i)),
+                tuple((-math.inf, v, None) for v in nodes) if self.branch is not None else ())
+
+
+def _policy_and_twin(twin, kind, inst, spec, mode, stream):
+    """The policy of `kind` and its twin of class `twin`, each with its own estimator
+    drawn from `stream`; a branch estimator's greedy continuation is a `twin` too."""
     ests = [dc.SpreadEstimator(inst.graph, mode=mode, samples=40, stream=as_stream(stream)) for _ in range(2)]
     if kind == "greedy":
-        return dc.GreedyPolicy(inst, ests[0]), DrainingGreedy(inst, ests[1])
+        return dc.GreedyPolicy(inst, ests[0]), twin(inst, ests[1])
     if kind == "shots":
         return (dc.GreedyPolicy(inst, ests[0], _AlwaysShoot(), iterate=True),
-                DrainingGreedy(inst, ests[1], _AlwaysShoot(), iterate=True))
+                twin(inst, ests[1], _AlwaysShoot(), iterate=True))
     small = _ConditionalSupport(inst, dc.initial_state(inst, spec).belief).count <= 5000
     config = dc.BranchConfig(mode="exhaustive" if small else "rollouts", rollouts=3)
     branches = [dc.BranchEstimator(inst, est, config, stream=as_stream(4)) for est in ests]
-    branches[1]._greedy = DrainingGreedy(inst, ests[1])
+    branches[1]._greedy = twin(inst, ests[1])
     iterate = kind == "iterated"
     return (dc.GreedyPolicy(inst, ests[0], branches[0], iterate=iterate),
-            DrainingGreedy(inst, ests[1], branches[1], iterate=iterate))
+            twin(inst, ests[1], branches[1], iterate=iterate))
 
 
 def _asked(est) -> set:
@@ -1020,8 +1037,8 @@ def _asked(est) -> set:
 def test_greedy_scan_stops_once_nothing_fits(mode, kind):
     # Menu (0.5, 1.0): budgets of 1.5 and 2 end exactly spent or with exactly the
     # cheap rate left, and 1.75 and 2.25 with change below the cheap rate or with
-    # only the top rate out of reach. The 16-node case runs past the step memo
-    # and, for enhanced and iterated, on rollouts.
+    # only the top rate out of reach. The 16-node case runs deep and, for
+    # enhanced and iterated, on rollouts.
     cases = [(dc.random_instance(n, 1.2 / (n - 1), seed, rates=(0.5, 1.0), prob_range=(0.3, 0.9),
                                  accept_range=(0.1, 1.0)), budget)
              for n, seed in ((4, 1), (5, 2)) for budget in (1.5, 1.75, 2.0, 2.25)]
@@ -1029,7 +1046,7 @@ def test_greedy_scan_stops_once_nothing_fits(mode, kind):
     ends, stopped = set(), 0
     for i, (inst, budget) in enumerate(cases):
         spec = dc.BudgetSpec(budget=budget, mode="hard")
-        policy, draining = _stopping_and_draining(kind, inst, spec, mode, i)
+        policy, draining = _policy_and_twin(DrainingGreedy, kind, inst, spec, mode, i)
         asked = [_asked(p.estimator) for p in (policy, draining)]
         for t in range(16):
             real = dc.sample_realization(inst, child(as_stream(100 + i), t))
@@ -1045,7 +1062,35 @@ def test_greedy_scan_stops_once_nothing_fits(mode, kind):
     assert stopped > 0
 
 
-def _memo_kinds(inst, mode):
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("kind", ["greedy", "enhanced", "iterated", "shots"])
+def test_scored_root_heaps_ask_only_what_the_lazy_scans_ask(mode, kind):
+    # Runs from the root and from a state in which node 0 has rejected the
+    # cheap rate. At budget 0.75 the top rate is out of reach there, so node
+    # 0 is never scored and no shot is weighed; at 3.25 shots are. Where
+    # shots are taken, the lazy ratio heap is first scanned deeper, scoring
+    # every entry there, and the scored root heap re-scores only stale tops.
+    inst = dc.random_instance(16, 0.8 / 15, 40, rates=(0.5, 1.0), prob_range=(0.3, 0.9))
+    compared = fewer = 0
+    for i, budget in enumerate((0.75, 1.5, 3.25)):
+        spec = dc.BudgetSpec(budget=budget, mode="hard")
+        root = dc.initial_state(inst, spec)
+        for state in (root, root.after_reject(dc.SeedDiscountPair(0, 0.5), 0)):
+            policy, lazy = _policy_and_twin(UnscoredRoot, kind, inst, spec, mode, i)
+            asked = [_asked(p.estimator) for p in (policy, lazy)]
+            for t in range(8):
+                real = dc.sample_realization(inst, child(as_stream(100 + i), t))
+                want = _execute(lazy, inst, state, real)
+                assert _execute(policy, inst, state, real) == want, f"budget {budget} realization {t}"
+                compared += len(want.probes)
+            assert asked[0] <= asked[1]
+            fewer += asked[0] != asked[1]
+    assert compared > 50
+    if kind == "greedy":  # its lazy scan scores the root first too, so both ask alike
+        assert fewer == 0
+
+
+def _policy_kinds(inst, mode):
     """Policy builders by kind, each a function of a stream (a factory reads
     no budget); "shots" is iterated with a branch estimate every shot beats."""
     est = dc.EstimatorConfig(mode=mode, samples=40)
@@ -1067,27 +1112,28 @@ def _reused_and_fresh(make, inst, specs, trials):
         spec, real = specs[t % len(specs)], dc.sample_realization(inst, child(as_stream(7), t))
         got.append(dc.run_policy(reused, inst, spec, real))
         want.append(dc.run_policy(make(as_stream(3)), inst, spec, real))
-    return reused, got, want
+    return got, want
+
+
+def _deep_and_shot_cases():
+    """(instance, spec) pairs with runs deep into the tree on the first; enhanced
+    and iterated take a top-rate shot on the other two, and on the last a
+    rejected shot leaves budget that only iterated goes on to spend."""
+    return [(dc.random_instance(16, 0.8 / 15, 40, rates=(0.5, 1.0), prob_range=(0.3, 0.9)),
+             dc.BudgetSpec(budget=3.2, mode="hard")),
+            (dc.worstcase_instance(10), dc.BudgetSpec(budget=1.0, mode="hard")),
+            (dc.random_instance(4, 0.5, 9, rates=(0.5, 1.0), prob_range=(0.3, 0.9), accept_range=(0.2, 1.0)),
+             dc.BudgetSpec(budget=1.2, mode="hard"))]
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])
 @pytest.mark.parametrize("kind", ["greedy", "enhanced", "iterated", "shots"])
 def test_memoized_steps_give_the_trajectories_of_fresh_policies(mode, kind):
-    # Runs deeper than the memo on the first instance; enhanced and
-    # iterated take a top-rate shot on the other two, and on the last a
-    # rejected shot leaves budget that only iterated goes on to spend.
-    cases = [(dc.random_instance(16, 0.8 / 15, 40, rates=(0.5, 1.0), prob_range=(0.3, 0.9)),
-              dc.BudgetSpec(budget=3.2, mode="hard")),
-             (dc.worstcase_instance(10), dc.BudgetSpec(budget=1.0, mode="hard")),
-             (dc.random_instance(4, 0.5, 9, rates=(0.5, 1.0), prob_range=(0.3, 0.9), accept_range=(0.2, 1.0)),
-              dc.BudgetSpec(budget=1.2, mode="hard"))]
-    deepest = 0
-    for inst, spec in cases:
-        policy, got, want = _reused_and_fresh(_memo_kinds(inst, mode)[kind], inst, [spec], 64)
+    # A policy reused across runs, with its root heaps and estimate caches,
+    # runs each as a fresh one would.
+    for inst, spec in _deep_and_shot_cases():
+        got, want = _reused_and_fresh(_policy_kinds(inst, mode)[kind], inst, [spec], 64)
         assert got == want
-        assert policy._memo
-        deepest = max(deepest, *(len(rec.probes) for rec in want))
-    assert deepest > MEMO_DEPTH
 
 
 @pytest.mark.parametrize("kind", ["greedy", "enhanced", "iterated", "shots"])
@@ -1106,9 +1152,10 @@ def test_memo_root_tells_ledgers_apart(kind):
         specs = [dc.BudgetSpec(budget=b, mode="hard") for b in budgets]
         roots = [dc.initial_state(inst, spec) for spec in specs]
         assert roots[0].belief == roots[1].belief and roots[0].ledger.denom != roots[1].ledger.denom
-        _policy, got, want = _reused_and_fresh(_memo_kinds(inst, "mc")[kind], inst, specs, 64)
-        assert got == want
-        assert {rec.cascade_size for rec in want[0::2]} != {rec.cascade_size for rec in want[1::2]}
+        for order in (specs, specs[::-1]):  # either budget builds the root heaps first
+            got, want = _reused_and_fresh(_policy_kinds(inst, "mc")[kind], inst, order, 64)
+            assert got == want
+            assert {rec.cascade_size for rec in want[0::2]} != {rec.cascade_size for rec in want[1::2]}
 
 
 def _scalar_draw(instance, given, gen):
@@ -1164,48 +1211,98 @@ def test_sampled_trials_draw_what_per_trial_draws_give():
     assert _run_trials(factory(child(root, 1)), _ConditionalSupport(inst, prior), inst, spec, root, 0, 64) == want
 
 
-def _keeping(factory, built):
-    """`factory`, keeping each policy it builds in `built`."""
-    def build(stream):
-        built.append(factory(stream))
-        return built[-1]
-    return build
+def _lone_sizes(make, inst, state, reals):
+    """The reference: each realization run alone by `_execute`, on a fresh policy."""
+    return [_execute(make(as_stream(3)), inst, state, real).cascade_size for real in reals]
 
 
-def test_policy_memo_holds_only_the_first_steps_from_one_root(fig1, hard2, monkeypatch):
-    inst = dc.random_instance(60, 3 / 59, 7, rates=(0.1, 0.5))
-    spec = dc.BudgetSpec(budget=0.6, mode="hard")
-    factory = dc.IteratedFactory(inst, spec, dc.EstimatorConfig(mode="mc", samples=200),
-                                 dc.BranchConfig(mode="rollouts", rollouts=10))
-    built = []
-    dc.evaluate_policy(_keeping(factory, built), inst, spec, 256, stream=0)
-    policy, root_state = built[0], dc.initial_state(inst, spec)
-    assert policy._root == (root_state.belief, root_state.ledger.denom)
-    # The beliefs each run's first MEMO_DEPTH steps start from; a run that
-    # stops sooner ends with a step that returns None.
-    root, prior = as_stream(0), dc.BeliefState.initial(inst.graph.node_count, 0)
-    replay, seen = factory(child(root, 1)), set()
-    for t in range(256):
-        real = dc.sample_conditional_realization(inst, prior, generator(root, 2, t))
-        states = [root_state]
-        for rec in dc.run_policy(replay, inst, spec, real).probes[:MEMO_DEPTH - 1]:
-            states.append(states[-1].after_accept(rec.pair, sum(1 << u for u in rec.newly_influenced)) if rec.accepted
-                          else states[-1].after_reject(rec.pair, inst.menu.index_of(rec.pair.rate)))
-        seen.update(state.belief for state in states)
-    assert {belief for _phase, belief in policy._memo} == seen
-    assert len(policy._memo) <= 2 * len(seen) < 256  # one entry per phase, "shot" or "greedy"
-    other = root_state.after_reject(dc.SeedDiscountPair(0, 0.1), 0)
-    policy.begin(other)
-    assert policy._memo == {}
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("kind", ["greedy", "enhanced", "iterated", "shots"])
+def test_walked_trials_give_the_sizes_of_lone_runs(mode, kind):
+    splits = 0
+    for inst, spec in _deep_and_shot_cases():
+        make = _policy_kinds(inst, mode)[kind]
+        reals = [dc.sample_realization(inst, child(as_stream(7), t)) for t in range(48)]
+        root = dc.initial_state(inst, spec)
+        # from the root, and from a state a rejection of the first probe leads to
+        first = _execute(make(as_stream(3)), inst, root, reals[0]).probes[0].pair
+        later = root.after_reject(first, inst.menu.index_of(first.rate))
+        for state in (root, later):
+            sizes = _lone_sizes(make, inst, state, reals)
+            assert _walk_trials(make(as_stream(3)), inst, state, iter(reals)) == sizes
+            splits += len(set(sizes)) > 1
+    assert splits >= 2
 
-    twins = []
-    copy_policy = dc.GreedyPolicy.__copy__
 
-    def spy(self):
-        twins.append(copy_policy(self))
-        return twins[-1]
+def test_walk_groups_of_one_and_groups_that_all_answer_alike(fig1, hard2):
+    # Copies of one realization walk one path: at each node every trial
+    # accepts or every trial rejects. Here a rejects, then c accepts.
+    real = dc.fig2_realization(fig1)
+    make, state = dc.GreedyFactory(fig1, hard2), dc.initial_state(fig1, hard2)
+    record = _execute(make(as_stream(0)), fig1, state, real)
+    assert {rec.accepted for rec in record.probes} == {True, False}
+    for copies in (1, 5):
+        assert _walk_trials(make(as_stream(0)), fig1, state, [real] * copies) == [record.cascade_size] * copies
+    assert _walk_trials(make(as_stream(0)), fig1, state, []) == []
 
-    monkeypatch.setattr(dc.GreedyPolicy, "__copy__", spy)
-    walked = []
-    dc.evaluate_policy(_keeping(dc.GreedyFactory(fig1, hard2), walked), fig1, hard2, "exhaustive")
-    assert twins and walked[0]._memo and all(twin._memo is walked[0]._memo for twin in twins)
+
+@pytest.mark.parametrize("per_group", [1, 3, 17])
+def test_walk_groups_split_by_the_entry_bound(per_group, monkeypatch):
+    # A group holds at most `_WALK_ENTRIES` realization entries (nodes +
+    # edges each); a bound below one realization walks them one at a time.
+    inst, spec = _deep_and_shot_cases()[0]
+    make = _policy_kinds(inst, "mc")["iterated"]
+    reals = [dc.sample_realization(inst, child(as_stream(7), t)) for t in range(32)]
+    state = dc.initial_state(inst, spec)
+    want = _lone_sizes(make, inst, state, reals)
+    assert len(set(want)) > 1
+    policy, begins = make(as_stream(3)), []
+    begin = policy.begin
+    policy.begin = lambda st: begins.append(st) or begin(st)
+    entries = inst.graph.node_count + len(inst.graph.src)
+    monkeypatch.setattr(adaptive, "_WALK_ENTRIES", (per_group + 1) * entries - 1 if per_group > 1 else 1)
+    assert _walk_trials(policy, inst, state, iter(reals)) == want
+    assert len(begins) == -(-len(reals) // per_group)  # one tree per group
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_rollout_estimates_equal_lone_rollouts(mode):
+    inst, spec = _deep_and_shot_cases()[0]
+    est = dc.SpreadEstimator(inst.graph, mode=mode, samples=40, stream=as_stream(2))
+    config = dc.BranchConfig(mode="rollouts", rollouts=24)
+    branch = dc.BranchEstimator(inst, est, config, stream=as_stream(4))
+    root = dc.initial_state(inst, spec)
+    first = _execute(dc.GreedyPolicy(inst, est), inst, root, dc.sample_realization(inst, as_stream(1)))
+    pair = first.probes[0].pair
+    states = [root, root.after_reject(pair, inst.menu.index_of(pair.rate)),
+              root.after_accept(pair, sum(1 << u for u in first.probes[0].newly_influenced))]
+    m, greedy, spread = len(inst.menu), dc.GreedyPolicy(inst, est), []
+    for state in states:
+        belief, denom = state.belief, state.ledger.denom
+        # the rollout keying, as `BranchEstimator.greedy_value_from` documents it
+        floors_code = sum((fl + 1) * (m + 1) ** v for v, fl in enumerate(belief.floors))
+        g = math.gcd(belief.budget, denom)
+        keyed = child(as_stream(4), belief.influenced, floors_code, belief.budget // g, denom // g)
+        support, base = _ConditionalSupport(inst, belief), belief.influenced.bit_count()
+        sizes = [_execute(greedy, inst, state, support.draw(generator(keyed, r))).cascade_size - base
+                 for r in range(config.rollouts)]
+        assert branch.greedy_value_from(state) == sum(sizes) / config.rollouts
+        spread.append(len(set(sizes)) > 1)
+    assert all(spread)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("probes", [[(0, 1.0), (0, 1.0)], [(0, 1.0), (1, 1.0)]], ids=["every_run", "some_runs"])
+def test_sampled_evaluation_enforces_the_probe_contract(probes, workers, fig1, hard2):
+    # a is spent after either answer; b is influenced only where a accepts and a->b is live
+    with pytest.raises(dc.PolicyContractError, match="not available"):
+        dc.evaluate_policy(_script_factory(*probes), fig1, hard2, 2 * adaptive._EVAL_CHUNK, stream=0, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2"])
+def test_evaluate_policy_refuses_a_bad_worker_count(workers, fig1, hard2):
+    factory = dc.GreedyFactory(fig1, hard2)
+    message = f"workers must be a positive int, got {workers!r} (CLI: --workers)"
+    for trials in (256, "exhaustive"):
+        with pytest.raises(dc.ValidationError, match=f"^{re.escape(message)}$"):
+            dc.evaluate_policy(factory, fig1, hard2, trials, stream=0, workers=workers)
