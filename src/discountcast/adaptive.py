@@ -22,9 +22,9 @@ decision tree over states once, weighting each branch by its
 probability, instead of replaying it against every joint realization.
 The oracle, exhaustive evaluation, the exhaustive branch estimate and
 exact residual spreads all read one memo per graph (`cascade.ExactMemo`):
-its cascade outcomes and its spreads, the one store of exact residual
-spreads. Only replay against one realization (`run_policy`) records
-which edges each probe revealed.
+its cascade outcomes and its spreads, which an exact estimator asks for
+and keeps no copy of. Only replay against one realization (`run_policy`)
+records which edges each probe revealed.
 
 The greedy scan is lazy (the accelerated greedy of Golovin and Krause,
 2011). A residual spread never grows as the influenced set grows, so a
@@ -337,22 +337,20 @@ class SpreadEstimator:
     influenced source behind. In "mc" mode the answer is the mean reach
     over `samples` live-edge worlds drawn once from `stream`, so it
     never grows as the influenced set grows, exactly as in "exact" mode.
-    Both modes key an answer `(1 << v, influenced)`. An "mc" estimator keeps its own table; an
-    "exact" one keeps none and reads and fills the graph's `ExactMemo.spreads`, shared by every exact routine.
+    An "mc" estimator keeps its answers, keyed `(v, influenced)`; an "exact"
+    one keeps none and asks the graph's `ExactMemo`, shared by every exact routine.
     """
 
     def __init__(self, graph: SocialGraph, *, mode: str = "exact", samples: int = 1000, stream=None):
         EstimatorConfig(mode, samples)  # refuses a bad mode or sample count
         if mode == "mc" and stream is None:
             raise ValidationError("mc spread estimation needs a seed stream")
-        stream = as_stream(stream) if stream is not None else None
-        masks = WorldMasks(graph, sample_worlds(graph, samples, stream)) if mode == "mc" else None
-        self.__setstate__(dict(graph=graph, mode=mode, samples=samples, stream=stream, _masks=masks, _spreads={}))
-
-    def __setstate__(self, state):  # an exact copy reads the memo of the graph it arrives with
-        self.__dict__.update(state)
-        if self.mode == "exact":
-            self._spreads = exact_memo(self.graph).spreads
+        self.graph = graph
+        self.mode = mode
+        self.samples = samples
+        self.stream = as_stream(stream) if stream is not None else None
+        self._masks = WorldMasks(graph, sample_worlds(graph, samples, self.stream)) if mode == "mc" else None
+        self._spreads: dict[tuple[int, int], float] = {}  # mc answers; an exact estimator's stays empty
 
     def residual_spread(self, influenced, v: int) -> float:
         """Expected cascade of seeding v alone; `influenced` is a node bitmask or a set of nodes."""
@@ -361,7 +359,7 @@ class SpreadEstimator:
             influenced = set(influenced)
             check_nodes(influenced, n, "influenced set")
             influenced = sum(1 << u for u in influenced)
-        val = self._spreads.get((1 << v, influenced)) if 0 <= v < n else None  # 1 << -1 raises
+        val = self._spreads.get((v, influenced))
         if val is None:
             check_nodes((v,), n, "residual spread")
             if not 0 <= influenced < 1 << n:
@@ -370,7 +368,7 @@ class SpreadEstimator:
                 raise ValidationError(f"node {v} is already influenced")
             if self.mode == "exact":
                 return exact_memo(self.graph).spread(1 << v, influenced)
-            val = self._spreads[1 << v, influenced] = masked_reach(self._masks, v, influenced) / self.samples
+            val = self._spreads[v, influenced] = masked_reach(self._masks, v, influenced) / self.samples
         return val
 
 
@@ -659,8 +657,9 @@ class BranchEstimator:
             val = _expected_influence(self._greedy, self.instance, state) - base
         else:
             m = len(self.instance.menu)
-            floors_code = sum((fl + 1) * (m + 1) ** v for v, fl in enumerate(belief.floors))
-            # The budget left enters reduced, so the key names the amount, not the ledger's units.
+            # Floors enter as base-(m + 1) digits, a node with no rejection as 0 (so it is skipped), and
+            # the budget left enters reduced, so the key names the amount, not the ledger's units.
+            floors_code = sum((fl + 1) * (m + 1) ** v for v, fl in enumerate(belief.floors) if fl >= 0)
             g = math.gcd(belief.budget, state.ledger.denom)
             root = child(self.stream, belief.influenced, floors_code, belief.budget // g, state.ledger.denom // g)
             rollouts = self.config.rollouts

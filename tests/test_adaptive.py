@@ -3,6 +3,7 @@ import heapq
 import math
 import pickle
 import re
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -632,7 +633,7 @@ def test_exact_memo_goes_with_its_instance():
 
 def test_exact_estimators_keep_no_copy_of_the_memo_spreads(monkeypatch):
     # Each exact residual spread is stored once, in the graph's memo: the
-    # estimators the factories build read it and keep no table of their own.
+    # estimators the factories build ask it and hold no entries of their own.
     inst, spec = tiny_instance(200)
     built, build = [], dc.EstimatorConfig.build
     monkeypatch.setattr(dc.EstimatorConfig, "build", lambda self, *args: built.append(build(self, *args)) or built[-1])
@@ -645,8 +646,7 @@ def test_exact_estimators_keep_no_copy_of_the_memo_spreads(monkeypatch):
     spreads = cascade.exact_memo(inst.graph).spreads
     assert len(built) == 2 and asked and asked <= spreads.keys()
     for est in built:
-        tables = [table for table in vars(est).values() if isinstance(table, dict)]
-        assert len(tables) == 1 and tables[0] is spreads
+        assert not any(table for table in vars(est).values() if isinstance(table, dict))
 
 
 def test_exact_estimators_on_one_graph_share_their_spreads(monkeypatch):
@@ -933,6 +933,28 @@ def test_snapshot_residual_spread_never_grows():
         assert after <= before
         strict += after < before
     assert strict > 10
+
+
+def _held_by_begin(n: int) -> int:
+    """Bytes `GreedyPolicy.begin` allocates and keeps when it scores the root of an n-node instance."""
+    inst = dc.random_instance(n, 5 / (n - 1), 424242, rates=(0.5, 1.0))
+    est = dc.SpreadEstimator(inst.graph, mode="mc", samples=200, stream=as_stream(0))
+    policy, state = dc.GreedyPolicy(inst, est), dc.initial_state(inst, dc.BudgetSpec(budget=3.0, mode="hard"))
+    tracemalloc.start()
+    try:
+        policy.begin(state)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_root_scoring_memory_grows_linearly():
+    # The root holds a spread and a few heap entries per node, so 4x the nodes
+    # hold about 4x the bytes (4.04x on CPython 3.11: open offers and ints past
+    # the small-int cache grow a little faster than n). A key that grows with
+    # the node id, such as a v-bit mask per node v, makes it about 7x.
+    small, large = _held_by_begin(2000), _held_by_begin(8000)
+    assert large / small <= 4.5, f"{small / 1e6:.2f} MB at 2,000 nodes, {large / 1e6:.2f} MB at 8,000"
 
 
 def test_branches_of_an_exhaustive_evaluation_keep_their_own_heaps(fig1, hard2, monkeypatch):
@@ -1289,6 +1311,29 @@ def test_rollout_estimates_equal_lone_rollouts(mode):
         assert branch.greedy_value_from(state) == sum(sizes) / config.rollouts
         spread.append(len(set(sizes)) > 1)
     assert all(spread)
+
+
+def test_rollout_key_sums_rejected_nodes_only(monkeypatch):
+    # A node with no rejection (floor -1) is digit 0 of the key's floors code, so
+    # summing over rejected nodes gives the sum over every node.
+    class Keyed(Exception):
+        pass
+
+    def keyed(stream, *key):
+        keys.append(key)
+        raise Keyed
+
+    keys, rng, spec = [], np.random.default_rng(5), dc.BudgetSpec(budget=1.0, mode="hard")
+    monkeypatch.setattr(adaptive, "child", keyed)
+    for n in range(1, 65):
+        inst = dc.random_instance(n, 0.1, n, rates=(0.1, 0.5, 1.0))
+        m, root = len(inst.menu), dc.initial_state(inst, spec)
+        branch = dc.BranchEstimator(inst, dc.SpreadEstimator(inst.graph), dc.BranchConfig(mode="rollouts", rollouts=1),
+                                    stream=as_stream(0))
+        for floors in ((-1,) * n, tuple(int(f) for f in rng.integers(-1, m, n))):
+            with pytest.raises(Keyed):
+                branch.greedy_value_from(dc.PolicyState(root.belief._replace(floors=floors), root.ledger))
+            assert keys.pop()[1] == sum((fl + 1) * (m + 1) ** v for v, fl in enumerate(floors))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
