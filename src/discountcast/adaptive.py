@@ -36,8 +36,9 @@ each estimator draws once (`cascade.sample_worlds`) and keeps as one
 R-bit mask per edge (`cascade.WorldMasks`), searched in all worlds at
 once (`cascade.masked_reach`). So they shrink the same way, and lazy
 and eager scans pick the same offers in both estimator modes. Sampled
-evaluation builds one policy per process and reuses it across trials:
-every estimate and draw is keyed by state, so reuse changes no value.
+evaluation builds one policy per process (the caller and a child per
+other share of trials) and reuses it across trials: every estimate and
+draw is keyed by state, so reuse changes no value.
 
 The realizations consistent with a belief are its conditional support
 (`_ConditionalSupport`), built once per belief: the exhaustive cap
@@ -52,8 +53,9 @@ import copy
 import heapq
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -78,7 +80,7 @@ from .graph import Instance, SeedDiscountPair, SocialGraph, check_nodes
 from .nonadaptive import BudgetLedger, BudgetSpec
 from .rng import as_stream, child, generator
 
-_EVAL_CHUNK = 64
+_EVAL_CHUNK = 64  # sampled evaluation starts a process per _EVAL_CHUNK trials begun, up to `workers`
 _WALK_ENTRIES = 1 << 19  # realization entries (nodes + edges each) one `_walk_trials` tree holds
 MAX_OUTCOMES = 200_000  # joint realizations an exhaustive pass may enumerate
 ORACLE_MAX_NODES, ORACLE_MAX_EDGES, ORACLE_MAX_RATES = 5, 6, 2
@@ -425,11 +427,15 @@ class GreedyPolicy:
         with the shot heap filled, it holds every node the ratio heap scores."""
         belief, rates, units = state.belief, self.instance.menu.rates, state.ledger.rate_units
         influenced, top, spread = belief.influenced, len(rates) - 1, self.estimator.residual_spread
-        ratios = [(-(spread(influenced, v) / r), v, i, influenced) for v in range(len(belief.floors))
-                  for i, r in enumerate(rates) if belief.is_open(v, i) and units[r] <= belief.budget]
         shot = self.branch is not None and units[rates[top]] <= belief.budget
-        spreads = [(-spread(influenced, v), v, influenced) for v in range(len(belief.floors))
-                   if shot and belief.is_open(v, top)]
+        ratios, spreads = [], []
+        for v in range(len(belief.floors)):
+            offers = [(i, r) for i, r in enumerate(rates) if belief.is_open(v, i) and units[r] <= belief.budget]
+            if offers:  # with the top rate affordable, a node open at it has an offer
+                value = spread(influenced, v)  # one lookup serves both heaps
+                ratios += [(-(value / r), v, i, influenced) for i, r in offers]
+                if shot and belief.is_open(v, top):
+                    spreads.append((-value, v, influenced))
         heapq.heapify(ratios)
         heapq.heapify(spreads)
         return tuple(ratios), tuple(spreads)
@@ -515,8 +521,8 @@ class _ConditionalSupport:
     edge's live state as fixed by observation or by a 0/1 probability,
     and the undetermined edges with their probabilities: 0 < p < 1 out
     of uninfluenced nodes, as every revealed edge leaves an influenced
-    one. `count` is the number of joint realizations, which an
-    exhaustive pass refuses past `MAX_OUTCOMES` (`check`).
+    one. `count` (computed on first read) is the number of joint
+    realizations, which an exhaustive pass refuses past `MAX_OUTCOMES`.
     """
 
     def __init__(self, instance: Instance, given):
@@ -541,10 +547,14 @@ class _ConditionalSupport:
                 else:
                     self.varying.append((v, options))
         self.fixed = tuple(fixed)
-        self.undetermined = np.array([i for i, e in enumerate(graph.edges)
-                                      if not (influenced >> e.src) & 1 and 0.0 < e.prob < 1.0], dtype=np.intp)
+        blocked = np.zeros(graph.node_count, dtype=bool)
+        blocked[list(_bits(influenced))] = True
+        self.undetermined = np.flatnonzero(~blocked[graph.src] & (graph.prob > 0.0) & (graph.prob < 1.0))
         self.edge_probs = graph.prob[self.undetermined]
-        self.count = math.prod(len(options) for _, options in self.varying) << len(self.undetermined)
+
+    @cached_property
+    def count(self) -> int:
+        return math.prod(len(options) for _, options in self.varying) << len(self.undetermined)
 
     def check(self, fix: str = "") -> None:
         if self.count > MAX_OUTCOMES:
@@ -722,24 +732,21 @@ class IteratedFactory:
         return _branch_policy(self, stream, iterate=True)
 
 
-def _run_trials(policy, prior: _ConditionalSupport, instance: Instance, spec: BudgetSpec, root,
+def _run_trials(policy_factory, prior: _ConditionalSupport, instance: Instance, spec: BudgetSpec, root,
                 lo: int, hi: int) -> list[int]:
-    """Cascade sizes of `policy` over trials lo..hi-1, each against its own keyed draw from `prior`."""
+    """Cascade sizes over trials lo..hi-1, each against its own keyed draw from `prior`,
+    walked by one policy built in this process."""
     draws = (prior.draw(generator(root, 2, t)) for t in range(lo, hi))
-    return _walk_trials(policy, instance, initial_state(instance, spec), draws)
+    return _walk_trials(policy_factory(child(root, 1)), instance, initial_state(instance, spec), draws)
 
 
-# A pool worker's policy, prior and inputs, set once per process by `_start_worker`.
-_worker_args = None
-
-
-def _start_worker(policy_factory, prior: _ConditionalSupport, instance: Instance, spec: BudgetSpec, root) -> None:
-    global _worker_args
-    _worker_args = (policy_factory(child(root, 1)), prior, instance, spec, root)
-
-
-def _worker_trials(bounds: tuple[int, int]) -> list[int]:
-    return _run_trials(*_worker_args, *bounds)
+def _send_share_total(writer, *share) -> None:
+    """A child process's work: `(True, total)` of `_run_trials(*share)` over `writer`,
+    or `(False, exception)` for the caller to raise."""
+    try:
+        writer.send((True, sum(_run_trials(*share))))
+    except Exception as exc:  # the caller raises it, with its type
+        writer.send((False, exc))
 
 
 def evaluate_policy(policy_factory, instance: Instance, spec: BudgetSpec, trials,
@@ -754,13 +761,15 @@ def evaluate_policy(policy_factory, instance: Instance, spec: BudgetSpec, trials
     95%. Sampled trials use per-trial substreams and integer
     totals, so the result is identical for any worker count. The
     prior's conditional support is built once and every trial draws
-    from it. Each process builds the policy once (a pool worker in its
-    initializer, which also receives the support) and walks its trials
-    (all of them serially, one chunk at a time in a worker) as one
-    decision tree (`_walk_trials`), running each accept branch on a copy
-    of the policy as exhaustive evaluation does: `copy.copy`, unless the
-    policy's class defines `__copy__`. Chunks of trials carry only their
-    bounds. `workers` must be a positive int.
+    from it. The trials split into min(workers, ceil(trials /
+    `_EVAL_CHUNK`)) contiguous shares: the caller walks the first, and a
+    forked `multiprocessing.Process` each other one, sending back its
+    int total or its exception, which the caller raises (a child that
+    dies raises an error naming its exit code). No child outlives the
+    call. Each process builds the policy once and walks its share as one
+    decision tree (`_walk_trials`), each accept branch on a copy of the
+    policy (`copy.copy`, unless its class defines `__copy__`).
+    `workers` must be a positive int.
     """
     check_samples(workers, "workers")
     if trials == "exhaustive":
@@ -772,13 +781,31 @@ def evaluate_policy(policy_factory, instance: Instance, spec: BudgetSpec, trials
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValidationError(f"trials must be a positive int or 'exhaustive', got {trials!r}")
     root, prior = as_stream(stream), _ConditionalSupport(instance, BeliefState.initial(instance.graph.node_count, 0))
-    chunks = [(lo, min(lo + _EVAL_CHUNK, trials)) for lo in range(0, trials, _EVAL_CHUNK)]
-    if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks)), initializer=_start_worker,
-                                 initargs=(policy_factory, prior, instance, spec, root)) as pool:
-            total = sum(size for chunk in pool.map(_worker_trials, chunks) for size in chunk)
-    else:
-        total = sum(_run_trials(policy_factory(child(root, 1)), prior, instance, spec, root, 0, trials))
+    inputs, k = (policy_factory, prior, instance, spec, root), min(workers, -(-trials // _EVAL_CHUNK))
+    cuts, children = [trials * s // k for s in range(k + 1)], []  # share s is trials cuts[s]..cuts[s + 1]-1
+    try:
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_send_share_total, args=(writer, *inputs, lo, hi))
+            proc.start()
+            writer.close()
+            children.append((proc, reader))
+        total = sum(_run_trials(*inputs, 0, cuts[1]))
+        for proc, reader in children:
+            try:
+                ok, result = reader.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"a sampled-evaluation process died with exit code {proc.exitcode}") from None
+            if not ok:
+                raise result
+            total += result
+    finally:
+        for proc, reader in children:
+            reader.close()
+            proc.terminate()  # a no-op once the child has exited
+        for proc, _ in children:
+            proc.join()
     mean = total / trials
     return mean, hoeffding_radius(instance.graph.node_count, trials)
 

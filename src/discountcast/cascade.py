@@ -224,7 +224,7 @@ class ExactMemo:
 
 def exact_memo(graph: SocialGraph) -> ExactMemo:
     """The graph's `ExactMemo`, made on first use. It is kept with the graph
-    but never pickled (`SocialGraph.__getstate__`): a pool worker makes its own."""
+    but never pickled (`SocialGraph.__getstate__`): an unpickled graph makes its own."""
     memo = graph.__dict__.get("_exact_memo")
     if memo is None:
         memo = graph.__dict__["_exact_memo"] = ExactMemo(graph)

@@ -1,8 +1,11 @@
 import gc
 import heapq
 import math
+import multiprocessing
+import os
 import pickle
 import re
+import time
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -227,8 +230,8 @@ def test_shot_is_weighed_by_the_chance_given_rejections():
     ("branch", lambda: dc.BranchConfig(mode="rollouts", rollouts="3"), "rollouts must be a positive int, got '3'"),
 ], ids=["mode", "samples_0", "rollouts_2.5", "rollouts_true", "rollouts_str"])
 def test_bad_policy_configs_are_refused_when_built(fig1, hard2, workers, field, build, message):
-    # Built unchecked, they failed only in the policy factory: at two workers that runs in
-    # each pool worker's initializer, and the caller saw only a broken process pool.
+    # Built unchecked, they failed only in the policy factory, which at two workers also runs
+    # in a child process: the caller must raise the factory's own error.
     if field == "branch":
         message += " (CLI: --rollouts)"
     with pytest.raises(dc.ValidationError, match=f"^{re.escape(message)}$"):
@@ -957,6 +960,27 @@ def test_root_scoring_memory_grows_linearly():
     assert large / small <= 4.5, f"{small / 1e6:.2f} MB at 2,000 nodes, {large / 1e6:.2f} MB at 8,000"
 
 
+def _held_by_support_and_draw(n: int) -> int:
+    """Bytes a prior's `_ConditionalSupport` and one draw from it hold on an n-node instance."""
+    inst = dc.random_instance(n, 5 / (n - 1), 424242, rates=(0.5, 1.0))
+    inst.model.probs  # derived on first read and held by the model, not by the support
+    tracemalloc.start()
+    try:
+        support = _ConditionalSupport(inst, dc.BeliefState.initial(n, 0))
+        realization = support.draw(generator(as_stream(0), 2, 0))  # held while measured
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_support_and_draw_memory_grows_linearly():
+    # The support holds threshold options per node and a probability per edge, and a draw a
+    # threshold per node and a state per edge, so 4x the nodes (and edges) hold about 4x the
+    # bytes: 4.02x on CPython 3.11. Past 4.5x, some part grows faster than the graph.
+    small, large = _held_by_support_and_draw(2000), _held_by_support_and_draw(8000)
+    assert large / small <= 4.5, f"{small / 1e6:.2f} MB at 2,000 nodes, {large / 1e6:.2f} MB at 8,000"
+
+
 def test_branches_of_an_exhaustive_evaluation_keep_their_own_heaps(fig1, hard2, monkeypatch):
     factory = dc.GreedyFactory(fig1, hard2)
     right, _ = dc.evaluate_policy(factory, fig1, hard2, "exhaustive")
@@ -972,21 +996,72 @@ def test_branches_of_an_exhaustive_evaluation_keep_their_own_heaps(fig1, hard2, 
     assert shared != pytest.approx(right, abs=1e-3)
 
 
-def test_sampled_evaluation_builds_one_policy_per_process():
+def test_sampled_evaluation_builds_one_policy_per_process(tmp_path):
+    # The caller walks the first share of trials and one forked child each other share,
+    # a process per _EVAL_CHUNK trials begun, up to `workers`; every value is the serial one.
     inst = dc.random_instance(12, 2.5 / 11, 3, rates=(0.1, 0.5))
     spec = dc.BudgetSpec(budget=0.6, mode="hard")
     factory = dc.IteratedFactory(inst, spec, dc.EstimatorConfig(mode="mc", samples=40),
                                  dc.BranchConfig(mode="rollouts", rollouts=3))
-    builds = []
+    log = tmp_path / "builds"
 
-    def counting(stream):
-        builds.append(stream)
+    def logging(stream):
+        with open(log, "a") as out:  # one short append per build: children write whole lines
+            out.write(f"{os.getpid()}\n")
         return factory(stream)
 
-    serial, _ = dc.evaluate_policy(counting, inst, spec, 256, stream=9)  # four chunks of trials
-    assert len(builds) == 1
-    for workers in (2, 8):
-        assert dc.evaluate_policy(factory, inst, spec, 256, stream=9, workers=workers)[0] == serial
+    for trials in (16, 128, 129, 300):
+        serial = None
+        for workers in (1, 2, 3, 8):
+            log.write_text("")
+            value = dc.evaluate_policy(logging, inst, spec, trials, stream=9, workers=workers)
+            pids = log.read_text().split()
+            assert len(pids) == len(set(pids)) == min(workers, math.ceil(trials / adaptive._EVAL_CHUNK))
+            assert str(os.getpid()) in pids
+            serial = serial or value
+            assert value == serial, (trials, workers)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_dies_is_named_by_its_exit_code(fig1, hard2):
+    caller, factory = os.getpid(), dc.GreedyFactory(fig1, hard2)
+
+    def dies_in_child(stream):
+        if os.getpid() != caller:
+            os._exit(3)
+        return factory(stream)
+
+    with pytest.raises(RuntimeError, match="exit code 3$"):
+        dc.evaluate_policy(dies_in_child, fig1, hard2, 2 * adaptive._EVAL_CHUNK, stream=0, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_childs_exception_reaches_the_caller_with_its_type(fig1, hard2):
+    caller, factory = os.getpid(), dc.GreedyFactory(fig1, hard2)
+
+    def fails_in_child(stream):
+        if os.getpid() != caller:
+            raise KeyError("child")
+        return factory(stream)
+
+    with pytest.raises(KeyError, match="child"):
+        dc.evaluate_policy(fails_in_child, fig1, hard2, 3 * adaptive._EVAL_CHUNK, stream=0, workers=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failing_caller_share_stops_the_children(fig1, hard2):
+    caller = os.getpid()
+
+    def fails_in_caller(stream):
+        if os.getpid() == caller:
+            raise ValueError("caller")
+        time.sleep(60)  # a child still walking when the caller fails
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="caller"):
+        dc.evaluate_policy(fails_in_caller, fig1, hard2, 3 * adaptive._EVAL_CHUNK, stream=0, workers=3)
+    assert multiprocessing.active_children() == []
+    assert time.perf_counter() - start < 30  # terminated, not waited for
 
 
 class DrainingGreedy(dc.GreedyPolicy):
@@ -1112,6 +1187,20 @@ def test_scored_root_heaps_ask_only_what_the_lazy_scans_ask(mode, kind):
         assert fewer == 0
 
 
+@pytest.mark.parametrize("shots", [False, True])
+def test_scored_root_heaps_ask_each_spread_once(shots):
+    # With two rates open, a node has two ratio-heap entries and, when shots are
+    # weighed, a shot-heap entry: all of them read one lookup of its spread.
+    inst = dc.random_instance(16, 0.8 / 15, 40, rates=(0.5, 1.0), prob_range=(0.3, 0.9))
+    est = dc.SpreadEstimator(inst.graph, mode="mc", samples=40, stream=as_stream(0))
+    policy = dc.GreedyPolicy(inst, est, _AlwaysShoot() if shots else None, iterate=shots)
+    asked, ask = [], est.residual_spread
+    est.residual_spread = lambda influenced, v: asked.append((influenced, v)) or ask(influenced, v)
+    policy.begin(dc.initial_state(inst, dc.BudgetSpec(budget=3.25, mode="hard")))
+    assert asked == [(0, v) for v in range(16)]
+    assert len(policy._ratios) == 32 and len(policy._spreads) == (16 if shots else 0)
+
+
 def _policy_kinds(inst, mode):
     """Policy builders by kind, each a function of a stream (a factory reads
     no budget); "shots" is iterated with a branch estimate every shot beats."""
@@ -1230,7 +1319,7 @@ def test_sampled_trials_draw_what_per_trial_draws_give():
     want = [dc.run_policy(factory(child(root, 1)), inst, spec,
                           dc.sample_conditional_realization(inst, prior, generator(root, 2, t))).cascade_size
             for t in range(64)]
-    assert _run_trials(factory(child(root, 1)), _ConditionalSupport(inst, prior), inst, spec, root, 0, 64) == want
+    assert _run_trials(factory, _ConditionalSupport(inst, prior), inst, spec, root, 0, 64) == want
 
 
 def _lone_sizes(make, inst, state, reals):

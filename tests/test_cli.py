@@ -418,7 +418,8 @@ def test_readme_quick_start_prints_what_its_comments_say(capsys):
 
 
 def test_readme_command_line_block_runs(tmp_path):
-    # in order, as a reader would type them; `evaluate --workers 8` starts at most 8 processes
+    # in order, as a reader would type them; `evaluate --trials 10000 --workers 8` walks one share
+    # of the trials here and starts 7 child processes, one per other share
     text = _readme_block("Command line", "sh").replace("\\\n", " ")
     commands = [shlex.split(line, comments=True) for line in text.splitlines() if line.startswith("discountcast ")]
     assert len(commands) == 10
