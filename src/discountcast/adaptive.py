@@ -68,6 +68,7 @@ from .cascade import (
     SeedingRealization,
     WorldMasks,
     _bits,
+    _weighted_masks,
     check_samples,
     exact_memo,
     hoeffding_radius,
@@ -392,19 +393,24 @@ class GreedyPolicy:
     node, then the lowest rate, as an eager scan would pick. A copy of
     the policy, one per branch of a decision tree, copies the heaps.
 
-    `begin` builds the heaps scored at the run's root, `(belief,
-    ledger.denom)`, and reuses them for every run from the root it last
-    began from. Sampled evaluation and rollouts walk their runs as one
-    tree (`_walk_trials`), so runs that reach one belief share its probe.
+    `begin` scores both heaps once per policy, at the empty belief, on its
+    first call whose budget covers the cheapest rate; every run, from any
+    state and under any ledger, starts from copies of them. So in exact
+    mode a policy first begun at a later state can raise `TooLargeError`
+    where a run from that state alone would not. Sampled evaluation and
+    rollouts walk their runs as one tree (`_walk_trials`), so runs that
+    reach one belief share its probe.
     """
 
     def __init__(self, instance: Instance, estimator: SpreadEstimator,
                  branch: BranchEstimator | None = None, *, iterate: bool = False):
+        if iterate and branch is None:
+            raise ValidationError("iterate needs a branch estimator to weigh its top-rate shots")
         self.instance = instance
         self.estimator = estimator
         self.branch = branch
         self.iterate = iterate
-        self._root = None  # the (belief, ledger denominator) `begin` scored the root heaps at
+        self._heaps = None  # both heaps scored at the empty belief, built by the first `begin` that can buy
 
     def __copy__(self) -> "GreedyPolicy":
         twin = object.__new__(type(self))
@@ -413,29 +419,20 @@ class GreedyPolicy:
         return twin
 
     def begin(self, state: PolicyState) -> None:
-        root = (state.belief, state.ledger.denom)
         self._cheapest = min(state.ledger.rate_units.values())
-        if root != self._root:
-            self._root, self._root_heaps = root, self._scored_heaps(state)
+        if self._heaps is None and state.belief.budget >= self._cheapest:
+            self._heaps = self._scored_heaps()
         self._phase = "greedy" if self.branch is None else "shot"
-        self._ratios, self._spreads = map(list, self._root_heaps)
+        self._ratios, self._spreads = map(list, self._heaps or ((), ()))
 
-    def _scored_heaps(self, state: PolicyState) -> tuple[tuple, tuple]:
-        """Both heaps as the lazy scans at `state` leave them once every entry is
-        scored: the affordable open offers and, if the top rate is affordable,
-        the nodes open at it. They ask no spread a run from `state` would not:
-        with the shot heap filled, it holds every node the ratio heap scores."""
-        belief, rates, units = state.belief, self.instance.menu.rates, state.ledger.rate_units
-        influenced, top, spread = belief.influenced, len(rates) - 1, self.estimator.residual_spread
-        shot = self.branch is not None and units[rates[top]] <= belief.budget
-        ratios, spreads = [], []
-        for v in range(len(belief.floors)):
-            offers = [(i, r) for i, r in enumerate(rates) if belief.is_open(v, i) and units[r] <= belief.budget]
-            if offers:  # with the top rate affordable, a node open at it has an offer
-                value = spread(influenced, v)  # one lookup serves both heaps
-                ratios += [(-(value / r), v, i, influenced) for i, r in offers]
-                if shot and belief.is_open(v, top):
-                    spreads.append((-value, v, influenced))
+    def _scored_heaps(self) -> tuple[tuple, tuple]:
+        """Both heaps at the empty belief, every entry scored there: each
+        (node, rate) offer and, with a branch estimator, each node. One
+        spread lookup per node serves both heaps."""
+        rates, spread = self.instance.menu.rates, self.estimator.residual_spread
+        values = [spread(0, v) for v in range(self.instance.graph.node_count)]
+        ratios = [(-(value / r), v, i, 0) for v, value in enumerate(values) for i, r in enumerate(rates)]
+        spreads = [(-value, v, 0) for v, value in enumerate(values)] if self.branch is not None else []
         heapq.heapify(ratios)
         heapq.heapify(spreads)
         return tuple(ratios), tuple(spreads)
@@ -537,18 +534,18 @@ class _ConditionalSupport:
                     floors[pair.node] = max(floors[pair.node], instance.menu.index_of(pair.rate))
             for eidx, state in given.revealed.items():
                 self.live[eidx] = state
+        blocked = np.zeros(graph.node_count, dtype=bool)
+        blocked[list(_bits(influenced))] = True
         fixed = [len(instance.menu)] * graph.node_count
         self.varying: list[tuple[int, list[tuple[int, float]]]] = []
-        for v, row in enumerate(instance.model.probs):
-            if not (influenced >> v) & 1:
+        for v, (row, done) in enumerate(zip(instance.model.probs, blocked.tolist())):
+            if not done:
                 options = _threshold_options(row, floors[v])
                 if len(options) == 1:
                     fixed[v] = options[0][0]
                 else:
                     self.varying.append((v, options))
         self.fixed = tuple(fixed)
-        blocked = np.zeros(graph.node_count, dtype=bool)
-        blocked[list(_bits(influenced))] = True
         self.undetermined = np.flatnonzero(~blocked[graph.src] & (graph.prob > 0.0) & (graph.prob < 1.0))
         self.edge_probs = graph.prob[self.undetermined]
 
@@ -569,23 +566,17 @@ class _ConditionalSupport:
         """
         self.check()
         varying, base_live = self.varying, self.live.tolist()
-        edges = list(zip(self.undetermined.tolist(), self.edge_probs.tolist()))
+        edges, probs = self.undetermined.tolist(), self.edge_probs.tolist()
         for combo in itertools.product(*(options for _, options in varying)):
             idx = list(self.fixed)
             w_nodes = 1.0
             for (v, _), (i, p) in zip(varying, combo):
                 idx[v] = i
                 w_nodes *= p
-            for mask in range(1 << len(edges)):
+            for mask, w in _weighted_masks(probs, w_nodes):
                 live = list(base_live)
-                w = w_nodes
-                for j, (eidx, p) in enumerate(edges):
-                    if (mask >> j) & 1:
-                        live[eidx] = True
-                        w *= p
-                    else:
-                        live[eidx] = False
-                        w *= 1.0 - p
+                for j, eidx in enumerate(edges):
+                    live[eidx] = bool((mask >> j) & 1)
                 yield w, Realization(SeedingRealization(tuple(idx)), DiffusionRealization(tuple(live)))
 
     def draw(self, gen: np.random.Generator) -> Realization:

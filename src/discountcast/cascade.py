@@ -160,12 +160,20 @@ def _live_edge_outcomes(graph: SocialGraph, seeds, blocked: int, *, max_uncertai
     seeds = [s for s in seeds if not (blocked >> s) & 1]
     adj, probs = _relevant_subgraph(graph, seeds, blocked, max_uncertain_edges=max_uncertain_edges)
     start = sum(1 << s for s in seeds)
-    for mask in range(1 << len(probs)):
-        w = 1.0
-        for i, p in enumerate(probs):
-            w *= p if (mask >> i) & 1 else 1.0 - p
+    for mask, w in _weighted_masks(probs):
         if w:
             yield w, _reach(adj, seeds, start, mask)
+
+
+def _weighted_masks(probs, weight: float = 1.0):
+    """Yield (mask, weight) for every outcome of independent events with chances
+    `probs`, in mask order, bit i set when event i happens. Each weight is
+    `weight` times p or 1 - p per event, multiplied in index order."""
+    for mask in range(1 << len(probs)):
+        w = weight
+        for i, p in enumerate(probs):
+            w *= p if (mask >> i) & 1 else 1.0 - p
+        yield mask, w
 
 
 def spread_exact(graph: SocialGraph, seeds, *, blocked: int = 0) -> float:

@@ -21,6 +21,7 @@ import numpy as np
 from .cascade import (
     Worlds,
     _mc_total,
+    _weighted_masks,
     check_samples,
     exact_memo,
     hoeffding_radius,
@@ -201,10 +202,7 @@ def f_exact(config: Configuration, instance: Instance) -> float:
     probs = [model.prob_at_rate(v, eff[v]) for v in support]
     spread = exact_memo(graph).spread
     total = 0.0
-    for mask in range(1 << len(support)):
-        weight = 1.0
-        for i, p in enumerate(probs):
-            weight *= p if (mask >> i) & 1 else 1.0 - p
+    for mask, weight in _weighted_masks(probs):
         if weight == 0.0:
             continue
         total += weight * spread(sum(1 << v for i, v in enumerate(support) if (mask >> i) & 1), 0)

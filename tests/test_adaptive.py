@@ -1,3 +1,4 @@
+import collections
 import gc
 import heapq
 import math
@@ -1093,14 +1094,13 @@ class DrainingGreedy(dc.GreedyPolicy):
 
 
 class UnscoredRoot(dc.GreedyPolicy):
-    """Greedy from unscored root heaps, every key -inf and unstamped, so that
-    the lazy scans score the root entries themselves."""
+    """Greedy from unscored heaps, every key -inf and unstamped, so that
+    the lazy scans score each entry they reach themselves."""
 
-    def _scored_heaps(self, state):
-        belief, m = state.belief, len(self.instance.menu)
-        nodes = [v for v in range(len(belief.floors)) if belief.is_open(v, m - 1)]
-        return (tuple((-math.inf, v, i, None) for v in nodes for i in range(m) if belief.is_open(v, i)),
-                tuple((-math.inf, v, None) for v in nodes) if self.branch is not None else ())
+    def _scored_heaps(self):
+        n, m = self.instance.graph.node_count, len(self.instance.menu)
+        return (tuple((-math.inf, v, i, None) for v in range(n) for i in range(m)),
+                tuple((-math.inf, v, None) for v in range(n)) if self.branch is not None else ())
 
 
 def _policy_and_twin(twin, kind, inst, spec, mode, stream):
@@ -1163,10 +1163,12 @@ def test_greedy_scan_stops_once_nothing_fits(mode, kind):
 @pytest.mark.parametrize("kind", ["greedy", "enhanced", "iterated", "shots"])
 def test_scored_root_heaps_ask_only_what_the_lazy_scans_ask(mode, kind):
     # Runs from the root and from a state in which node 0 has rejected the
-    # cheap rate. At budget 0.75 the top rate is out of reach there, so node
-    # 0 is never scored and no shot is weighed; at 3.25 shots are. Where
-    # shots are taken, the lazy ratio heap is first scanned deeper, scoring
-    # every entry there, and the scored root heap re-scores only stale tops.
+    # cheap rate. At budget 0.75 the top rate is out of reach there, so the
+    # lazy scans never score node 0 and weigh no shot; at 3.25 shots are
+    # weighed. Where shots are taken, the lazy ratio heap is first scanned
+    # deeper, scoring every entry there, and the scored heap re-scores only
+    # stale tops. The scored heaps are scored at the empty belief, so from
+    # any other state they also ask the spreads there.
     inst = dc.random_instance(16, 0.8 / 15, 40, rates=(0.5, 1.0), prob_range=(0.3, 0.9))
     compared = fewer = 0
     for i, budget in enumerate((0.75, 1.5, 3.25)):
@@ -1180,8 +1182,11 @@ def test_scored_root_heaps_ask_only_what_the_lazy_scans_ask(mode, kind):
                 want = _execute(lazy, inst, state, real)
                 assert _execute(policy, inst, state, real) == want, f"budget {budget} realization {t}"
                 compared += len(want.probes)
-            assert asked[0] <= asked[1]
-            fewer += asked[0] != asked[1]
+            if state is root:
+                assert asked[0] <= asked[1]
+                fewer += asked[0] != asked[1]
+            else:
+                assert asked[0] <= asked[1] | {(0, v) for v in range(16)}
     assert compared > 50
     if kind == "greedy":  # its lazy scan scores the root first too, so both ask alike
         assert fewer == 0
@@ -1267,6 +1272,54 @@ def test_memo_root_tells_ledgers_apart(kind):
             got, want = _reused_and_fresh(_policy_kinds(inst, "mc")[kind], inst, order, 64)
             assert got == want
             assert {rec.cascade_size for rec in want[0::2]} != {rec.cascade_size for rec in want[1::2]}
+
+
+def _ledger_cases():
+    """The star and the worst case of `test_memo_root_tells_ledgers_apart`, each
+    with its two budgets: equal units at the root in different ledgers."""
+    star = dc.Instance(
+        graph=dc.SocialGraph(6, tuple(str(v) for v in range(6)), tuple(dc.Edge(0, v, 1.0) for v in range(1, 6))),
+        model=dc.AdoptionModel(menu=dc.DiscountMenu(rates=(0.5, 1.0)), probs=((0.0, 1.0),) + ((0.5, 0.8),) * 5))
+    return [(star, (1.5, 0.75)), (dc.worstcase_instance(8), (2.125, 1.0625))]
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("kind", ["greedy", "enhanced", "iterated", "shots"])
+def test_heaps_do_not_depend_on_where_a_policy_first_began(mode, kind):
+    # A policy first runs from the state after a reject, or after a cheap accept
+    # (on the star at budget 0.75, that leaves too little to buy anything, and
+    # such runs ask no spread), and then from the root; every run equals a fresh
+    # policy's. Each policy object scores its heaps once, at the empty belief,
+    # so a node's spread there is asked once per policy holding the estimator:
+    # two with a branch estimator, whose greedy continuation shares it.
+    broke = 0
+    for inst, budgets in _ledger_cases():
+        make, n, probs = _policy_kinds(inst, mode)[kind], inst.graph.node_count, inst.model.probs
+        cheap, taker = inst.menu.rates[0], max(range(n), key=lambda u: probs[u][0])
+        reached = cascade.exact_memo(inst.graph).outcomes(0, taker)[-1][0]
+        for budget in budgets:
+            root = dc.initial_state(inst, dc.BudgetSpec(budget=budget, mode="hard"))
+            for first in (root.after_reject(dc.SeedDiscountPair(n - 1, cheap), 0),
+                          root.after_accept(dc.SeedDiscountPair(taker, cheap), reached)):
+                policy = make(as_stream(3))
+                holders = 2 if isinstance(policy.branch, dc.BranchEstimator) else 1
+                est, asks = policy.estimator, collections.Counter()
+                ask = est.residual_spread
+                est.residual_spread = lambda influenced, v: asks.update([(influenced, v)]) or ask(influenced, v)
+                for state in (first, root):
+                    for t in range(16):
+                        real = dc.sample_realization(inst, child(as_stream(7), t))
+                        assert _execute(policy, inst, state, real) == _execute(make(as_stream(3)), inst, state, real)
+                    if state.belief.budget < min(state.ledger.rate_units.values()):
+                        assert not asks
+                        broke += 1
+                assert all(asks[0, v] <= holders for v in range(n)), (budget, first)
+    assert broke == 1
+
+
+def test_iterate_needs_a_branch_estimator(fig1):
+    with pytest.raises(dc.ValidationError, match="^iterate needs a branch estimator"):
+        dc.GreedyPolicy(fig1, dc.SpreadEstimator(fig1.graph), iterate=True)
 
 
 def _scalar_draw(instance, given, gen):
